@@ -71,19 +71,12 @@ class PRBMask:
     def popcount(self) -> int:
         return self.bits.bit_count()
 
-    def overlaps(self, other: PRBMask) -> bool:
-        return bool(self.bits & other.bits)
-
     def indices(self) -> list[int]:
         return [i for i in range(self.size) if self.bits >> i & 1]
 
     def to_bytes(self) -> bytes:
         nbytes = (self.size + 7) // 8
-        acc = 0
-        for prb in range(self.size):
-            if self.bits >> prb & 1:
-                acc |= 1 << (nbytes * 8 - 1 - prb)
-        return acc.to_bytes(nbytes, "big")
+        return _reverse_bits(self.bits, nbytes * 8).to_bytes(nbytes, "big")
 
     @classmethod
     def from_bytes(cls, data: bytes, size: int) -> PRBMask:
@@ -94,11 +87,12 @@ class PRBMask:
         pad_bits = nbytes * 8 - size
         if pad_bits and acc & ((1 << pad_bits) - 1):
             raise ValueError("padding bits beyond the last PRB must be zero")
-        bits = 0
-        for prb in range(size):
-            if acc >> (nbytes * 8 - 1 - prb) & 1:
-                bits |= 1 << prb
-        return cls(size=size, bits=bits)
+        return cls(size=size, bits=_reverse_bits(acc, nbytes * 8))
+
+
+def _reverse_bits(value: int, width: int) -> int:
+    """Mirror the low `width` bits of `value`: bit i becomes bit width-1-i."""
+    return int(format(value, f"0{width}b")[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -212,14 +206,18 @@ def budgets_to_masks(budgets: list[int], total_prbs: int) -> list[PRBMask]:
 
 
 def validate_slice_table(slices: list[SliceSpec], total_prbs: int) -> list[SliceTableViolation]:
-    """Check a slice table for overlap and over-allocation.
+    """Check a slice table for repeated ids, foreign mask sizes and overlap.
 
-    Returns an empty list when the table is valid; violations name the
-    offending slice pairs. Violations are the return value, never exceptions.
+    Returns an empty list when the table is valid. One pass ORs each mask
+    into the PRBs owned so far; an overlap names the earlier owner of the
+    first shared PRB and the later slice. Disjoint masks sized for the cell
+    cannot over-allocate it, so there is no separate budget check.
+    Violations are the return value, never exceptions.
     """
     violations: list[SliceTableViolation] = []
     seen_ids: set[SliceId] = set()
-    for spec in slices:
+    owned = 0
+    for i, spec in enumerate(slices):
         if spec.id in seen_ids:
             violations.append(
                 SliceTableViolation("duplicate_id", (spec.id,), f"slice id {spec.id} repeats")
@@ -233,23 +231,14 @@ def validate_slice_table(slices: list[SliceSpec], total_prbs: int) -> list[Slice
                     f"mask sized for {spec.mask.size} PRBs in a {total_prbs}-PRB cell",
                 )
             )
-    for i, a in enumerate(slices):
-        for b in slices[i + 1 :]:
-            if a.mask.overlaps(b.mask):
-                shared = a.mask.bits & b.mask.bits
-                first = (shared & -shared).bit_length() - 1
-                violations.append(
-                    SliceTableViolation(
-                        "overlap", (a.id, b.id), f"slices {a.id} and {b.id} share PRB {first}"
-                    )
+        shared = owned & spec.mask.bits
+        if shared:
+            first = (shared & -shared).bit_length() - 1
+            owner = next(s.id for s in slices[:i] if s.mask.bits >> first & 1)
+            violations.append(
+                SliceTableViolation(
+                    "overlap", (owner, spec.id), f"slices {owner} and {spec.id} share PRB {first}"
                 )
-    total = sum(s.mask.popcount() for s in slices)
-    if total > total_prbs:
-        violations.append(
-            SliceTableViolation(
-                "over_allocation",
-                tuple(s.id for s in slices),
-                f"{total} PRBs allocated in a {total_prbs}-PRB cell",
             )
-        )
+        owned |= spec.mask.bits
     return violations

@@ -62,9 +62,6 @@ class Sdl:
     def delete(self, namespace: str, key: str) -> None:
         self._store.pop((namespace, key), None)
 
-    def keys(self, namespace: str) -> list[str]:
-        return [k for (ns, k) in self._store if ns == namespace]
-
     def snapshot(self) -> dict[str, dict[str, str]]:
         out: dict[str, dict[str, str]] = {}
         for (ns, key), (value, version) in self._store.items():
@@ -90,31 +87,22 @@ class Router:
 
     E2 ingress decodes frames, drops stale sequence numbers with an audit
     record, and fans each message out to every subscriber of its kind in
-    subscription order. Deliveries carry unique ids; a message with no
-    subscriber lands in the dead-letter log, which is not an error.
+    subscription order. A message with no subscriber lands in the
+    dead-letter log, which is not an error.
     """
 
     def __init__(self, audit: AuditLog) -> None:
         self.audit = audit
-        self._subs: list[tuple[int, str, RoutableKind, Handler]] = []
-        self._sub_keys: set[tuple[str, RoutableKind]] = set()
-        self._next_sub = 1
+        self._handlers: dict[RoutableKind, list[tuple[str, Handler]]] = {}
         self._last_seq: dict[tuple[int, int], int] = {}
-        self.delivery_ids: list[int] = []
-        self._next_delivery = 1
         self.now_ms: int = 0
 
     def subscribe(self, xapp: str, kinds: set[RoutableKind] | list[RoutableKind], handler: Handler) -> None:
         for kind in kinds:
-            if (xapp, kind) in self._sub_keys:
+            subs = self._handlers.setdefault(kind, [])
+            if any(name == xapp for name, _ in subs):
                 raise SubscriptionError(f"{xapp} already subscribed to {kind}")
-            self._sub_keys.add((xapp, kind))
-            self._subs.append((self._next_sub, xapp, kind, handler))
-            self._next_sub += 1
-
-    def unsubscribe_all(self, xapp: str) -> None:
-        self._subs = [s for s in self._subs if s[1] != xapp]
-        self._sub_keys = {k for k in self._sub_keys if k[0] != xapp}
+            subs.append((xapp, handler))
 
     def ingest_frame(self, data: bytes) -> None:
         """Decode one RAN frame, enforce seq monotonicity, then route."""
@@ -137,18 +125,14 @@ class Router:
         self.route(msg)
 
     def route(self, msg: E2Message | InternalMessage) -> int:
-        kind: RoutableKind = msg.kind
-        delivered = 0
-        for _, _, sub_kind, handler in list(self._subs):
-            if sub_kind == kind:
-                self.delivery_ids.append(self._next_delivery)
-                self._next_delivery += 1
-                handler(msg)
-                delivered += 1
-        if delivered == 0:
+        subs = self._handlers.get(msg.kind, ())
+        for _, handler in subs:
+            handler(msg)
+        if not subs:
+            kind = msg.kind
             name = kind.name if isinstance(kind, MsgKind) else kind
             self.audit.record(self.now_ms, "router", "dead_letter", f"no subscriber for {name}")
-        return delivered
+        return len(subs)
 
 
 @dataclass
@@ -159,7 +143,6 @@ class XappContext:
     sdl: Sdl
     audit: AuditLog
     send_e2: Callable[[MsgKind, Any], None]
-    config: Any = None
 
 
 class Xapp:
@@ -175,38 +158,23 @@ class Xapp:
         self.ctx = ctx
 
     def on_frame_boundary(self, frame: int) -> None:
-        pass
+        self.frame = frame
 
 
 class XappRegistry:
-    def __init__(self, audit: AuditLog) -> None:
-        self.audit = audit
-        self._xapps: dict[str, tuple[int, Xapp]] = {}
-        self._next_id = 1
+    def __init__(self) -> None:
+        self._xapps: dict[str, Xapp] = {}
 
-    def register(self, xapp: Xapp, ctx: XappContext) -> int:
+    def register(self, xapp: Xapp, ctx: XappContext) -> None:
         if xapp.name in self._xapps:
             raise RegistrationError(f"xApp {xapp.name!r} already registered")
-        xapp_id = self._next_id
-        self._next_id += 1
-        self._xapps[xapp.name] = (xapp_id, xapp)
+        self._xapps[xapp.name] = xapp
         xapp.on_init(ctx)
-        return xapp_id
-
-    def unregister(self, name: str) -> None:
-        if name not in self._xapps:
-            raise RegistrationError(f"xApp {name!r} not registered")
-        _, xapp = self._xapps.pop(name)
-        if xapp.ctx is not None:
-            xapp.ctx.router.unsubscribe_all(name)
-
-    def registered(self) -> list[str]:
-        return list(self._xapps)
 
     def frame_boundary(self, frame: int) -> None:
         # Two passes: every xApp sees the new frame number before any of them
         # does boundary work, so cross-xApp cascades stamp the right epoch.
-        for _, xapp in self._xapps.values():
+        for xapp in self._xapps.values():
             xapp.frame = frame
-        for _, xapp in self._xapps.values():
+        for xapp in self._xapps.values():
             xapp.on_frame_boundary(frame)

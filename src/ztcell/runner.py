@@ -18,7 +18,7 @@ from pathlib import Path
 from random import Random
 
 from . import e2
-from .ran import FrameReport, RanCell
+from .ran import FrameReport, InvariantError, RanCell
 from .ric import AuditLog, Router, Sdl, XappContext, XappRegistry
 from .scenario import Scenario, resolved_lines
 from .xapps.auth import AuthConfig, AuthXapp
@@ -35,6 +35,11 @@ from .xapps.intrusion import (
 from .xapps.slicing import SlicingConfig, SlicingXapp
 
 FRAMES_CSV_HEADER = "frame_index,ue,served_bits,queue_bytes,latency_ms,auth_state,slice_id"
+
+# RAN <-> RIC exchange rounds allowed per frame boundary. The shipped
+# scenarios need at most 2; more means a message storm, which must fail
+# closed rather than hang the run.
+PUMP_ROUND_LIMIT = 16
 
 
 @dataclass
@@ -115,7 +120,7 @@ def run(
 
     router = Router(audit)
     sdl = Sdl()
-    registry = XappRegistry(audit)
+    registry = XappRegistry()
     ric_outbox: list[bytes] = []
 
     def send_e2(kind: e2.MsgKind, body) -> None:
@@ -162,8 +167,8 @@ def run(
         registry.register(slic_x, ctx)
         cell.connect(sc.ran_credential())
 
-    def pump() -> None:
-        while cell.outbox or ric_outbox:
+    def pump(frame: int) -> None:
+        for _ in range(PUMP_ROUND_LIMIT):
             to_ric = cell.outbox
             cell.outbox = []
             for data in to_ric:
@@ -172,6 +177,11 @@ def run(
             ric_outbox.clear()
             for data in to_ran:
                 cell.handle_frame(data)
+            if not (cell.outbox or ric_outbox):
+                return
+        raise InvariantError(
+            frame, f"E2 traffic still pending after {PUMP_ROUND_LIMIT} exchange rounds"
+        )
 
     cred_mode = {u.ue: u.credentials for u in sc.ues}
     frames: list[FrameReport] = []
@@ -192,12 +202,12 @@ def run(
                     cred_mode=spec.credentials,
                 )
         cell.maybe_reauth(f, cred_mode_of=cred_mode.get)
-        pump()
+        pump(f)
         frames.append(cell.step_frame())
         cell.emit_kpm_if_due()
     router.now_ms = sc.duration_frames * sc.cell.frame_ms
     registry.frame_boundary(sc.duration_frames)
-    pump()
+    pump(sc.duration_frames)
 
     rows = frames_to_rows(frames, [u.ue for u in sc.ues])
     meta = {
@@ -273,35 +283,38 @@ def summarize_rows(
         if entry["action"] == "isolate" and isolation_frame is None:
             isolation_frame = entry["frame"]
 
+    pre_end = detection_frame if detection_frame is not None else duration
+    post_start = isolation_frame if isolation_frame is not None else duration
+    bounds = ((0, pre_end), (post_start, duration), (0, duration))
     exceed_frames: set[int] = set()
     peak = 0.0
+    # ue -> [bits, frames] per window: pre-detection, post-isolation, whole run
+    windows: dict[int, list[list[int]]] = {}
     for row in rows:
-        if row["ue"] in legit and row["latency_ms"] is not None:
+        ue, f = row["ue"], row["frame_index"]
+        if ue in legit and row["latency_ms"] is not None:
             peak = max(peak, row["latency_ms"])
             if row["latency_ms"] > latency_threshold_ms:
-                exceed_frames.add(row["frame_index"])
+                exceed_frames.add(f)
+        if ue not in windows:
+            windows[ue] = [[0, 0] for _ in bounds]
+        for (lo, hi), acc in zip(bounds, windows[ue]):
+            if lo <= f < hi:
+                acc[0] += row["served_bits"]
+                acc[1] += 1
+
+    def mean_mbps(acc: list[int]) -> float | None:
+        bits, frames = acc
+        return bits / frames / 10_000.0 if frames else None  # bits per 10 ms frame -> Mbps
 
     per_ue: dict[int, dict] = {}
-    all_ues = sorted({row["ue"] for row in rows})
-    for ue in all_ues:
-        served = [row["served_bits"] for row in rows if row["ue"] == ue]
-        frames_of = [row["frame_index"] for row in rows if row["ue"] == ue]
-        by_frame = dict(zip(frames_of, served))
-
-        def mean_mbps(lo: int, hi: int) -> float | None:
-            bits = [by_frame[f] for f in range(lo, hi) if f in by_frame]
-            if not bits:
-                return None
-            return sum(bits) / len(bits) / 10_000.0  # bits per 10 ms frame -> Mbps
-
-        pre_end = detection_frame if detection_frame is not None else duration
+    for ue in sorted(windows):
+        pre, post, whole = windows[ue]
         per_ue[ue] = {
             "legitimate": ue in legit,
-            "pre_detection_mbps": mean_mbps(0, pre_end),
-            "post_isolation_mbps": (
-                mean_mbps(isolation_frame, duration) if isolation_frame is not None else None
-            ),
-            "mean_mbps": mean_mbps(0, duration),
+            "pre_detection_mbps": mean_mbps(pre),
+            "post_isolation_mbps": mean_mbps(post),
+            "mean_mbps": mean_mbps(whole),
         }
 
     return RunSummary(

@@ -139,7 +139,7 @@ class AuthXapp(Xapp):
         ctx.router.subscribe(self.name, [MsgKind.AUTH_REQUEST, MsgKind.KPM_INDICATION], self.handle)
 
     def on_frame_boundary(self, frame: int) -> None:
-        self.frame = frame
+        super().on_frame_boundary(frame)
         for ue in sorted(u for u, (_, due) in self._pending.items() if due <= frame):
             blob, _ = self._pending.pop(ue)
             self._decide_initial(ue, blob)

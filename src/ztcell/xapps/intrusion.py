@@ -303,9 +303,6 @@ class IntrusionXapp(Xapp):
             e2.SubscriptionRequestBody(self.cfg.report_period_ms, None),
         )
 
-    def on_frame_boundary(self, frame: int) -> None:
-        self.frame = frame
-
     def _window_key(self, ue: UeId) -> str:
         return f"window:{ue}"
 

@@ -91,9 +91,6 @@ class SlicingXapp(Xapp):
             self.handle,
         )
 
-    def on_frame_boundary(self, frame: int) -> None:
-        self.frame = frame
-
     def handle(self, msg: InternalMessage) -> None:
         if msg.kind == KIND_VERIFY_START:
             self.bind_ue(msg.payload["ue"], "verification")

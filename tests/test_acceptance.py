@@ -18,6 +18,7 @@ from ztcell.scenario import load_scenario
 from ztcell.xapps.auth import blob_key, build_blob
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+GOLDEN = Path(__file__).parent / "data" / "golden_runs"
 
 _passed: dict[str, bool] = {}
 
@@ -44,6 +45,39 @@ def latency_runs(tmp_path_factory):
     legacy = run(sc, out_dir=tmp_path_factory.mktemp("lat") / "legacy", legacy=True)
     zt = run(sc, out_dir=tmp_path_factory.mktemp("lat") / "zt")
     return legacy, zt, time.monotonic() - t0
+
+
+@pytest.fixture(scope="module")
+def fpr_run(tmp_path_factory):
+    sc = load_scenario(SCENARIOS / "fpr_leaky.scn")
+    out_csv = tmp_path_factory.mktemp("fpr") / "fpr.csv"
+    t0 = time.monotonic()
+    ests = fpr_sweep(sc, [1, 2, 5, 10], trials=10_000, out_csv=out_csv)
+    return ests, out_csv, time.monotonic() - t0
+
+
+def assert_same_files(out_dir: Path, golden_dir: Path) -> None:
+    written = sorted(p.name for p in out_dir.iterdir())
+    assert written == sorted(p.name for p in golden_dir.iterdir())
+    for name in written:
+        assert (out_dir / name).read_bytes() == (golden_dir / name).read_bytes(), name
+
+
+class TestGoldenRuns:
+    """Every file the shipped runs write matches the pinned copy byte for byte."""
+
+    def test_flood_isolation(self, flood_run):
+        result, _ = flood_run
+        assert_same_files(result.out_dir, GOLDEN / "flood_isolation")
+
+    def test_latency_flood_both_modes(self, latency_runs):
+        legacy, zt, _ = latency_runs
+        assert_same_files(legacy.out_dir, GOLDEN / "latency_flood-legacy")
+        assert_same_files(zt.out_dir, GOLDEN / "latency_flood")
+
+    def test_fpr_sweep(self, fpr_run):
+        _, out_csv, _ = fpr_run
+        assert out_csv.read_bytes() == (GOLDEN / "fpr_leaky.csv").read_bytes()
 
 
 class TestCriterion1Authentication:
@@ -154,11 +188,8 @@ class TestCriterion3LatencyExceedance:
 
 
 class TestCriterion4FalsePositiveCurve:
-    def test_fpr_non_increasing_with_window(self, tmp_path):
-        sc = load_scenario(SCENARIOS / "fpr_leaky.scn")
-        t0 = time.monotonic()
-        ests = fpr_sweep(sc, [1, 2, 5, 10], trials=10_000, out_csv=tmp_path / "fpr.csv")
-        elapsed = time.monotonic() - t0
+    def test_fpr_non_increasing_with_window(self, fpr_run):
+        ests, _, elapsed = fpr_run
 
         non_increasing = all(b.fpr <= a.fpr for a, b in zip(ests, ests[1:]))
         ci_ordered = all(b.ci_low <= a.ci_high for a, b in zip(ests, ests[1:]))

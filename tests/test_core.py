@@ -81,7 +81,7 @@ class TestBudgetsToMasks:
         assert [m.popcount() for m in masks] == budgets
         for i, a in enumerate(masks):
             for b in masks[i + 1 :]:
-                assert not a.overlaps(b)
+                assert a.bits & b.bits == 0
 
 
 class TestValidateSliceTable:
@@ -119,6 +119,45 @@ class TestValidateSliceTable:
         assert validate_slice_table(slices, total) == []
 
 
+def table_valid_oracle(slices: list[SliceSpec], total: int) -> bool:
+    ids = [s.id for s in slices]
+    return (
+        len(set(ids)) == len(ids)
+        and all(s.mask.size == total for s in slices)
+        and all(
+            a.mask.bits & b.mask.bits == 0
+            for i, a in enumerate(slices)
+            for b in slices[i + 1 :]
+        )
+    )
+
+
+@st.composite
+def slice_tables(draw):
+    total = draw(st.integers(min_value=1, max_value=24))
+    slices = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        size = draw(st.sampled_from([total, total, total, total + 1]))
+        bits = draw(st.integers(min_value=1, max_value=(1 << size) - 1))
+        slices.append(SliceSpec(draw(st.integers(min_value=1, max_value=8)), PRBMask(size, bits)))
+    return slices, total
+
+
+class TestValidateSliceTableOracle:
+    @given(slice_tables())
+    def test_valid_iff_unique_ids_cell_sized_and_pairwise_disjoint(self, table):
+        slices, total = table
+        assert (validate_slice_table(slices, total) == []) == table_valid_oracle(slices, total)
+
+    def test_overlap_names_earlier_owner_of_first_shared_prb(self):
+        a = SliceSpec(1, PRBMask.from_range(0, 10, 100))
+        b = SliceSpec(2, PRBMask.from_range(20, 10, 100))
+        c = SliceSpec(3, PRBMask.from_range(5, 20, 100))  # shares 5..9 with a, 20..24 with b
+        violations = validate_slice_table([a, b, c], 100)
+        assert [(v.kind, v.slices) for v in violations] == [("overlap", (1, 3))]
+        assert violations[0].detail == "slices 1 and 3 share PRB 5"
+
+
 class TestPRBMask:
     def test_serialized_length_is_13_bytes_for_100_prbs(self):
         assert len(PRBMask.from_range(0, 100, 100).to_bytes()) == 13
@@ -140,6 +179,16 @@ class TestPRBMask:
         bits = data.draw(st.integers(min_value=0, max_value=(1 << size) - 1))
         mask = PRBMask(size=size, bits=bits)
         assert PRBMask.from_bytes(mask.to_bytes(), size) == mask
+
+    @given(st.integers(min_value=1, max_value=130), st.data())
+    def test_prb_i_is_bit_7_minus_i_mod_8_of_byte_i_div_8(self, size, data):
+        nbytes = (size + 7) // 8
+        raw = bytearray(data.draw(st.binary(min_size=nbytes, max_size=nbytes)))
+        raw[-1] &= (0xFF << (nbytes * 8 - size)) & 0xFF  # clear the pad bits
+        mask = PRBMask.from_bytes(bytes(raw), size)
+        for i in range(size):
+            assert mask.bits >> i & 1 == raw[i // 8] >> (7 - i % 8) & 1
+        assert mask.to_bytes() == bytes(raw)
 
     def test_out_of_range_bits_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from ztcell.cli import main
+from ztcell.e2 import AuthOutcome
+from ztcell.ran import InvariantError, RanCell
 from ztcell.runner import FRAMES_CSV_HEADER, fpr_sweep, run, summarize_dir
 from ztcell.scenario import load_scenario, parse_scenario
 
@@ -82,6 +84,42 @@ class TestModes:
         result = run(sc)
         assert 3 not in result.frames[10].per_ue
         assert result.frames[60].per_ue[3].auth_state == "granted"
+
+
+ONE_UE = """
+scenario.duration_frames = 50
+scenario.seed = 3
+ue.1.traffic = cbr
+ue.1.rate_mbps = 1
+"""
+
+
+@pytest.fixture
+def reauth_on_every_grant(monkeypatch):
+    """A RAN that answers every grant with another valid re-authentication."""
+    original = RanCell._on_auth_response
+
+    def storm(cell, body):
+        original(cell, body)
+        ue = cell.ues.get(body.ue)
+        if ue is not None and body.outcome is AuthOutcome.GRANTED:
+            cell._send_auth_request(ue, slice_id=ue.slice_id or 0, cred_mode="valid")
+
+    monkeypatch.setattr(RanCell, "_on_auth_response", storm)
+
+
+class TestMessageStorm:
+    def test_reauth_storm_is_frame_stamped_invariant_error(self, reauth_on_every_grant):
+        with pytest.raises(InvariantError) as err:
+            run(parse_scenario(ONE_UE, "storm"))
+        assert 0 <= err.value.frame <= 50
+        assert str(err.value).startswith(f"frame {err.value.frame}:")
+
+    def test_reauth_storm_exits_2(self, reauth_on_every_grant, tmp_path, capsys):
+        scn = tmp_path / "storm.scn"
+        scn.write_text(ONE_UE)
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 2
+        assert "invariant breach: frame " in capsys.readouterr().err
 
 
 class TestOutputs:
