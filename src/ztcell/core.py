@@ -166,9 +166,6 @@ class BehaviorProfile:
     ue: UeId
     fields: dict[str, FieldStats] = field(default_factory=dict)
 
-    def covers(self, names: tuple[str, ...]) -> bool:
-        return all(n in self.fields for n in names)
-
 
 @dataclass(frozen=True)
 class SliceTableViolation:

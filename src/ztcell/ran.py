@@ -5,9 +5,20 @@ scheduler drains queues. With zero-trust slicing active every bound UE drains
 up to its own slice capacity in FIFO order; in legacy mode one shared FIFO
 across all UEs' packets is served from the whole PRB pool, ordered by arrival.
 
+A UE's queue holds one `Batch` per frame that had arrivals: all packets a UE
+enqueues in one frame share their size and arrival frame, so a batch is the
+run-length form `(arrival_frame, n, left, head_bits_left, seq0)`. Each UE
+also keeps a running count of its queued bits, so per-frame work does not
+grow with the backlog: a zero-trust drain completes the whole packets of a
+batch in O(1), and the legacy FIFO scans the UEs' head batches once per
+packet served.
+
 Packet latency is quantized to whole frames: a packet enqueued in frame a and
-fully served in frame f took (f - a + 1) frames. Arrival order within a frame
-is tracked at sub-frame resolution purely as the FIFO interleaving key.
+fully served in frame f took (f - a + 1) frames. Latency is accumulated as an
+integer sum and a packet count per UE per frame, so the reported mean is the
+same float as the mean of the per-packet list. Arrival order within a frame
+is tracked at sub-frame resolution purely as the legacy FIFO interleaving
+key: packet j of n arriving in frame a sits at a + (2j + 1) / 2n frames.
 """
 from __future__ import annotations
 
@@ -109,22 +120,23 @@ class RadioProfile:
     tx_power_mean_dbm: float = 20.0
     tx_power_std_dbm: float = 1.0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "snr_db": self.snr_mean_db,
-            "cqi": self.cqi_mean,
-            "tx_power_dbm": self.tx_power_mean_dbm,
-        }
 
+class Batch:
+    """The `n` equal-sized packets one UE enqueued in one frame.
 
-class Packet:
-    __slots__ = ("bits_left", "arrival_frame", "order_key", "seq")
+    `left` packets are not yet fully served; the first of them (the head,
+    sequence number `seq0 + n - left`) still needs `head_bits_left` bits and
+    every later one a whole packet.
+    """
 
-    def __init__(self, bits: int, arrival_frame: int, order_key: float, seq: int) -> None:
-        self.bits_left = bits
+    __slots__ = ("arrival_frame", "n", "left", "head_bits_left", "seq0")
+
+    def __init__(self, arrival_frame: int, n: int, pkt_bits: int, seq0: int) -> None:
         self.arrival_frame = arrival_frame
-        self.order_key = order_key
-        self.seq = seq
+        self.n = n
+        self.left = n
+        self.head_bits_left = pkt_bits
+        self.seq0 = seq0
 
 
 @dataclass
@@ -139,7 +151,8 @@ class UeState:
     token: bytes | None = None
     credential_chain: tuple[bytes, ...] = ()
     granted_frame: int | None = None
-    queue: deque = field(default_factory=deque)
+    queue: deque[Batch] = field(default_factory=deque)
+    queued_bits: int = 0
     bits_accum: float = 0.0
     pkt_seq: int = 0
     kpm_seq: int = 0
@@ -147,7 +160,7 @@ class UeState:
     window_served_bits: int = 0
 
     def queue_bits(self) -> int:
-        return sum(p.bits_left for p in self.queue)
+        return self.queued_bits
 
 
 @dataclass(frozen=True)
@@ -315,71 +328,98 @@ class RanCell:
         if n <= 0:
             return 0
         ue.bits_accum -= n * pkt_bits
-        base = f * self.cfg.frame_ms
-        for j in range(n):
-            key = base + self.cfg.frame_ms * (2 * j + 1) / (2 * n)
-            ue.queue.append(Packet(pkt_bits, f, key, ue.pkt_seq))
-            ue.pkt_seq += 1
+        ue.queue.append(Batch(f, n, pkt_bits, ue.pkt_seq))
+        ue.pkt_seq += n
+        ue.queued_bits += n * pkt_bits
         ue.window_arrived_pkts += n
         return n * pkt_bits
 
-    def _drain(self, ue: UeState, capacity: int, latencies: list[int]) -> int:
-        served = 0
+    def _drain(self, ue: UeState, capacity: int) -> tuple[int, int, int]:
+        """Serve `ue`'s FIFO up to `capacity` bits, one batch at a time.
+
+        Returns (bits served, latency sum in ms, packets completed).
+        """
+        served = lat_sum = done_total = 0
         f = self.frame_index
-        while capacity > 0 and ue.queue:
-            head = ue.queue[0]
-            take = min(head.bits_left, capacity)
-            head.bits_left -= take
-            served += take
+        pkt_bits = ue.traffic.packet_size_bytes * 8
+        q = ue.queue
+        while capacity > 0 and q:
+            b = q[0]
+            take = min(b.head_bits_left, capacity)
+            b.head_bits_left -= take
             capacity -= take
-            if head.bits_left == 0:
-                ue.queue.popleft()
-                latencies.append((f - head.arrival_frame + 1) * self.cfg.frame_ms)
-        return served
+            served += take
+            if b.head_bits_left:
+                break
+            # The head is done; complete as many whole packets after it as fit.
+            whole = min(b.left - 1, capacity // pkt_bits)
+            capacity -= whole * pkt_bits
+            served += whole * pkt_bits
+            done = whole + 1
+            b.left -= done
+            lat_sum += done * (f - b.arrival_frame + 1) * self.cfg.frame_ms
+            done_total += done
+            if b.left:
+                b.head_bits_left = pkt_bits
+            else:
+                q.popleft()
+        ue.queued_bits -= served
+        return served, lat_sum, done_total
 
     def step_frame(self) -> FrameReport:
         if self.zero_trust:
             self._check_invariants()
         f = self.frame_index
+        fm = self.cfg.frame_ms
         arrived: dict[UeId, int] = {}
         for ue_id in self.ue_order:
             arrived[ue_id] = self._enqueue_traffic(self.ues[ue_id])
 
         served: dict[UeId, int] = {u: 0 for u in self.ue_order}
-        latencies: dict[UeId, list[int]] = {u: [] for u in self.ue_order}
+        lat_sum: dict[UeId, int] = {u: 0 for u in self.ue_order}
+        lat_n: dict[UeId, int] = {u: 0 for u in self.ue_order}
         if self.zero_trust:
             for ue_id in self.ue_order:
                 ue = self.ues[ue_id]
                 if ue.slice_id is None:
                     continue
                 cap = self.slice_masks[ue.slice_id].popcount() * self.cfg.prb_bits_per_frame
-                served[ue_id] = self._drain(ue, cap, latencies[ue_id])
+                served[ue_id], lat_sum[ue_id], lat_n[ue_id] = self._drain(ue, cap)
                 if served[ue_id] > cap:
                     raise InvariantError(f, f"UE {ue_id} served over slice capacity")
         else:
             cap_left = self.cfg.cell_bits_per_frame
+            ues = [self.ues[u] for u in self.ue_order]
             while cap_left > 0:
-                head_ue = None
+                head_idx = -1
                 head_key = None
-                for idx, ue_id in enumerate(self.ue_order):
-                    q = self.ues[ue_id].queue
-                    if not q:
+                for idx, ue in enumerate(ues):
+                    if not ue.queue:
                         continue
-                    key = (q[0].order_key, idx, q[0].seq)
+                    b = ue.queue[0]
+                    j = b.n - b.left
+                    # idx differs per UE, so it settles every tie of the float key.
+                    key = (b.arrival_frame * fm + fm * (2 * j + 1) / (2 * b.n), idx)
                     if head_key is None or key < head_key:
                         head_key = key
-                        head_ue = ue_id
-                if head_ue is None:
+                        head_idx = idx
+                if head_key is None:
                     break
-                ue = self.ues[head_ue]
-                head = ue.queue[0]
-                take = min(head.bits_left, cap_left)
-                head.bits_left -= take
-                served[head_ue] += take
+                ue = ues[head_idx]
+                b = ue.queue[0]
+                take = min(b.head_bits_left, cap_left)
+                b.head_bits_left -= take
+                ue.queued_bits -= take
+                served[ue.id] += take
                 cap_left -= take
-                if head.bits_left == 0:
-                    ue.queue.popleft()
-                    latencies[head_ue].append((f - head.arrival_frame + 1) * self.cfg.frame_ms)
+                if b.head_bits_left == 0:
+                    b.left -= 1
+                    lat_sum[ue.id] += (f - b.arrival_frame + 1) * fm
+                    lat_n[ue.id] += 1
+                    if b.left:
+                        b.head_bits_left = ue.traffic.packet_size_bytes * 8
+                    else:
+                        ue.queue.popleft()
             if sum(served.values()) > self.cfg.cell_bits_per_frame:
                 raise InvariantError(f, "cell served over shared capacity")
 
@@ -387,16 +427,15 @@ class RanCell:
         for ue_id in self.ue_order:
             ue = self.ues[ue_id]
             ue.window_served_bits += served[ue_id]
-            lat = latencies[ue_id]
             hol = None
             if ue.queue:
-                hol = (f - ue.queue[0].arrival_frame + 1) * self.cfg.frame_ms
+                hol = (f - ue.queue[0].arrival_frame + 1) * fm
             per_ue[ue_id] = UeFrameStats(
                 served_bits=served[ue_id],
                 arrived_bits=arrived[ue_id],
                 queue_bytes=ue.queue_bits() // 8,
                 hol_latency_ms=hol,
-                mean_latency_ms=sum(lat) / len(lat) if lat else None,
+                mean_latency_ms=lat_sum[ue_id] / lat_n[ue_id] if lat_n[ue_id] else None,
                 auth_state=ue.auth_state.value,
                 slice_id=ue.slice_id,
             )

@@ -2,6 +2,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ztcell import e2
 from ztcell.core import PRBMask, SliceKind, SliceSpec
@@ -10,10 +12,11 @@ from ztcell.ran import (
     AttachError,
     AuthState,
     CellConfig,
-    Packet,
+    FrameReport,
     RadioProfile,
     RanCell,
     TrafficModel,
+    UeFrameStats,
 )
 
 SECRET = b"\x5a" * 32
@@ -46,14 +49,16 @@ def grant_with_slices(cell: RanCell, table: dict[int, tuple[int, int, SliceKind]
 class TestCapacity:
     def test_full_cell_slice_serves_quarter_megabit_per_frame(self):
         cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, IDLE)
+        # 1 Gbps offered: 833 packets of 12 kbit (10 Mbit) queue up per frame.
+        attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=1000.0))
+        preload = cell.step_frame().per_ue[1]  # verifying and unbound: not served
+        assert preload.served_bits == 0
+        assert preload.queue_bytes == 833 * 1500
         grant_with_slices(cell, {1: (1, 0, 100, SliceKind.NORMAL)})
-        # Preload 10 Mbit of queued traffic.
-        for i in range(834):
-            cell.ues[1].queue.append(Packet(12_000, 0, float(i), i))
         report = cell.step_frame()
         # 100 PRB * 0.24 Mbps * 10 ms = 0.24 Mbit
         assert report.per_ue[1].served_bits == 240_000
+        assert report.per_ue[1].queue_bytes == (2 * 833 * 12_000 - 240_000) // 8
 
     def test_empty_queue_serves_nothing_latency_absent(self):
         cell = RanCell(CellConfig(), SECRET, zero_trust=True)
@@ -123,13 +128,16 @@ class TestFifo:
         cell = RanCell(CellConfig(), SECRET, zero_trust=True)
         attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=30.0))
         grant_with_slices(cell, {1: (1, 0, 50, SliceKind.NORMAL)})
-        seqs = []
+        next_seqs = []
         for _ in range(100):
-            before = {p.seq for p in cell.ues[1].queue}
             cell.step_frame()
-            after = {p.seq for p in cell.ues[1].queue}
-            seqs.extend(sorted(before - after))
-        assert seqs == sorted(seqs)
+            queue = cell.ues[1].queue
+            head = queue[0]
+            next_seqs.append(head.seq0 + head.n - head.left)
+            # Batches hold consecutive packets in arrival order.
+            for a, b in zip(queue, list(queue)[1:]):
+                assert b.seq0 == a.seq0 + a.n and b.arrival_frame > a.arrival_frame
+        assert next_seqs == sorted(next_seqs)
 
     def test_legacy_global_fifo_interleaves_by_arrival(self):
         cell = RanCell(CellConfig(), SECRET, zero_trust=False)
@@ -219,3 +227,210 @@ class TestKpm:
         attach_one(cell, 1, IDLE)
         seqs = [cell.collect_kpm(1, 100).seq for _ in range(5)]
         assert seqs == [1, 2, 3, 4, 5]
+
+
+# ---- reference model: one object per packet --------------------------------
+
+
+class RefPacket:
+    __slots__ = ("bits_left", "arrival_frame", "order_key", "seq")
+
+    def __init__(self, bits: int, arrival_frame: int, order_key: float, seq: int) -> None:
+        self.bits_left = bits
+        self.arrival_frame = arrival_frame
+        self.order_key = order_key
+        self.seq = seq
+
+
+class ReferenceCell(RanCell):
+    """The scheduler with one queue entry per packet and a rescanned queue
+    size; the batched cell must report the same frames."""
+
+    def _enqueue_traffic(self, ue):
+        f = self.frame_index
+        bits = ue.traffic.bits_in_frame(f, self.cfg.frame_ms, ue.rng_traffic)
+        ue.bits_accum += bits
+        pkt_bits = ue.traffic.packet_size_bytes * 8
+        n = int(ue.bits_accum // pkt_bits)
+        if n <= 0:
+            return 0
+        ue.bits_accum -= n * pkt_bits
+        base = f * self.cfg.frame_ms
+        for j in range(n):
+            key = base + self.cfg.frame_ms * (2 * j + 1) / (2 * n)
+            ue.queue.append(RefPacket(pkt_bits, f, key, ue.pkt_seq))
+            ue.pkt_seq += 1
+        ue.window_arrived_pkts += n
+        return n * pkt_bits
+
+    def _drain_packets(self, ue, capacity: int, latencies: list[int]) -> int:
+        served = 0
+        f = self.frame_index
+        while capacity > 0 and ue.queue:
+            head = ue.queue[0]
+            take = min(head.bits_left, capacity)
+            head.bits_left -= take
+            served += take
+            capacity -= take
+            if head.bits_left == 0:
+                ue.queue.popleft()
+                latencies.append((f - head.arrival_frame + 1) * self.cfg.frame_ms)
+        return served
+
+    def step_frame(self) -> FrameReport:
+        if self.zero_trust:
+            self._check_invariants()
+        f = self.frame_index
+        arrived = {u: self._enqueue_traffic(self.ues[u]) for u in self.ue_order}
+        served = {u: 0 for u in self.ue_order}
+        latencies: dict[int, list[int]] = {u: [] for u in self.ue_order}
+        if self.zero_trust:
+            for ue_id in self.ue_order:
+                ue = self.ues[ue_id]
+                if ue.slice_id is None:
+                    continue
+                cap = self.slice_masks[ue.slice_id].popcount() * self.cfg.prb_bits_per_frame
+                served[ue_id] = self._drain_packets(ue, cap, latencies[ue_id])
+        else:
+            cap_left = self.cfg.cell_bits_per_frame
+            while cap_left > 0:
+                head_ue = None
+                head_key = None
+                for idx, ue_id in enumerate(self.ue_order):
+                    q = self.ues[ue_id].queue
+                    if not q:
+                        continue
+                    key = (q[0].order_key, idx, q[0].seq)
+                    if head_key is None or key < head_key:
+                        head_key = key
+                        head_ue = ue_id
+                if head_ue is None:
+                    break
+                ue = self.ues[head_ue]
+                head = ue.queue[0]
+                take = min(head.bits_left, cap_left)
+                head.bits_left -= take
+                served[head_ue] += take
+                cap_left -= take
+                if head.bits_left == 0:
+                    ue.queue.popleft()
+                    latencies[head_ue].append((f - head.arrival_frame + 1) * self.cfg.frame_ms)
+        per_ue = {}
+        for ue_id in self.ue_order:
+            ue = self.ues[ue_id]
+            ue.window_served_bits += served[ue_id]
+            lat = latencies[ue_id]
+            hol = None
+            if ue.queue:
+                hol = (f - ue.queue[0].arrival_frame + 1) * self.cfg.frame_ms
+            per_ue[ue_id] = UeFrameStats(
+                served_bits=served[ue_id],
+                arrived_bits=arrived[ue_id],
+                queue_bytes=sum(p.bits_left for p in ue.queue) // 8,
+                hol_latency_ms=hol,
+                mean_latency_ms=sum(lat) / len(lat) if lat else None,
+                auth_state=ue.auth_state.value,
+                slice_id=ue.slice_id,
+            )
+        self.frame_index += 1
+        return FrameReport(frame_index=f, per_ue=per_ue)
+
+
+def recount_queue_bits(ue) -> int:
+    pkt_bits = ue.traffic.packet_size_bytes * 8
+    return sum(b.head_bits_left + (b.left - 1) * pkt_bits for b in ue.queue)
+
+
+@st.composite
+def traffic_models(draw) -> TrafficModel:
+    size = draw(st.integers(min_value=100, max_value=3000))
+    kind = draw(st.sampled_from(["cbr", "uniform_rate", "flood", "idle"]))
+    rate = st.floats(min_value=0.1, max_value=40.0)
+    if kind == "cbr":
+        return TrafficModel(kind="cbr", rate_mbps=draw(rate), packet_size_bytes=size)
+    if kind == "uniform_rate":
+        lo, hi = sorted((draw(rate), draw(rate)))
+        return TrafficModel(kind="uniform_rate", lo_mbps=lo, hi_mbps=hi, packet_size_bytes=size)
+    if kind == "flood":
+        onset = draw(st.integers(min_value=0, max_value=40))
+        return TrafficModel(kind="flood", rate_mbps=draw(rate), onset_frame=onset,
+                            packet_size_bytes=size)
+    return TrafficModel(kind="idle", packet_size_bytes=size)
+
+
+def bind_widths(cell: RanCell, widths: list[int]) -> None:
+    """UE i gets its own slice of widths[i] PRBs, or stays verifying and unbound at 0."""
+    slices, bindings, start = [], [], 0
+    for ue, width in zip(cell.ue_order, widths):
+        state = cell.ues[ue]
+        if width:
+            mask = PRBMask.from_range(start, width, cell.cfg.total_prbs)
+            slices.append(SliceSpec(ue, mask, kind=SliceKind.NORMAL))
+            bindings.append((ue, ue))
+            state.auth_state = AuthState.GRANTED
+            start += width
+        else:
+            state.auth_state = AuthState.VERIFYING
+    cell.apply_slice_control(SliceControlBody(bindings=tuple(bindings), slices=tuple(slices)))
+
+
+@st.composite
+def cell_runs(draw):
+    models = draw(st.lists(traffic_models(), min_size=1, max_size=4))
+    zero_trust = draw(st.booleans())
+    width = st.integers(min_value=0, max_value=100 // len(models))
+    tables = [draw(st.lists(width, min_size=len(models), max_size=len(models)))
+              for _ in range(2)]
+    frames = draw(st.integers(min_value=1, max_value=60))
+    switch = draw(st.integers(min_value=0, max_value=frames))
+    return models, zero_trust, tables, frames, switch
+
+
+class TestBatchedQueueOracle:
+    @given(cell_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_frames_equal_per_packet_reference(self, run):
+        models, zero_trust, tables, frames, switch = run
+        cells = [RanCell(CellConfig(), SECRET, zero_trust), ReferenceCell(CellConfig(), SECRET, zero_trust)]
+        for cell in cells:
+            for ue, model in enumerate(models, start=1):
+                attach_one(cell, ue, model)
+        batched, reference = cells
+        for f in range(frames):
+            if zero_trust and f in (0, switch):
+                for cell in cells:
+                    bind_widths(cell, tables[f == switch])
+            assert batched.step_frame() == reference.step_frame()
+            for ue in batched.ues.values():
+                assert ue.queue_bits() == recount_queue_bits(ue)
+                assert len(ue.queue) <= f + 1
+        for ue_id, ue in batched.ues.items():
+            assert ue.pkt_seq == reference.ues[ue_id].pkt_seq
+
+
+class TestAsymptoticGate:
+    def test_long_flood_queue_holds_one_entry_per_frame(self):
+        """Deterministic work counts over a 4000-frame flood, not wall time."""
+        frames = 4000
+        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
+        attach_one(cell, 1, TrafficModel(kind="flood", rate_mbps=40.0))
+        attach_one(cell, 2, TrafficModel(kind="cbr", rate_mbps=12.0))
+        grant_with_slices(cell, {1: (1, 99, 1, SliceKind.RESTRICTED), 2: (2, 0, 99, SliceKind.NORMAL)})
+        produced = {1: 0, 2: 0}
+        accum = {1: 0.0, 2: 0.0}
+        rates = {1: 40.0, 2: 12.0}
+        for f in range(frames):
+            report = cell.step_frame()
+            for ue, stats in report.per_ue.items():
+                # The packetizer's own arithmetic, recounted.
+                accum[ue] += rates[ue] * 10 * 1000.0
+                n = int(accum[ue] // 12_000)
+                accum[ue] -= n * 12_000
+                produced[ue] += n
+                assert stats.queue_bytes >= 0
+                assert len(cell.ues[ue].queue) <= f + 1
+        for ue in (1, 2):
+            assert cell.ues[ue].pkt_seq == produced[ue]
+        # A backlog of over 100k packets, held in at most one entry per frame.
+        flooder = cell.ues[1]
+        assert flooder.queue_bits() // 12_000 > 30 * len(flooder.queue)
