@@ -1,6 +1,7 @@
 """Shared domain types and pure PRB arithmetic used by every other module."""
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -75,24 +76,22 @@ class PRBMask:
         return [i for i in range(self.size) if self.bits >> i & 1]
 
     def to_bytes(self) -> bytes:
-        nbytes = (self.size + 7) // 8
-        return _reverse_bits(self.bits, nbytes * 8).to_bytes(nbytes, "big")
+        # Little-endian bytes put PRB 8k at bit 0 of byte k; the wire wants bit 7.
+        return self.bits.to_bytes((self.size + 7) // 8, "little").translate(_REVERSED_BYTE)
 
     @classmethod
     def from_bytes(cls, data: bytes, size: int) -> PRBMask:
         nbytes = (size + 7) // 8
         if len(data) != nbytes:
             raise ValueError(f"expected {nbytes} mask bytes for {size} PRBs, got {len(data)}")
-        acc = int.from_bytes(data, "big")
-        pad_bits = nbytes * 8 - size
-        if pad_bits and acc & ((1 << pad_bits) - 1):
+        bits = int.from_bytes(data.translate(_REVERSED_BYTE), "little")
+        if bits >> size:
             raise ValueError("padding bits beyond the last PRB must be zero")
-        return cls(size=size, bits=_reverse_bits(acc, nbytes * 8))
+        return cls(size=size, bits=bits)
 
 
-def _reverse_bits(value: int, width: int) -> int:
-    """Mirror the low `width` bits of `value`: bit i becomes bit width-1-i."""
-    return int(format(value, f"0{width}b")[::-1], 2)
+# Byte value -> the same byte with its bit order mirrored (bit i -> bit 7 - i).
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -172,6 +171,18 @@ class SliceTableViolation:
     kind: str
     slices: tuple[SliceId, ...]
     detail: str
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Add floats strictly left to right from 0.0.
+
+    Built-in sum() compensates float rounding from Python 3.12 on, so its
+    last digit depends on the interpreter; outputs must not.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def equal_split(total_prbs: int, n: int) -> list[int]:

@@ -24,11 +24,15 @@ Bodies:
 
 Identical messages always encode to identical bytes; decode is the exact
 inverse on the image of encode and rejects anything else with the byte
-offset of the failure. Golden frames live in tests/data/golden_frames.txt.
+offset of the failure. Each field is checked once per direction: encode
+checks every field before packing it, and decode checks only what the
+fixed-width layouts leave open (enum tags, KPM values, mask padding, and the
+slice-table and report-period rules, which encode applies too). Golden
+frames live in tests/data/golden_frames.txt.
 """
 from __future__ import annotations
 
-import math
+from math import isfinite
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -46,9 +50,26 @@ from .core import (
     validate_slice_table,
 )
 
-HEADER_LEN = 21
 AUTH_BLOB_LEN = 66
 TOKEN_LEN = 16
+
+# One precompiled layout per fixed-width field group. Encode packs the header
+# whole; decode reads it as length, tag and ids, so a truncation names the
+# group it fell in.
+_HEADER = struct.Struct(">IBIIQ")
+_LENGTH = struct.Struct(">I")
+_TAG = struct.Struct(">B")
+_IDS = struct.Struct(">IIQ")
+_AUTH_RESPONSE = struct.Struct(">QBB")
+_KPM = struct.Struct(">QIQdBIdd")
+_COUNT = struct.Struct(">H")
+_BINDING = struct.Struct(">QH")
+_SLICE_HEAD = struct.Struct(">HH")
+_SLICE_ATTRS = struct.Struct(">BB")
+_PERIOD_FLAG = struct.Struct(">IB")
+_UE = struct.Struct(">Q")
+
+HEADER_LEN = _HEADER.size
 
 
 class MsgKind(IntEnum):
@@ -73,6 +94,14 @@ class AuthReason(IntEnum):
     RAN_UNVERIFIED = 3
     EXPIRED = 4
     SLICE_MISMATCH = 5
+
+
+# Wire tag -> member: the membership test and the conversion in one lookup.
+_KINDS = {m.value: m for m in MsgKind}
+_OUTCOMES = {m.value: m for m in AuthOutcome}
+_REASONS = {m.value: m for m in AuthReason}
+_PRIORITIES = {m.value: m for m in SlicePriority}
+_SLICE_KINDS = {m.value: m for m in SliceKind}
 
 
 class EncodeError(ValueError):
@@ -157,29 +186,33 @@ def _check_uint(value: int, bits: int, name: str) -> None:
         raise EncodeError(f"{name} {value} outside u{bits}")
 
 
-def _check_finite(value: float, name: str) -> None:
-    if not math.isfinite(value):
-        raise EncodeError(f"{name} must be finite, got {value}")
+# ---- rules the wire layout cannot express; both directions apply them --------
 
 
-def _validate(msg: E2Message) -> None:
-    expected = _BODY_TYPES[msg.kind]
-    if not isinstance(msg.body, expected):
-        raise EncodeError(f"{msg.kind.name} carries {type(msg.body).__name__}")
-    _check_uint(msg.cell, 32, "cell id")
-    _check_uint(msg.e2, 32, "e2 id")
-    _check_uint(msg.seq, 64, "seq")
-    body = msg.body
-    if isinstance(body, AuthRequestBody):
-        if len(body.blob) != AUTH_BLOB_LEN:
-            raise EncodeError(f"auth blob must be {AUTH_BLOB_LEN} bytes, got {len(body.blob)}")
-    elif isinstance(body, AuthResponseBody):
-        _check_uint(body.ue, 64, "ue id")
-        if body.outcome not in tuple(AuthOutcome) or body.reason not in tuple(AuthReason):
-            raise EncodeError("invalid auth outcome/reason")
-        if len(body.token) != TOKEN_LEN:
-            raise EncodeError(f"token must be {TOKEN_LEN} bytes")
-    elif isinstance(body, KpmIndicationBody):
+def _period_error(period_ms: int) -> str | None:
+    if period_ms == 0 or period_ms % FRAME_MS:
+        return f"report period {period_ms} ms is not a whole number of {FRAME_MS} ms frames"
+    return None
+
+
+def _slice_table_error(body: SliceControlBody) -> str | None:
+    sizes = {s.mask.size for s in body.slices}
+    if len(sizes) > 1:
+        return "slice masks disagree on cell PRB count"
+    total = sizes.pop() if sizes else 0
+    violations = validate_slice_table(list(body.slices), total) if body.slices else []
+    if violations:
+        return "; ".join(v.detail for v in violations)
+    declared = {s.id for s in body.slices}
+    for _, sl in body.bindings:
+        if sl not in declared:
+            return f"binding references undeclared slice {sl}"
+    return None
+
+
+def _pack_body(body: Body) -> bytes:
+    """Check every field of `body` once, then pack it."""
+    if isinstance(body, KpmIndicationBody):
         r = body.report
         try:
             r.validate()
@@ -190,86 +223,70 @@ def _validate(msg: E2Message) -> None:
         _check_uint(r.seq, 64, "report seq")
         _check_uint(r.tx_packets, 32, "tx_packets")
         for name in ("snr_db", "tx_power_dbm", "throughput_mbps"):
-            _check_finite(getattr(r, name), name)
-    elif isinstance(body, SliceControlBody):
+            value = getattr(r, name)
+            if not isfinite(value):
+                raise EncodeError(f"{name} must be finite, got {value}")
+        return _KPM.pack(
+            r.ue, r.cell, r.seq, r.snr_db, r.cqi, r.tx_packets, r.tx_power_dbm, r.throughput_mbps
+        )
+    if isinstance(body, AuthRequestBody):
+        if len(body.blob) != AUTH_BLOB_LEN:
+            raise EncodeError(f"auth blob must be {AUTH_BLOB_LEN} bytes, got {len(body.blob)}")
+        return body.blob
+    if isinstance(body, AuthResponseBody):
+        _check_uint(body.ue, 64, "ue id")
+        if body.outcome not in _OUTCOMES or body.reason not in _REASONS:
+            raise EncodeError("invalid auth outcome/reason")
+        if len(body.token) != TOKEN_LEN:
+            raise EncodeError(f"token must be {TOKEN_LEN} bytes")
+        return _AUTH_RESPONSE.pack(body.ue, body.outcome, body.reason) + body.token
+    if isinstance(body, SliceControlBody):
         if len(body.slices) > 0xFFFF or len(body.bindings) > 0xFFFF:
             raise EncodeError("slice control lists exceed u16 count")
-        sizes = {s.mask.size for s in body.slices}
-        if len(sizes) > 1:
-            raise EncodeError("slice masks disagree on cell PRB count")
-        total = sizes.pop() if sizes else 0
-        violations = validate_slice_table(list(body.slices), total) if body.slices else []
-        if violations:
-            raise EncodeError("; ".join(v.detail for v in violations))
-        declared = {s.id for s in body.slices}
         for ue, sl in body.bindings:
             _check_uint(ue, 64, "ue id")
             _check_uint(sl, 16, "slice id")
-            if sl not in declared:
-                raise EncodeError(f"binding references undeclared slice {sl}")
-    elif isinstance(body, SubscriptionRequestBody):
-        _check_uint(body.report_period_ms, 32, "report period")
-        if body.report_period_ms == 0 or body.report_period_ms % FRAME_MS:
-            raise EncodeError(
-                f"report period {body.report_period_ms} ms is not a whole number of "
-                f"{FRAME_MS} ms frames"
-            )
-        if body.ue_filter is not None:
-            if len(body.ue_filter) > 0xFFFF:
-                raise EncodeError("ue filter exceeds u16 count")
-            for ue in body.ue_filter:
-                _check_uint(ue, 64, "ue id")
-    elif isinstance(body, SubscriptionAckBody):
-        _check_uint(body.report_period_ms, 32, "report period")
-
-
-def _encode_body(body: Body) -> bytes:
-    if isinstance(body, AuthRequestBody):
-        return body.blob
-    if isinstance(body, AuthResponseBody):
-        return struct.pack(">QBB", body.ue, body.outcome, body.reason) + body.token
-    if isinstance(body, KpmIndicationBody):
-        r = body.report
-        return struct.pack(
-            ">QIQdBIdd",
-            r.ue,
-            r.cell,
-            r.seq,
-            r.snr_db,
-            r.cqi,
-            r.tx_packets,
-            r.tx_power_dbm,
-            r.throughput_mbps,
-        )
-    if isinstance(body, SliceControlBody):
-        out = [struct.pack(">H", len(body.bindings))]
-        for ue, sl in body.bindings:
-            out.append(struct.pack(">QH", ue, sl))
-        out.append(struct.pack(">H", len(body.slices)))
+        error = _slice_table_error(body)
+        if error:
+            raise EncodeError(error)
+        out = [_COUNT.pack(len(body.bindings))]
+        out.extend(_BINDING.pack(ue, sl) for ue, sl in body.bindings)
+        out.append(_COUNT.pack(len(body.slices)))
         for s in body.slices:
-            out.append(struct.pack(">HH", s.id, s.mask.size))
+            out.append(_SLICE_HEAD.pack(s.id, s.mask.size))
             out.append(s.mask.to_bytes())
-            out.append(struct.pack(">BB", s.priority, s.kind))
+            out.append(_SLICE_ATTRS.pack(s.priority, s.kind))
         return b"".join(out)
-    if isinstance(body, SubscriptionRequestBody):
-        if body.ue_filter is None:
-            return struct.pack(">IB", body.report_period_ms, 0)
-        out = [struct.pack(">IBH", body.report_period_ms, 1, len(body.ue_filter))]
-        out.extend(struct.pack(">Q", ue) for ue in body.ue_filter)
-        return b"".join(out)
+    _check_uint(body.report_period_ms, 32, "report period")
     if isinstance(body, SubscriptionAckBody):
-        return struct.pack(">IB", body.report_period_ms, 1 if body.accepted else 0)
-    raise EncodeError(f"unknown body type {type(body).__name__}")
+        return _PERIOD_FLAG.pack(body.report_period_ms, 1 if body.accepted else 0)
+    error = _period_error(body.report_period_ms)
+    if error:
+        raise EncodeError(error)
+    if body.ue_filter is None:
+        return _PERIOD_FLAG.pack(body.report_period_ms, 0)
+    if len(body.ue_filter) > 0xFFFF:
+        raise EncodeError("ue filter exceeds u16 count")
+    for ue in body.ue_filter:
+        _check_uint(ue, 64, "ue id")
+    out = [_PERIOD_FLAG.pack(body.report_period_ms, 1), _COUNT.pack(len(body.ue_filter))]
+    out.extend(_UE.pack(ue) for ue in body.ue_filter)
+    return b"".join(out)
 
 
 def encode(msg: E2Message) -> bytes:
-    _validate(msg)
-    payload = _encode_body(msg.body)
-    total = HEADER_LEN + len(payload)
-    return struct.pack(">IBIIQ", total, msg.kind, msg.cell, msg.e2, msg.seq) + payload
+    if not isinstance(msg.body, _BODY_TYPES[msg.kind]):
+        raise EncodeError(f"{msg.kind.name} carries {type(msg.body).__name__}")
+    _check_uint(msg.cell, 32, "cell id")
+    _check_uint(msg.e2, 32, "e2 id")
+    _check_uint(msg.seq, 64, "seq")
+    payload = _pack_body(msg.body)
+    return _HEADER.pack(HEADER_LEN + len(payload), msg.kind, msg.cell, msg.e2, msg.seq) + payload
 
 
 class _Reader:
+    __slots__ = ("data", "offset")
+
     def __init__(self, data: bytes) -> None:
         self.data = data
         self.offset = 0
@@ -281,39 +298,45 @@ class _Reader:
         self.offset += n
         return chunk
 
-    def unpack(self, fmt: str, what: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+    def unpack(self, layout: struct.Struct, what: str) -> tuple:
+        at = self.offset
+        if at + layout.size > len(self.data):
+            raise DecodeError(at, f"truncated while reading {what}")
+        self.offset = at + layout.size
+        return layout.unpack_from(self.data, at)
 
 
-def _decode_body(kind: MsgKind, rd: _Reader) -> Body:
-    if kind == MsgKind.AUTH_REQUEST:
-        return AuthRequestBody(blob=rd.take(AUTH_BLOB_LEN, "auth blob"))
-    if kind == MsgKind.AUTH_RESPONSE:
-        ue, outcome, reason = rd.unpack(">QBB", "auth response")
-        token = rd.take(TOKEN_LEN, "token")
-        if outcome not in tuple(AuthOutcome):
-            raise DecodeError(rd.offset - TOKEN_LEN - 2, f"unknown outcome {outcome}")
-        if reason not in tuple(AuthReason):
-            raise DecodeError(rd.offset - TOKEN_LEN - 1, f"unknown reason {reason}")
-        return AuthResponseBody(ue, AuthOutcome(outcome), AuthReason(reason), token)
-    if kind == MsgKind.KPM_INDICATION:
-        ue, cell, seq, snr, cqi, pkts, power, tput = rd.unpack(">QIQdBIdd", "kpm report")
+def _read_body(kind: MsgKind, rd: _Reader) -> Body:
+    """Parse one body; the struct widths bound every integer, so check only the rest."""
+    if kind is MsgKind.KPM_INDICATION:
+        ue, cell, seq, snr, cqi, pkts, power, tput = rd.unpack(_KPM, "kpm report")
         report = KPMReport(ue, cell, seq, snr, cqi, pkts, power, tput)
         try:
             report.validate()
         except ValueError as e:
             raise DecodeError(rd.offset, str(e)) from e
-        for name in ("snr_db", "tx_power_dbm", "throughput_mbps"):
-            if not math.isfinite(getattr(report, name)):
-                raise DecodeError(rd.offset, f"non-finite {name}")
+        if not (isfinite(snr) and isfinite(power) and isfinite(tput)):
+            for name in ("snr_db", "tx_power_dbm", "throughput_mbps"):
+                if not isfinite(getattr(report, name)):
+                    raise DecodeError(rd.offset, f"non-finite {name}")
         return KpmIndicationBody(report)
-    if kind == MsgKind.SLICE_CONTROL:
-        (n_bind,) = rd.unpack(">H", "binding count")
-        bindings = tuple(rd.unpack(">QH", "binding") for _ in range(n_bind))
-        (n_slices,) = rd.unpack(">H", "slice count")
+    if kind is MsgKind.AUTH_REQUEST:
+        return AuthRequestBody(blob=rd.take(AUTH_BLOB_LEN, "auth blob"))
+    if kind is MsgKind.AUTH_RESPONSE:
+        ue, outcome, reason = rd.unpack(_AUTH_RESPONSE, "auth response")
+        token = rd.take(TOKEN_LEN, "token")
+        if outcome not in _OUTCOMES:
+            raise DecodeError(rd.offset - TOKEN_LEN - 2, f"unknown outcome {outcome}")
+        if reason not in _REASONS:
+            raise DecodeError(rd.offset - TOKEN_LEN - 1, f"unknown reason {reason}")
+        return AuthResponseBody(ue, _OUTCOMES[outcome], _REASONS[reason], token)
+    if kind is MsgKind.SLICE_CONTROL:
+        (n_bind,) = rd.unpack(_COUNT, "binding count")
+        bindings = tuple(rd.unpack(_BINDING, "binding") for _ in range(n_bind))
+        (n_slices,) = rd.unpack(_COUNT, "slice count")
         slices = []
         for _ in range(n_slices):
-            sid, size = rd.unpack(">HH", "slice header")
+            sid, size = rd.unpack(_SLICE_HEAD, "slice header")
             at = rd.offset
             if size == 0:
                 raise DecodeError(at, "slice mask sized for 0 PRBs")
@@ -322,31 +345,30 @@ def _decode_body(kind: MsgKind, rd: _Reader) -> Body:
                 mask = PRBMask.from_bytes(raw, size)
             except ValueError as e:
                 raise DecodeError(at, str(e)) from e
-            prio, skind = rd.unpack(">BB", "slice attrs")
-            if prio not in tuple(SlicePriority):
+            prio, skind = rd.unpack(_SLICE_ATTRS, "slice attrs")
+            if prio not in _PRIORITIES:
                 raise DecodeError(rd.offset - 2, f"unknown priority {prio}")
-            if skind not in tuple(SliceKind):
+            if skind not in _SLICE_KINDS:
                 raise DecodeError(rd.offset - 1, f"unknown slice kind {skind}")
             try:
-                slices.append(SliceSpec(sid, mask, SlicePriority(prio), SliceKind(skind)))
+                slices.append(SliceSpec(sid, mask, _PRIORITIES[prio], _SLICE_KINDS[skind]))
             except ValueError as e:
                 raise DecodeError(at, str(e)) from e
         return SliceControlBody(bindings=bindings, slices=tuple(slices))
-    if kind == MsgKind.SUBSCRIPTION_REQUEST:
-        period, flag = rd.unpack(">IB", "subscription")
+    if kind is MsgKind.SUBSCRIPTION_REQUEST:
+        period, flag = rd.unpack(_PERIOD_FLAG, "subscription")
         if flag == 0:
             return SubscriptionRequestBody(period, None)
         if flag != 1:
             raise DecodeError(rd.offset - 1, f"unknown filter flag {flag}")
-        (count,) = rd.unpack(">H", "filter count")
-        ues = tuple(rd.unpack(">Q", "filtered ue")[0] for _ in range(count))
-        return SubscriptionRequestBody(period, ues)
-    if kind == MsgKind.SUBSCRIPTION_ACK:
-        period, accepted = rd.unpack(">IB", "subscription ack")
-        if accepted > 1:
-            raise DecodeError(rd.offset - 1, f"accepted flag {accepted} not boolean")
-        return SubscriptionAckBody(period, bool(accepted))
-    raise DecodeError(4, f"unknown kind tag {kind}")
+        (count,) = rd.unpack(_COUNT, "filter count")
+        return SubscriptionRequestBody(
+            period, tuple(rd.unpack(_UE, "filtered ue")[0] for _ in range(count))
+        )
+    period, accepted = rd.unpack(_PERIOD_FLAG, "subscription ack")
+    if accepted > 1:
+        raise DecodeError(rd.offset - 1, f"accepted flag {accepted} not boolean")
+    return SubscriptionAckBody(period, bool(accepted))
 
 
 def decode(data: bytes) -> E2Message:
@@ -357,23 +379,25 @@ def decode(data: bytes) -> E2Message:
     checked here.
     """
     rd = _Reader(data)
-    (total,) = rd.unpack(">I", "length prefix")
+    (total,) = rd.unpack(_LENGTH, "length prefix")
     if total != len(data):
         raise DecodeError(0, f"length prefix {total} but frame has {len(data)} bytes")
-    (tag,) = rd.unpack(">B", "kind tag")
-    if tag not in tuple(MsgKind):
+    (tag,) = rd.unpack(_TAG, "kind tag")
+    kind = _KINDS.get(tag)
+    if kind is None:
         raise DecodeError(4, f"unknown kind tag {tag}")
-    kind = MsgKind(tag)
-    cell, e2, seq = rd.unpack(">IIQ", "header")
-    body = _decode_body(kind, rd)
+    cell, e2, seq = rd.unpack(_IDS, "header")
+    body = _read_body(kind, rd)
     if rd.offset != len(data):
         raise DecodeError(rd.offset, f"{len(data) - rd.offset} trailing bytes")
-    msg = E2Message(kind=kind, cell=cell, e2=e2, seq=seq, body=body)
-    try:
-        _validate(msg)
-    except EncodeError as e:
-        raise DecodeError(HEADER_LEN, str(e)) from e
-    return msg
+    error = None
+    if kind is MsgKind.SLICE_CONTROL:
+        error = _slice_table_error(body)
+    elif kind is MsgKind.SUBSCRIPTION_REQUEST:
+        error = _period_error(body.report_period_ms)
+    if error:
+        raise DecodeError(HEADER_LEN, error)
+    return E2Message(kind, cell, e2, seq, body)
 
 
 class Connection:

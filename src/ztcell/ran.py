@@ -194,6 +194,7 @@ class RanCell:
         self.ue_order: list[UeId] = []
         self.slice_masks: dict[SliceId, PRBMask] = {}
         self.slice_kinds: dict[SliceId, SliceKind] = {}
+        self.slice_bits: dict[SliceId, int] = {}  # capacity per frame, per table
         self.table_epoch: int | None = None
         self.report_period_frames: int | None = None
         self.ue_filter: tuple[UeId, ...] | None = None
@@ -283,13 +284,15 @@ class RanCell:
         ue = self.ues.get(body.ue)
         if ue is None:
             return
+        if ue.auth_state is AuthState.DENIED:
+            return  # terminal: a UE is attached once, so nothing can re-admit it
         if body.outcome is e2.AuthOutcome.GRANTED:
             if ue.auth_state is not AuthState.ISOLATED:
                 ue.auth_state = AuthState.GRANTED
             ue.token = body.token
             if ue.granted_frame is None:
                 ue.granted_frame = self.frame_index
-        else:  # denied or revoked: service stops until a fresh attach
+        else:  # denied or revoked: service stops for good
             ue.auth_state = AuthState.DENIED
             ue.slice_id = None
             ue.granted_frame = None
@@ -299,11 +302,14 @@ class RanCell:
         """Install a new slice table; callers only invoke this on frame boundaries."""
         self.slice_masks = {s.id: s.mask for s in body.slices}
         self.slice_kinds = {s.id: s.kind for s in body.slices}
+        self.slice_bits = {s.id: s.budget() * self.cfg.prb_bits_per_frame for s in body.slices}
         bound = dict(body.bindings)
         for ue_id, ue in self.ues.items():
             new = bound.get(ue_id)
             ue.slice_id = new
-            if new is not None and self.slice_kinds[new] is SliceKind.RESTRICTED:
+            restricted = new is not None and self.slice_kinds[new] is SliceKind.RESTRICTED
+            # Denied is terminal: a denied UE bound anyway fails _check_invariants.
+            if restricted and ue.auth_state is not AuthState.DENIED:
                 ue.auth_state = AuthState.ISOLATED
         self.table_epoch = self.frame_index
 
@@ -328,7 +334,12 @@ class RanCell:
         if n <= 0:
             return 0
         ue.bits_accum -= n * pkt_bits
-        ue.queue.append(Batch(f, n, pkt_bits, ue.pkt_seq))
+        if ue.auth_state is AuthState.DENIED and ue.queue:
+            # Never served again, so only the count matters: grow the tail batch.
+            ue.queue[-1].n += n
+            ue.queue[-1].left += n
+        else:
+            ue.queue.append(Batch(f, n, pkt_bits, ue.pkt_seq))
         ue.pkt_seq += n
         ue.queued_bits += n * pkt_bits
         ue.window_arrived_pkts += n
@@ -383,7 +394,7 @@ class RanCell:
                 ue = self.ues[ue_id]
                 if ue.slice_id is None:
                     continue
-                cap = self.slice_masks[ue.slice_id].popcount() * self.cfg.prb_bits_per_frame
+                cap = self.slice_bits[ue.slice_id]
                 served[ue_id], lat_sum[ue_id], lat_n[ue_id] = self._drain(ue, cap)
                 if served[ue_id] > cap:
                     raise InvariantError(f, f"UE {ue_id} served over slice capacity")

@@ -69,6 +69,48 @@ class Sdl:
         return out
 
 
+class SdlWindow:
+    """Bounded JSON lists under one SDL namespace, held in memory and written through.
+
+    `load` turns a decoded JSON value into an item and `dump` an item into
+    its JSON text. Per key the window caches the bytes last put or read, the
+    items and their texts, so an append costs one get, one join and one put.
+    It decodes the stored bytes only when they are not that object, which
+    means another writer replaced them; the version cannot tell, since a
+    delete then a put restarts it at 1.
+    """
+
+    def __init__(self, sdl: Sdl, namespace: str, keep: int, load=lambda v: v, dump=json.dumps):
+        self.sdl, self.namespace, self.keep = sdl, namespace, keep
+        self._load, self._dump = load, dump
+        self._cache: dict[str, tuple[bytes, list, list[str]]] = {}
+
+    def _entry(self, key: str) -> tuple[bytes, list, list[str]]:
+        stored = self.sdl.get(self.namespace, key)
+        if stored is None:
+            return b"", [], []
+        cached = self._cache.get(key)
+        if cached is None or cached[0] is not stored[0]:
+            items = [self._load(v) for v in json.loads(stored[0])]
+            cached = self._cache[key] = (stored[0], items, [self._dump(x) for x in items])
+        return cached
+
+    def items(self, key: str) -> list:
+        """The stored window, read with one get; callers must not mutate it."""
+        return self._entry(key)[1]
+
+    def append(self, key: str, item: Any) -> list:
+        """Append `item`, keep the newest `keep`, put the window back and return it."""
+        _, items, texts = self._entry(key)
+        items.append(item)
+        texts.append(self._dump(item))
+        del items[: -self.keep], texts[: -self.keep]
+        data = ("[" + ", ".join(texts) + "]").encode()  # == json.dumps(items), byte for byte
+        self.sdl.put(self.namespace, key, data)
+        self._cache[key] = (data, items, texts)
+        return items
+
+
 @dataclass(frozen=True)
 class InternalMessage:
     """xApp-to-xApp message routed alongside E2 traffic, keyed by a kind string."""

@@ -17,6 +17,12 @@ The RAN node itself is verified first via a blob with the reserved ue_id 0;
 UE requests from an unverified (cell, e2) pair are ignored outright and only
 audit-logged. Verification holds the UE in a minimal verification slice for
 `verify_frames` frames before the decision is made.
+
+Re-authentication compares a UE's mean reported throughput with its slice
+budget. The xApp holds each UE's usage window in memory and writes it
+through to the SDL on every report; it decodes the stored window, and the
+slicer's table, again only when the SDL holds bytes the xApp has not read
+or written (`ric.SdlWindow`).
 """
 from __future__ import annotations
 
@@ -28,9 +34,9 @@ from dataclasses import dataclass
 from random import Random
 
 from .. import e2
-from ..core import CellId, E2Id, SliceId, UeId
+from ..core import CellId, E2Id, SliceId, UeId, ordered_sum
 from ..e2 import AuthOutcome, AuthReason, MsgKind
-from ..ric import InternalMessage, Xapp, XappContext
+from ..ric import InternalMessage, SdlWindow, Xapp, XappContext
 
 BLOB_LEN = 66
 TOKEN_LEN = e2.TOKEN_LEN  # 16, shared with the wire format
@@ -131,11 +137,15 @@ class AuthXapp(Xapp):
         self.verify_ops_log: list[tuple[UeId, int]] = []
         # pending verifications: ue -> (blob, due_frame); all durable state in SDL
         self._pending: dict[UeId, tuple[bytes, int]] = {}
+        self._usage: SdlWindow | None = None
+        self._table: tuple[bytes, dict] | None = None  # (stored bytes, parsed table)
 
     # ---- wiring ------------------------------------------------------------
 
     def on_init(self, ctx: XappContext) -> None:
         super().on_init(ctx)
+        keep = max(1, self.cfg.reauth_period_frames // max(1, self.cfg.report_period_frames))
+        self._usage = SdlWindow(ctx.sdl, NS_AUTH, keep)
         ctx.router.subscribe(self.name, [MsgKind.AUTH_REQUEST, MsgKind.KPM_INDICATION], self.handle)
 
     def on_frame_boundary(self, frame: int) -> None:
@@ -327,26 +337,27 @@ class AuthXapp(Xapp):
     # ---- periodic re-authentication support --------------------------------------
 
     def _track_usage(self, ue: UeId, throughput_mbps: float) -> None:
-        entry = self.ctx.sdl.get(NS_AUTH, f"usage:{ue}")
-        window = json.loads(entry[0]) if entry else []
-        window.append(throughput_mbps)
-        keep = max(1, self.cfg.reauth_period_frames // max(1, self.cfg.report_period_frames))
-        window = window[-keep:]
-        self.ctx.sdl.put(NS_AUTH, f"usage:{ue}", json.dumps(window).encode())
+        self._usage.append(f"usage:{ue}", throughput_mbps)
 
-    def _bound_slice(self, ue: UeId) -> SliceId | None:
+    def _slice_table(self) -> dict | None:
+        """The slicer's table from the SDL, parsed once per stored bytes object."""
         entry = self.ctx.sdl.get(NS_SLICES, "table")
         if entry is None:
             return None
-        table = json.loads(entry[0])
-        value = table["bindings"].get(str(ue))
-        return value
+        if self._table is None or self._table[0] is not entry[0]:
+            self._table = (entry[0], json.loads(entry[0]))
+        return self._table[1]
+
+    def _bound_slice(self, ue: UeId) -> SliceId | None:
+        table = self._slice_table()
+        if table is None:
+            return None
+        return table["bindings"].get(str(ue))
 
     def _slice_budget(self, slice_id: SliceId) -> int:
-        entry = self.ctx.sdl.get(NS_SLICES, "table")
-        if entry is None:
+        table = self._slice_table()
+        if table is None:
             return 0
-        table = json.loads(entry[0])
         for spec in table["slices"]:
             if spec["id"] == slice_id:
                 return spec["budget"]
@@ -356,12 +367,9 @@ class AuthXapp(Xapp):
         """RAN-reported mean throughput must fit the registered slice capacity."""
         if slice_id is None:
             return True
-        entry = self.ctx.sdl.get(NS_AUTH, f"usage:{ue}")
-        if entry is None:
-            return True
-        window = json.loads(entry[0])
+        window = self._usage.items(f"usage:{ue}")
         if not window:
             return True
-        mean = sum(window) / len(window)
+        mean = ordered_sum(window) / len(window)
         capacity = self._slice_budget(slice_id) * self.cfg.per_prb_rate_mbps
         return mean <= capacity * (1.0 + self.cfg.usage_tolerance)

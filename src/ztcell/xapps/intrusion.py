@@ -12,6 +12,10 @@ window mean exceeds the upper bound: the slicer itself pushes served volume
 down for verification and restricted slices, so a low value is the network's
 own doing, never evidence of intrusion. Radio-quality fields flag on
 deviation to either side.
+
+The xApp holds each UE's window in memory and writes it through to the SDL
+as a JSON list on every report. It decodes the stored window again only
+when the SDL holds bytes the xApp did not write (`ric.SdlWindow`).
 """
 from __future__ import annotations
 
@@ -21,9 +25,9 @@ from dataclasses import dataclass, field, replace
 from random import Random
 
 from .. import e2
-from ..core import KPM_FIELDS, BehaviorProfile, FieldStats, KPMReport, UeId
+from ..core import KPM_FIELDS, BehaviorProfile, FieldStats, KPMReport, UeId, ordered_sum
 from ..e2 import MsgKind
-from ..ric import InternalMessage, Xapp, XappContext
+from ..ric import InternalMessage, SdlWindow, Xapp, XappContext
 
 NS_PROFILES = "profiles"
 
@@ -80,8 +84,8 @@ class OpsCounter:
 
 def _sample_stats(values: list[float]) -> tuple[float, float]:
     n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    mean = ordered_sum(values) / n
+    var = ordered_sum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var)
 
 
@@ -118,13 +122,11 @@ def assess(
         total = 0.0
         for r in window:
             total += float(getattr(r, name))
-            if ops:
-                ops.add()
         mean = total / len(window)
-        if ops:
-            ops.add()
         if mean > stats.hi or (stats.flag_low and mean < stats.lo):
             offending.append((name, mean, (stats.lo, stats.hi)))
+    if ops is not None:
+        ops.add(len(profile.fields) * (len(window) + 1))  # one per value read, one per mean
     return Verdict(
         ue=profile.ue,
         flagged=bool(offending),
@@ -155,7 +157,7 @@ def synth_benign_report(
     cqi_mean, cqi_std = model.gauss_fields["cqi"]
     pow_mean, pow_std = model.gauss_fields["tx_power_dbm"]
     frames = model.report_period_ms // 10
-    total_bits = sum(
+    total_bits = ordered_sum(
         rng.uniform(model.rate_lo_mbps, model.rate_hi_mbps) * 10_000 for _ in range(frames)
     )
     pkt_bits = model.packet_size_bytes * 8
@@ -277,9 +279,15 @@ class IntrusionXapp(Xapp):
         self.profiles: dict[UeId, BehaviorProfile] = {}
         self.ops = OpsCounter()
         self.verdicts: list[Verdict] = []
+        self._windows: SdlWindow | None = None
 
     def on_init(self, ctx: XappContext) -> None:
         super().on_init(ctx)
+        # A report's JSON text is its dataclass fields in declaration order.
+        self._windows = SdlWindow(
+            ctx.sdl, NS_PROFILES, self.cfg.detection.window_n,
+            load=lambda d: KPMReport(**d), dump=lambda r: json.dumps(vars(r)),
+        )
         ctx.router.subscribe(
             self.name, [MsgKind.KPM_INDICATION, MsgKind.SUBSCRIPTION_ACK], self.handle
         )
@@ -303,31 +311,6 @@ class IntrusionXapp(Xapp):
             e2.SubscriptionRequestBody(self.cfg.report_period_ms, None),
         )
 
-    def _window_key(self, ue: UeId) -> str:
-        return f"window:{ue}"
-
-    def _load_window(self, ue: UeId) -> list[KPMReport]:
-        entry = self.ctx.sdl.get(NS_PROFILES, self._window_key(ue))
-        if entry is None:
-            return []
-        return [KPMReport(**d) for d in json.loads(entry[0])]
-
-    def _store_window(self, ue: UeId, window: list[KPMReport]) -> None:
-        payload = [
-            {
-                "ue": r.ue,
-                "cell": r.cell,
-                "seq": r.seq,
-                "snr_db": r.snr_db,
-                "cqi": r.cqi,
-                "tx_packets": r.tx_packets,
-                "tx_power_dbm": r.tx_power_dbm,
-                "throughput_mbps": r.throughput_mbps,
-            }
-            for r in window
-        ]
-        self.ctx.sdl.put(NS_PROFILES, self._window_key(ue), json.dumps(payload).encode())
-
     def handle(self, msg: e2.E2Message) -> None:
         body = msg.body
         if not isinstance(body, e2.KpmIndicationBody):
@@ -336,10 +319,7 @@ class IntrusionXapp(Xapp):
         profile = self.profiles.get(report.ue)
         if profile is None:
             return
-        window = self._load_window(report.ue)
-        window.append(report)
-        window = window[-self.cfg.detection.window_n :]
-        self._store_window(report.ue, window)
+        window = self._windows.append(f"window:{report.ue}", report)
         if len(window) < self.cfg.detection.min_reports_before_decision:
             return
         verdict = assess(profile, window, self.cfg.detection, self.ops)

@@ -11,6 +11,7 @@ from ztcell.xapps.intrusion import (
     NoVerdictError,
     OpsCounter,
     ProfileModel,
+    _sample_stats,
     assess,
     build_profile,
     estimate_fpr,
@@ -55,6 +56,11 @@ class TestBuildProfile:
         snr = profile.fields["snr_db"]
         assert snr.std == 0.0
         assert snr.lo == snr.hi == 25.0
+
+    def test_sample_mean_adds_left_to_right(self):
+        # Built-in sum() gives 1.0 here from Python 3.12 on (compensated
+        # summation); plain left-to-right float addition loses the 1.0.
+        assert _sample_stats([1e16, 1.0, -1e16])[0] == 0.0
 
     def test_single_report_insufficient(self):
         with pytest.raises(InsufficientDataError):

@@ -1,4 +1,6 @@
 """Cell model: capacity arithmetic, queue growth, FIFO, determinism."""
+from dataclasses import replace
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -13,12 +15,16 @@ from ztcell.ran import (
     AuthState,
     CellConfig,
     FrameReport,
+    InvariantError,
     RadioProfile,
     RanCell,
     TrafficModel,
     UeFrameStats,
 )
+from ztcell.runner import run
+from ztcell.scenario import load_scenario
 
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 SECRET = b"\x5a" * 32
 IDLE = TrafficModel(kind="idle")
 STILL_RADIO = RadioProfile(snr_std_db=0.0, cqi_std=0.0, tx_power_std_dbm=0.0)
@@ -408,6 +414,50 @@ class TestBatchedQueueOracle:
             assert ue.pkt_seq == reference.ues[ue_id].pkt_seq
 
 
+def auth_response(cell: RanCell, body: e2.AuthResponseBody) -> None:
+    cell.handle_frame(e2.encode(cell.conn.make("ric", MsgKind.AUTH_RESPONSE, body)))
+
+
+class TestDeniedIsTerminal:
+    GRANT = e2.AuthResponseBody(1, e2.AuthOutcome.GRANTED, e2.AuthReason.OK, bytes(range(16)))
+    DENY = e2.AuthResponseBody(1, e2.AuthOutcome.DENIED, e2.AuthReason.BAD_TAG)
+
+    def test_later_grant_is_ignored(self):
+        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
+        attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=12.0))
+        auth_response(cell, self.DENY)
+        auth_response(cell, self.GRANT)
+        ue = cell.ues[1]
+        assert ue.auth_state is AuthState.DENIED
+        assert ue.token is None and ue.granted_frame is None
+
+    def test_restricted_binding_does_not_readmit_and_fails_closed(self):
+        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
+        attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=12.0))
+        auth_response(cell, self.DENY)
+        spec = SliceSpec(1, PRBMask.from_range(99, 1, 100), kind=SliceKind.RESTRICTED)
+        cell.apply_slice_control(SliceControlBody(bindings=((1, 1),), slices=(spec,)))
+        assert cell.ues[1].auth_state is AuthState.DENIED
+        with pytest.raises(InvariantError, match="denied but bound"):
+            cell.step_frame()
+
+    def test_denied_backlog_grows_one_batch(self):
+        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
+        attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=12.0))
+        for _ in range(3):
+            cell.step_frame()  # verifying and unbound: three batches queue up
+        auth_response(cell, self.DENY)
+        ue = cell.ues[1]
+        for f in range(200):
+            stats = cell.step_frame().per_ue[1]
+            assert stats.served_bits == 0
+            assert stats.hol_latency_ms == (f + 4) * 10  # the head batch is still frame 0's
+            assert len(ue.queue) == 3
+            assert ue.queue_bits() == recount_queue_bits(ue) == ue.pkt_seq * 12_000
+        tail = ue.queue[-1]
+        assert tail.seq0 + tail.n == ue.pkt_seq == 203 * 10
+
+
 class TestAsymptoticGate:
     def test_long_flood_queue_holds_one_entry_per_frame(self):
         """Deterministic work counts over a 4000-frame flood, not wall time."""
@@ -434,3 +484,24 @@ class TestAsymptoticGate:
         # A backlog of over 100k packets, held in at most one entry per frame.
         flooder = cell.ues[1]
         assert flooder.queue_bits() // 12_000 > 30 * len(flooder.queue)
+
+    def test_denied_queue_stops_growing_in_long_flood_run(self, monkeypatch):
+        """flood_isolation over 16k frames: UE 4, denied at attach, keeps
+        offering traffic, but its queue never gains an entry after the denial."""
+        sc = replace(load_scenario(SCENARIOS / "flood_isolation.scn"), duration_frames=16_000)
+        lengths: list[tuple[str, int]] = []
+        step = RanCell.step_frame
+
+        def recording_step(cell):
+            report = step(cell)
+            ue = cell.ues.get(4)
+            if ue is not None:
+                lengths.append((ue.auth_state, len(ue.queue)))
+            return report
+
+        monkeypatch.setattr(RanCell, "step_frame", recording_step)
+        result = run(sc)
+        denied = [n for state, n in lengths if state is AuthState.DENIED]
+        assert len(denied) > 15_000
+        assert all(later <= earlier for earlier, later in zip(denied, denied[1:]))
+        assert len(result.cell.ues[4].queue) <= 3

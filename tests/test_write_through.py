@@ -1,0 +1,253 @@
+"""Write-through xApp windows: the in-memory copies never drift from the SDL.
+
+The intrusion xApp keeps each UE's report window in memory, and the auth
+xApp each UE's usage window and the parsed slice table. Other writers may
+put, delete, or delete and re-put those SDL keys at any time, including a
+re-put that lands on the version number the xApp last wrote. After every
+step the bytes the xApp wrote must be `json.dumps` of the window a fresh SDL
+read gives, and verdicts and re-auth decisions must equal those of the
+xApps as they were before the caches: decode and re-encode on every call.
+"""
+import json
+from dataclasses import asdict
+from random import Random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ztcell import e2
+from ztcell.core import KPMReport, ordered_sum
+from ztcell.e2 import MsgKind
+from ztcell.ric import AuditLog, Router, Sdl, XappContext
+from ztcell.xapps.auth import NS_AUTH, NS_SLICES, AuthConfig, AuthXapp, blob_key, build_blob
+from ztcell.xapps.intrusion import (
+    NS_PROFILES,
+    DetectionConfig,
+    IntrusionConfig,
+    IntrusionXapp,
+    ProfileModel,
+    assess,
+)
+
+SECRET = b"\x42" * 32
+CHAINS = {ue: (bytes([ue]) * 16,) for ue in (1, 2)}
+WINDOW_N = 3
+USAGE_KEEP = 4  # reauth period 40 frames / report period 10 frames
+
+
+class UncachedIntrusion(IntrusionXapp):
+    """Decodes and re-encodes the whole window from the SDL on every report."""
+
+    def handle(self, msg: e2.E2Message) -> None:
+        report = msg.body.report
+        key = f"window:{report.ue}"
+        entry = self.ctx.sdl.get(NS_PROFILES, key)
+        window = [KPMReport(**d) for d in json.loads(entry[0])] if entry else []
+        window = (window + [report])[-self.cfg.detection.window_n :]
+        self.ctx.sdl.put(NS_PROFILES, key, json.dumps([asdict(r) for r in window]).encode())
+        verdict = assess(self.profiles[report.ue], window, self.cfg.detection, self.ops)
+        if verdict.flagged:
+            self.verdicts.append(verdict)
+
+
+class UncachedAuth(AuthXapp):
+    """Parses the usage window and the slice table from the SDL on every call."""
+
+    def _track_usage(self, ue, throughput_mbps):
+        entry = self.ctx.sdl.get(NS_AUTH, f"usage:{ue}")
+        window = (json.loads(entry[0]) if entry else []) + [throughput_mbps]
+        self.ctx.sdl.put(NS_AUTH, f"usage:{ue}", json.dumps(window[-USAGE_KEEP:]).encode())
+
+    def _parsed_table(self):
+        entry = self.ctx.sdl.get(NS_SLICES, "table")
+        return json.loads(entry[0]) if entry else None
+
+    def _bound_slice(self, ue):
+        table = self._parsed_table()
+        return None if table is None else table["bindings"].get(str(ue))
+
+    def _slice_budget(self, slice_id):
+        table = self._parsed_table()
+        for spec in table["slices"] if table else []:
+            if spec["id"] == slice_id:
+                return spec["budget"]
+        return 0
+
+    def _usage_within_slice(self, ue, slice_id):
+        if slice_id is None:
+            return True
+        entry = self.ctx.sdl.get(NS_AUTH, f"usage:{ue}")
+        window = json.loads(entry[0]) if entry else []
+        if not window:
+            return True
+        capacity = self._slice_budget(slice_id) * self.cfg.per_prb_rate_mbps
+        return ordered_sum(window) / len(window) <= capacity * (1.0 + self.cfg.usage_tolerance)
+
+
+class World:
+    def __init__(self, cached: bool) -> None:
+        self.sdl = Sdl()
+        self.audit = AuditLog()
+        ctx = XappContext(
+            router=Router(self.audit), sdl=self.sdl, audit=self.audit,
+            send_e2=lambda kind, body: self.sent.append((kind, body)),
+        )
+        self.sent = []
+        model = ProfileModel(
+            ue=0,
+            gauss_fields={"snr_db": (25.0, 2.0), "cqi": (12.0, 1.5), "tx_power_dbm": (20.0, 1.0)},
+            rate_lo_mbps=10.0,
+            rate_hi_mbps=20.0,
+        )
+        intrusion = (IntrusionXapp if cached else UncachedIntrusion)(
+            IntrusionConfig(
+                detection=DetectionConfig(window_n=WINDOW_N),
+                models={ue: model for ue in CHAINS},
+                seed="wt",
+            )
+        )
+        auth = (AuthXapp if cached else UncachedAuth)(
+            AuthConfig(
+                secret=SECRET, credentials=dict(CHAINS), ran_credential=b"ran", cell_id=1,
+                e2_id=1, rng_tokens=Random("tokens"), reauth_period_frames=40,
+                report_period_frames=10,
+            )
+        )
+        self.intrusion, self.auth = intrusion, auth
+        for xapp in (intrusion, auth):
+            xapp.on_init(ctx)
+            xapp.on_frame_boundary(0)
+        for ue in CHAINS:
+            auth.provision(ue)
+
+    def deliver(self, report: KPMReport) -> None:
+        msg = e2.E2Message(MsgKind.KPM_INDICATION, 1, 1, report.seq, e2.KpmIndicationBody(report))
+        self.intrusion.handle(msg)
+        self.auth.handle(msg)
+
+    def reauth(self, ue: int) -> None:
+        """Present valid credentials for the slice the table binds; usage decides."""
+        table = self.sdl.get(NS_SLICES, "table")
+        bound = json.loads(table[0])["bindings"].get(str(ue)) if table else None
+        token = self.sdl.get(NS_AUTH, f"token:{ue}")[0][:16]
+        blob = build_blob(token, ue, 1, 1, bound or 0, blob_key(SECRET, CHAINS[ue]))
+        self.auth._decide_reauth(ue, blob)
+
+    def outside_put(self, key: tuple[str, str], value: bytes) -> None:
+        self.sdl.put(*key, value)
+
+    def outside_delete(self, key: tuple[str, str]) -> None:
+        self.sdl.delete(*key)
+
+    def outside_reput_same_version(self, key: tuple[str, str], value: bytes) -> None:
+        """Delete, then put until the version is back where it was."""
+        entry = self.sdl.get(*key)
+        version = entry[1] if entry else 1
+        self.sdl.delete(*key)
+        for _ in range(version):
+            self.sdl.put(*key, value)
+
+
+# ---- steps ------------------------------------------------------------------------
+
+ues = st.sampled_from(sorted(CHAINS))
+tputs = st.floats(min_value=0.0, max_value=60.0, allow_nan=False)
+
+
+@st.composite
+def kpm_reports(draw, ue=None):
+    return KPMReport(
+        ue=draw(ues) if ue is None else ue,
+        cell=1,
+        seq=draw(st.integers(min_value=0, max_value=1000)),
+        snr_db=draw(st.floats(min_value=10.0, max_value=40.0)),
+        cqi=draw(st.integers(min_value=0, max_value=15)),
+        tx_packets=draw(st.integers(min_value=0, max_value=600)),
+        tx_power_dbm=draw(st.floats(min_value=10.0, max_value=30.0)),
+        throughput_mbps=draw(tputs),
+    )
+
+
+def dumps_any(draw, value) -> bytes:
+    """JSON in the xApps' own layout or a compact one, so bytes may or may not match."""
+    compact = draw(st.booleans())
+    return json.dumps(value, separators=(",", ":") if compact else None).encode()
+
+
+@st.composite
+def outside_values(draw):
+    """(SDL key, value bytes) that another writer may put."""
+    ue = draw(ues)
+    which = draw(st.sampled_from(["window", "usage", "table"]))
+    if which == "window":
+        reports = draw(st.lists(kpm_reports(ue=ue), max_size=WINDOW_N + 2))
+        return (NS_PROFILES, f"window:{ue}"), dumps_any(draw, [asdict(r) for r in reports])
+    if which == "usage":
+        window = draw(st.lists(tputs, max_size=USAGE_KEEP + 2))
+        return (NS_AUTH, f"usage:{ue}"), dumps_any(draw, window)
+    budgets = draw(st.lists(st.integers(min_value=1, max_value=100), min_size=2, max_size=2))
+    bound = draw(st.lists(st.sampled_from([None, 9, 10]), min_size=2, max_size=2))
+    table = {
+        "epoch": 0,
+        "slices": [{"id": 9 + i, "budget": b, "kind": "normal"} for i, b in enumerate(budgets)],
+        "bindings": {str(u): sid for u, sid in zip(sorted(CHAINS), bound) if sid is not None},
+    }
+    return (NS_SLICES, "table"), dumps_any(draw, table)
+
+
+steps = st.one_of(
+    st.tuples(st.just("kpm"), kpm_reports()),
+    st.tuples(st.just("kpm"), kpm_reports()),
+    st.tuples(st.just("reauth"), ues),
+    st.tuples(st.just("put"), outside_values()),
+    st.tuples(st.just("reput_same_version"), outside_values()),
+    st.tuples(
+        st.just("delete"),
+        st.sampled_from(
+            [(NS_PROFILES, f"window:{u}") for u in CHAINS]
+            + [(NS_AUTH, f"usage:{u}") for u in CHAINS]
+            + [(NS_SLICES, "table")]
+        ),
+    ),
+)
+
+
+def expected_write(before, item, keep: int) -> bytes:
+    """json.dumps of the window a fresh SDL read gives, with `item` appended."""
+    window = json.loads(before[0]) if before else []
+    return json.dumps((window + [item])[-keep:]).encode()
+
+
+class TestWriteThroughWindows:
+    @given(st.lists(steps, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_cached_xapps_match_uncached_and_fresh_reads(self, plan):
+        cached, uncached = World(cached=True), World(cached=False)
+        for op, arg in plan:
+            if op == "kpm":
+                ue = arg.ue
+                before_window = cached.sdl.get(NS_PROFILES, f"window:{ue}")
+                before_usage = cached.sdl.get(NS_AUTH, f"usage:{ue}")
+                for world in (cached, uncached):
+                    world.deliver(arg)
+                assert cached.sdl.get(NS_PROFILES, f"window:{ue}")[0] == expected_write(
+                    before_window, asdict(arg), WINDOW_N
+                )
+                assert cached.sdl.get(NS_AUTH, f"usage:{ue}")[0] == expected_write(
+                    before_usage, arg.throughput_mbps, USAGE_KEEP
+                )
+            elif op == "reauth":
+                for world in (cached, uncached):
+                    world.reauth(arg)
+            else:
+                for world in (cached, uncached):
+                    if op == "delete":
+                        world.outside_delete(arg)
+                    elif op == "put":
+                        world.outside_put(*arg)
+                    else:
+                        world.outside_reput_same_version(*arg)
+            assert cached.sdl.snapshot() == uncached.sdl.snapshot()
+            assert cached.intrusion.verdicts == uncached.intrusion.verdicts
+            assert cached.audit.scan("reauth") == uncached.audit.scan("reauth")
+            assert cached.sent == uncached.sent
