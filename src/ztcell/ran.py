@@ -1,9 +1,14 @@
 """Discrete-event cell model advancing in 10 ms radio frames.
 
 Per frame: new traffic is enqueued per each UE's traffic model, then the MAC
-scheduler drains queues. With zero-trust slicing active every bound UE drains
-up to its own slice capacity in FIFO order; in legacy mode one shared FIFO
+scheduler drains queues. With zero-trust slicing active each UE is visited
+once per frame: it enqueues, drains up to its own slice capacity in FIFO
+order and reports its stats. Every UE has its own RNG stream and its own
+slice, so the visiting order is unobservable. In legacy mode one shared FIFO
 across all UEs' packets is served from the whole PRB pool, ordered by arrival.
+The auth and binding invariants are checked at the start of a frame only
+when `attach`, an AUTH_RESPONSE or a SLICE_CONTROL changed state since the
+last check, so a quiet frame scans nothing.
 
 A UE's queue holds one `Batch` per frame that had arrivals: all packets a UE
 enqueues in one frame share their size and arrival frame, so a batch is the
@@ -26,6 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
+from typing import NamedTuple
 
 from . import e2
 from .core import CellId, E2Id, KPMReport, PRBMask, SliceId, SliceKind, UeId
@@ -50,6 +56,10 @@ class AuthState(Enum):
     GRANTED = "granted"
     DENIED = "denied"
     ISOLATED = "isolated"
+
+
+# The state text per member, without the enum's `.value` descriptor per read.
+_STATE_TEXT = {state: state.value for state in AuthState}
 
 
 @dataclass(frozen=True)
@@ -163,8 +173,7 @@ class UeState:
         return self.queued_bits
 
 
-@dataclass(frozen=True)
-class UeFrameStats:
+class UeFrameStats(NamedTuple):
     served_bits: int
     arrived_bits: int
     queue_bytes: int
@@ -199,6 +208,7 @@ class RanCell:
         self.report_period_frames: int | None = None
         self.ue_filter: tuple[UeId, ...] | None = None
         self.reauth_period_frames: int = 0  # 0 disables RAN-driven re-auth
+        self.state_changed = True  # UE auth or binding state moved since the last check
 
     # ---- E2 egress -------------------------------------------------------
 
@@ -236,6 +246,7 @@ class RanCell:
         )
         self.ues[ue] = state
         self.ue_order.append(ue)
+        self.state_changed = True
         if not self.zero_trust:
             return  # legacy cell: no authentication traffic, shared scheduling
         self._send_auth_request(state, slice_id=0, cred_mode=cred_mode)
@@ -286,6 +297,7 @@ class RanCell:
             return
         if ue.auth_state is AuthState.DENIED:
             return  # terminal: a UE is attached once, so nothing can re-admit it
+        self.state_changed = True
         if body.outcome is e2.AuthOutcome.GRANTED:
             if ue.auth_state is not AuthState.ISOLATED:
                 ue.auth_state = AuthState.GRANTED
@@ -300,6 +312,7 @@ class RanCell:
 
     def apply_slice_control(self, body: e2.SliceControlBody) -> None:
         """Install a new slice table; callers only invoke this on frame boundaries."""
+        self.state_changed = True  # first, so a table that fails half-way is still checked
         self.slice_masks = {s.id: s.mask for s in body.slices}
         self.slice_kinds = {s.id: s.kind for s in body.slices}
         self.slice_bits = {s.id: s.budget() * self.cfg.prb_bits_per_frame for s in body.slices}
@@ -378,27 +391,26 @@ class RanCell:
         return served, lat_sum, done_total
 
     def step_frame(self) -> FrameReport:
-        if self.zero_trust:
-            self._check_invariants()
         f = self.frame_index
-        fm = self.cfg.frame_ms
-        arrived: dict[UeId, int] = {}
-        for ue_id in self.ue_order:
-            arrived[ue_id] = self._enqueue_traffic(self.ues[ue_id])
-
-        served: dict[UeId, int] = {u: 0 for u in self.ue_order}
-        lat_sum: dict[UeId, int] = {u: 0 for u in self.ue_order}
-        lat_n: dict[UeId, int] = {u: 0 for u in self.ue_order}
+        per_ue: dict[UeId, UeFrameStats] = {}
         if self.zero_trust:
+            if self.state_changed:
+                self._check_invariants()  # a breach keeps the flag set, so it raises again
+                self.state_changed = False
             for ue_id in self.ue_order:
                 ue = self.ues[ue_id]
-                if ue.slice_id is None:
-                    continue
-                cap = self.slice_bits[ue.slice_id]
-                served[ue_id], lat_sum[ue_id], lat_n[ue_id] = self._drain(ue, cap)
-                if served[ue_id] > cap:
+                arrived = self._enqueue_traffic(ue)
+                cap = self.slice_bits.get(ue.slice_id, 0)  # an unbound UE is not served
+                served, lat_sum, lat_n = self._drain(ue, cap)
+                if served > cap:
                     raise InvariantError(f, f"UE {ue_id} served over slice capacity")
+                per_ue[ue_id] = self._frame_stats(ue, arrived, served, lat_sum, lat_n)
         else:
+            fm = self.cfg.frame_ms
+            arrived = {u: self._enqueue_traffic(self.ues[u]) for u in self.ue_order}
+            served = {u: 0 for u in self.ue_order}
+            lat_sum = {u: 0 for u in self.ue_order}
+            lat_n = {u: 0 for u in self.ue_order}
             cap_left = self.cfg.cell_bits_per_frame
             ues = [self.ues[u] for u in self.ue_order]
             while cap_left > 0:
@@ -433,26 +445,23 @@ class RanCell:
                         ue.queue.popleft()
             if sum(served.values()) > self.cfg.cell_bits_per_frame:
                 raise InvariantError(f, "cell served over shared capacity")
-
-        per_ue: dict[UeId, UeFrameStats] = {}
-        for ue_id in self.ue_order:
-            ue = self.ues[ue_id]
-            ue.window_served_bits += served[ue_id]
-            hol = None
-            if ue.queue:
-                hol = (f - ue.queue[0].arrival_frame + 1) * fm
-            per_ue[ue_id] = UeFrameStats(
-                served_bits=served[ue_id],
-                arrived_bits=arrived[ue_id],
-                queue_bytes=ue.queue_bits() // 8,
-                hol_latency_ms=hol,
-                mean_latency_ms=lat_sum[ue_id] / lat_n[ue_id] if lat_n[ue_id] else None,
-                auth_state=ue.auth_state.value,
-                slice_id=ue.slice_id,
-            )
-        report = FrameReport(frame_index=f, per_ue=per_ue)
+            for u, ue in zip(self.ue_order, ues):
+                per_ue[u] = self._frame_stats(ue, arrived[u], served[u], lat_sum[u], lat_n[u])
         self.frame_index += 1
-        return report
+        return FrameReport(frame_index=f, per_ue=per_ue)
+
+    def _frame_stats(self, ue: UeState, arrived: int, served: int, lat_sum: int, lat_n: int) -> UeFrameStats:
+        ue.window_served_bits += served
+        q = ue.queue
+        return UeFrameStats(
+            served,
+            arrived,
+            ue.queue_bits() // 8,
+            (self.frame_index - q[0].arrival_frame + 1) * self.cfg.frame_ms if q else None,
+            lat_sum / lat_n if lat_n else None,
+            _STATE_TEXT[ue.auth_state],
+            ue.slice_id,
+        )
 
     # ---- KPM reporting ----------------------------------------------------
 

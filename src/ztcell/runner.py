@@ -248,29 +248,25 @@ def run(
     return result
 
 
-def frames_to_rows(frames: list[FrameReport], ue_order: list[int]) -> list[dict]:
+def frames_to_rows(frames: list[FrameReport], ue_order: list[int]) -> list[tuple]:
+    """One `frames.csv` row per UE per frame, in `ue_order` within a frame:
+    (frame, ue, served_bits, queue_bytes, latency_ms, auth_state, slice_id)."""
     rows = []
     for report in frames:
+        f = report.frame_index
+        per_ue = report.per_ue
         for ue in ue_order:
-            stats = report.per_ue.get(ue)
-            if stats is None:
-                continue
-            rows.append(
-                {
-                    "frame_index": report.frame_index,
-                    "ue": ue,
-                    "served_bits": stats.served_bits,
-                    "queue_bytes": stats.queue_bytes,
-                    "latency_ms": stats.mean_latency_ms,
-                    "auth_state": stats.auth_state,
-                    "slice_id": stats.slice_id,
-                }
-            )
+            stats = per_ue.get(ue)
+            if stats is not None:
+                rows.append(
+                    (f, ue, stats.served_bits, stats.queue_bytes, stats.mean_latency_ms,
+                     stats.auth_state, stats.slice_id)
+                )
     return rows
 
 
 def summarize_rows(
-    rows: list[dict], audit_entries: list[dict], meta: dict, latency_threshold_ms: int
+    rows: list[tuple], audit_entries: list[dict], meta: dict, latency_threshold_ms: int
 ) -> RunSummary:
     duration = meta["duration_frames"]
     legit = {int(u) for u, info in meta["ues"].items() if info["legitimate"]}
@@ -290,17 +286,19 @@ def summarize_rows(
     peak = 0.0
     # ue -> [bits, frames] per window: pre-detection, post-isolation, whole run
     windows: dict[int, list[list[int]]] = {}
-    for row in rows:
-        ue, f = row["ue"], row["frame_index"]
-        if ue in legit and row["latency_ms"] is not None:
-            peak = max(peak, row["latency_ms"])
-            if row["latency_ms"] > latency_threshold_ms:
+    for f, ue, served_bits, _, latency_ms, _, _ in rows:
+        if ue in legit and latency_ms is not None:
+            # As frames.csv stores it (round() gives the same float as f"{x:.3f}"),
+            # so summarizing a run directory gives back the in-memory summary.
+            latency_ms = round(latency_ms, 3)
+            peak = max(peak, latency_ms)
+            if latency_ms > latency_threshold_ms:
                 exceed_frames.add(f)
         if ue not in windows:
             windows[ue] = [[0, 0] for _ in bounds]
         for (lo, hi), acc in zip(bounds, windows[ue]):
             if lo <= f < hi:
-                acc[0] += row["served_bits"]
+                acc[0] += served_bits
                 acc[1] += 1
 
     def mean_mbps(acc: list[int]) -> float | None:
@@ -331,18 +329,16 @@ def summarize_rows(
     )
 
 
-def _write_outputs(result: RunResult, rows: list[dict], meta: dict) -> None:
+def _write_outputs(result: RunResult, rows: list[tuple], meta: dict) -> None:
     out = result.out_dir
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "frames.csv", "w", newline="") as fh:
         fh.write(FRAMES_CSV_HEADER + "\n")
-        for row in rows:
-            latency = "" if row["latency_ms"] is None else f"{row['latency_ms']:.3f}"
-            slice_id = "" if row["slice_id"] is None else row["slice_id"]
-            fh.write(
-                f"{row['frame_index']},{row['ue']},{row['served_bits']},"
-                f"{row['queue_bytes']},{latency},{row['auth_state']},{slice_id}\n"
-            )
+        fh.writelines(
+            f"{f},{ue},{bits},{queue_bytes},{'' if lat is None else f'{lat:.3f}'},"
+            f"{state},{'' if sid is None else sid}\n"
+            for f, ue, bits, queue_bytes, lat, state, sid in rows
+        )
     result.audit.dump(str(out / "audit.jsonl"))
     if result.slicing is not None:
         result.slicing.write_changes_csv(str(out / "slice_changes.csv"))
@@ -361,22 +357,17 @@ def _write_outputs(result: RunResult, rows: list[dict], meta: dict) -> None:
             json.dump(result.sdl.snapshot(), fh, indent=2, sort_keys=True)
 
 
-def load_rows(metrics_dir: str | Path) -> tuple[list[dict], list[dict], dict]:
+def load_rows(metrics_dir: str | Path) -> tuple[list[tuple], list[dict], dict]:
     """Read frames.csv, audit.jsonl, and meta.json back from a run directory."""
     out = Path(metrics_dir)
     rows = []
     with open(out / "frames.csv", newline="") as fh:
-        for rec in csv.DictReader(fh):
+        records = csv.reader(fh)
+        next(records, None)  # the header
+        for f, ue, bits, queue_bytes, lat, state, sid in records:
             rows.append(
-                {
-                    "frame_index": int(rec["frame_index"]),
-                    "ue": int(rec["ue"]),
-                    "served_bits": int(rec["served_bits"]),
-                    "queue_bytes": int(rec["queue_bytes"]),
-                    "latency_ms": float(rec["latency_ms"]) if rec["latency_ms"] else None,
-                    "auth_state": rec["auth_state"],
-                    "slice_id": int(rec["slice_id"]) if rec["slice_id"] else None,
-                }
+                (int(f), int(ue), int(bits), int(queue_bytes), float(lat) if lat else None,
+                 state, int(sid) if sid else None)
             )
     audit_entries = []
     audit_path = out / "audit.jsonl"

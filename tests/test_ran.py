@@ -22,7 +22,7 @@ from ztcell.ran import (
     UeFrameStats,
 )
 from ztcell.runner import run
-from ztcell.scenario import load_scenario
+from ztcell.scenario import load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 SECRET = b"\x5a" * 32
@@ -458,6 +458,108 @@ class TestDeniedIsTerminal:
         assert tail.seq0 + tail.n == ue.pkt_seq == 203 * 10
 
 
+def slice_control(cell: RanCell, body: SliceControlBody) -> None:
+    cell.handle_frame(e2.encode(cell.conn.make("ric", MsgKind.SLICE_CONTROL, body)))
+
+
+class EveryFrameCheckCell(RanCell):
+    """Checks the invariants at the start of every frame, changed or not."""
+
+    def step_frame(self) -> FrameReport:
+        if self.zero_trust:
+            self._check_invariants()
+        return super().step_frame()
+
+
+CHECK_UES = (1, 2, 3)
+
+
+@st.composite
+def slice_tables(draw) -> SliceControlBody:
+    kinds = draw(st.lists(st.sampled_from(list(SliceKind)), min_size=1, max_size=3))
+    slices = [
+        SliceSpec(sid, PRBMask.from_range(10 * (sid - 1), 10, 100), kind=kind)
+        for sid, kind in enumerate(kinds, start=1)
+    ]
+    targets = st.none() | st.integers(min_value=1, max_value=len(slices))
+    bindings = tuple(
+        (ue, sid) for ue in CHECK_UES if (sid := draw(targets)) is not None
+    )
+    return SliceControlBody(bindings=bindings, slices=tuple(slices))
+
+
+check_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("attach"), st.sampled_from(CHECK_UES)),
+        st.tuples(st.just("auth"), st.sampled_from(CHECK_UES), st.booleans()),
+        st.tuples(st.just("slices"), slice_tables()),
+        st.tuples(st.just("step")),
+    ),
+    max_size=40,
+)
+
+
+def apply_op(cell: RanCell, op: tuple):
+    """Run one step on `cell`; return its frame report, an invariant breach
+    as (message, frame), or None."""
+    kind = op[0]
+    if kind == "attach":
+        if op[1] not in cell.ues:
+            attach_one(cell, op[1], TrafficModel(kind="cbr", rate_mbps=3.0))
+    elif kind == "auth":
+        grant = TestDeniedIsTerminal.GRANT if op[2] else TestDeniedIsTerminal.DENY
+        auth_response(cell, replace(grant, ue=op[1]))
+    elif kind == "slices":
+        slice_control(cell, op[1])
+    else:
+        try:
+            return cell.step_frame()
+        except InvariantError as exc:
+            return str(exc), exc.frame
+    return None
+
+
+class TestCheckOnChange:
+    @given(check_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_same_breach_at_same_step_as_checking_every_frame(self, ops):
+        """Checking only after attach, AUTH_RESPONSE or SLICE_CONTROL raises
+        the same InvariantError at the same step as checking every frame."""
+        on_change = RanCell(CellConfig(), SECRET, zero_trust=True)
+        every_frame = EveryFrameCheckCell(CellConfig(), SECRET, zero_trust=True)
+        for op in ops:
+            outcome = apply_op(on_change, op)
+            assert outcome == apply_op(every_frame, op)
+            if isinstance(outcome, tuple):
+                break  # a breach ends the run
+
+    def test_quiet_frames_scan_nothing(self, monkeypatch):
+        scans = []
+        check = RanCell._check_invariants
+
+        def counting_check(cell):
+            scans.append(cell.frame_index)
+            check(cell)
+
+        monkeypatch.setattr(RanCell, "_check_invariants", counting_check)
+        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
+        attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=3.0))
+        grant_with_slices(cell, {1: (1, 0, 10, SliceKind.NORMAL)})
+        for _ in range(100):
+            cell.step_frame()
+        assert scans == [0]
+
+    def test_table_that_fails_half_way_is_still_checked(self):
+        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
+        attach_one(cell, 1, IDLE)
+        cell.step_frame()
+        spec = SliceSpec(1, PRBMask.from_range(0, 10, 100))
+        with pytest.raises(KeyError):  # binds UE 1 to slice 2, which the table lacks
+            cell.apply_slice_control(SliceControlBody(bindings=((1, 2),), slices=(spec,)))
+        with pytest.raises(InvariantError, match="bound to unknown slice 2"):
+            cell.step_frame()
+
+
 class TestAsymptoticGate:
     def test_long_flood_queue_holds_one_entry_per_frame(self):
         """Deterministic work counts over a 4000-frame flood, not wall time."""
@@ -505,3 +607,41 @@ class TestAsymptoticGate:
         assert len(denied) > 15_000
         assert all(later <= earlier for earlier, later in zip(denied, denied[1:]))
         assert len(result.cell.ues[4].queue) <= 3
+
+    def test_invariant_scans_follow_state_changes(self, monkeypatch):
+        """A 4000-frame run with staggered attaches, re-auth, a flooder and a
+        denied UE: invariant scans are bounded by the state changes, not by
+        the frames, and every frame reports each attached UE once."""
+        lines = [
+            "scenario.duration_frames = 4000",
+            "scenario.seed = 11",
+            "auth.reauth_period_frames = 300",
+            "ue.1.traffic = flood",
+            "ue.1.rate_mbps = 40",
+            "ue.1.onset_frame = 1500",
+            "ue.6.credentials = invalid",
+        ]
+        for ue in range(2, 7):
+            lines += [f"ue.{ue}.traffic = uniform_rate", f"ue.{ue}.rate_lo_mbps = 1",
+                      f"ue.{ue}.rate_hi_mbps = 2", f"ue.{ue}.attach_frame = {37 * ue}"]
+        sc = parse_scenario("\n".join(lines) + "\n", "gate")
+        counts = {"scans": 0, "changes": 0}
+
+        def counting(name: str, key: str):
+            method = getattr(RanCell, name)
+
+            def wrapper(cell, *args, **kwargs):
+                counts[key] += 1
+                return method(cell, *args, **kwargs)
+
+            monkeypatch.setattr(RanCell, name, wrapper)
+
+        counting("_check_invariants", "scans")
+        for mutator in ("attach", "_on_auth_response", "apply_slice_control"):
+            counting(mutator, "changes")
+        result = run(sc)
+        assert len(result.frames) == 4000
+        assert 0 < counts["scans"] <= 1 + counts["changes"] < 4000
+        for report in result.frames:
+            attached = [u.ue for u in sc.ues if u.attach_frame <= report.frame_index]
+            assert sorted(report.per_ue) == sorted(attached)

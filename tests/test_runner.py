@@ -1,5 +1,6 @@
 """End-to-end runs: determinism, output files, CLI behavior."""
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from ztcell.runner import FRAMES_CSV_HEADER, fpr_sweep, run, summarize_dir
 from ztcell.scenario import load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+GOLDEN = Path(__file__).parent / "data" / "golden_runs"
 
 ZERO_TRAFFIC = """
 scenario.duration_frames = 50
@@ -139,6 +141,16 @@ class TestOutputs:
         result = run(parse_scenario(SMALL_MIX, "mix"), out_dir=tmp_path)
         recomputed = summarize_dir(tmp_path)
         assert recomputed.to_dict() == result.summary.to_dict()
+
+    @pytest.mark.parametrize("name", ["flood_isolation", "latency_flood", "latency_flood-legacy"])
+    def test_summarize_shipped_run_rewrites_pinned_summary(self, tmp_path, name):
+        """The summary is taken on latencies as frames.csv stores them, so
+        summarizing a shipped run gives back its summary.json byte for byte."""
+        shutil.copytree(GOLDEN / name, tmp_path / name)
+        summarize_dir(tmp_path / name)
+        assert (tmp_path / name / "summary.json").read_bytes() == (
+            GOLDEN / name / "summary.json"
+        ).read_bytes()
 
     def test_audit_includes_grants_after_ran_verification(self, tmp_path):
         run(parse_scenario(SMALL_MIX, "mix"), out_dir=tmp_path)
