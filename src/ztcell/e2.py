@@ -18,8 +18,8 @@ Bodies:
     SLICE_CONTROL         bindings: u16 count, count * (ue u64, slice u16);
                           slices: u16 count, count * (id u16, mask, prio u8,
                           kind u8) where mask = u16 PRB count + padded bits
-    SUBSCRIPTION_REQUEST  period_ms u32, filter u8 (0 = all,
-                          1 = explicit: u16 count + count * u64)
+    SUBSCRIPTION_REQUEST  period_ms u32 (every attached UE that is not
+                          denied reports once per period)
     SUBSCRIPTION_ACK      period_ms u32, accepted u8
 
 Identical messages always encode to identical bytes; decode is the exact
@@ -66,8 +66,8 @@ _COUNT = struct.Struct(">H")
 _BINDING = struct.Struct(">QH")
 _SLICE_HEAD = struct.Struct(">HH")
 _SLICE_ATTRS = struct.Struct(">BB")
+_PERIOD = struct.Struct(">I")
 _PERIOD_FLAG = struct.Struct(">IB")
-_UE = struct.Struct(">Q")
 
 HEADER_LEN = _HEADER.size
 
@@ -142,7 +142,6 @@ class SliceControlBody:
 @dataclass(frozen=True)
 class SubscriptionRequestBody:
     report_period_ms: int
-    ue_filter: tuple[UeId, ...] | None = None  # None = all UEs
 
 
 @dataclass(frozen=True)
@@ -263,15 +262,7 @@ def _pack_body(body: Body) -> bytes:
     error = _period_error(body.report_period_ms)
     if error:
         raise EncodeError(error)
-    if body.ue_filter is None:
-        return _PERIOD_FLAG.pack(body.report_period_ms, 0)
-    if len(body.ue_filter) > 0xFFFF:
-        raise EncodeError("ue filter exceeds u16 count")
-    for ue in body.ue_filter:
-        _check_uint(ue, 64, "ue id")
-    out = [_PERIOD_FLAG.pack(body.report_period_ms, 1), _COUNT.pack(len(body.ue_filter))]
-    out.extend(_UE.pack(ue) for ue in body.ue_filter)
-    return b"".join(out)
+    return _PERIOD.pack(body.report_period_ms)
 
 
 def encode(msg: E2Message) -> bytes:
@@ -356,15 +347,7 @@ def _read_body(kind: MsgKind, rd: _Reader) -> Body:
                 raise DecodeError(at, str(e)) from e
         return SliceControlBody(bindings=bindings, slices=tuple(slices))
     if kind is MsgKind.SUBSCRIPTION_REQUEST:
-        period, flag = rd.unpack(_PERIOD_FLAG, "subscription")
-        if flag == 0:
-            return SubscriptionRequestBody(period, None)
-        if flag != 1:
-            raise DecodeError(rd.offset - 1, f"unknown filter flag {flag}")
-        (count,) = rd.unpack(_COUNT, "filter count")
-        return SubscriptionRequestBody(
-            period, tuple(rd.unpack(_UE, "filtered ue")[0] for _ in range(count))
-        )
+        return SubscriptionRequestBody(*rd.unpack(_PERIOD, "subscription"))
     period, accepted = rd.unpack(_PERIOD_FLAG, "subscription ack")
     if accepted > 1:
         raise DecodeError(rd.offset - 1, f"accepted flag {accepted} not boolean")

@@ -8,7 +8,9 @@ slice, so the visiting order is unobservable. In legacy mode one shared FIFO
 across all UEs' packets is served from the whole PRB pool, ordered by arrival.
 The auth and binding invariants are checked at the start of a frame only
 when `attach`, an AUTH_RESPONSE or a SLICE_CONTROL changed state since the
-last check, so a quiet frame scans nothing.
+last check, so a quiet frame scans nothing. At each report boundary every
+attached UE sends one KPM indication, except a denied one: DENIED is
+terminal, so the RIC has nothing left to decide about it.
 
 A UE's queue holds one `Batch` per frame that had arrivals: all packets a UE
 enqueues in one frame share their size and arrival frame, so a batch is the
@@ -175,9 +177,7 @@ class UeState:
 
 class UeFrameStats(NamedTuple):
     served_bits: int
-    arrived_bits: int
     queue_bytes: int
-    hol_latency_ms: int | None
     mean_latency_ms: float | None
     auth_state: str
     slice_id: SliceId | None
@@ -206,7 +206,6 @@ class RanCell:
         self.slice_bits: dict[SliceId, int] = {}  # capacity per frame, per table
         self.table_epoch: int | None = None
         self.report_period_frames: int | None = None
-        self.ue_filter: tuple[UeId, ...] | None = None
         self.reauth_period_frames: int = 0  # 0 disables RAN-driven re-auth
         self.state_changed = True  # UE auth or binding state moved since the last check
 
@@ -288,7 +287,6 @@ class RanCell:
             self.apply_slice_control(body)
         elif isinstance(body, e2.SubscriptionRequestBody):
             self.report_period_frames = body.report_period_ms // self.cfg.frame_ms
-            self.ue_filter = body.ue_filter
             self._send(e2.MsgKind.SUBSCRIPTION_ACK, e2.SubscriptionAckBody(body.report_period_ms))
 
     def _on_auth_response(self, body: e2.AuthResponseBody) -> None:
@@ -337,15 +335,19 @@ class RanCell:
                 raise InvariantError(f, f"UE {ue_id} is {ue.auth_state.value} but bound")
             if ue.slice_id is not None and ue.slice_id not in self.slice_masks:
                 raise InvariantError(f, f"UE {ue_id} bound to unknown slice {ue.slice_id}")
+            if ue.auth_state is AuthState.ISOLATED:
+                kind = self.slice_kinds[ue.slice_id]  # bound to a known slice, checked above
+                if kind is not SliceKind.RESTRICTED:
+                    raise InvariantError(f, f"UE {ue_id} is isolated but bound to a {kind.name.lower()} slice")
 
-    def _enqueue_traffic(self, ue: UeState) -> int:
+    def _enqueue_traffic(self, ue: UeState) -> None:
         f = self.frame_index
         bits = ue.traffic.bits_in_frame(f, self.cfg.frame_ms, ue.rng_traffic)
         ue.bits_accum += bits
         pkt_bits = ue.traffic.packet_size_bytes * 8
         n = int(ue.bits_accum // pkt_bits)
         if n <= 0:
-            return 0
+            return
         ue.bits_accum -= n * pkt_bits
         if ue.auth_state is AuthState.DENIED and ue.queue:
             # Never served again, so only the count matters: grow the tail batch.
@@ -356,7 +358,6 @@ class RanCell:
         ue.pkt_seq += n
         ue.queued_bits += n * pkt_bits
         ue.window_arrived_pkts += n
-        return n * pkt_bits
 
     def _drain(self, ue: UeState, capacity: int) -> tuple[int, int, int]:
         """Serve `ue`'s FIFO up to `capacity` bits, one batch at a time.
@@ -399,20 +400,21 @@ class RanCell:
                 self.state_changed = False
             for ue_id in self.ue_order:
                 ue = self.ues[ue_id]
-                arrived = self._enqueue_traffic(ue)
+                self._enqueue_traffic(ue)
                 cap = self.slice_bits.get(ue.slice_id, 0)  # an unbound UE is not served
                 served, lat_sum, lat_n = self._drain(ue, cap)
                 if served > cap:
                     raise InvariantError(f, f"UE {ue_id} served over slice capacity")
-                per_ue[ue_id] = self._frame_stats(ue, arrived, served, lat_sum, lat_n)
+                per_ue[ue_id] = self._frame_stats(ue, served, lat_sum, lat_n)
         else:
             fm = self.cfg.frame_ms
-            arrived = {u: self._enqueue_traffic(self.ues[u]) for u in self.ue_order}
+            ues = [self.ues[u] for u in self.ue_order]
+            for ue in ues:
+                self._enqueue_traffic(ue)
             served = {u: 0 for u in self.ue_order}
             lat_sum = {u: 0 for u in self.ue_order}
             lat_n = {u: 0 for u in self.ue_order}
             cap_left = self.cfg.cell_bits_per_frame
-            ues = [self.ues[u] for u in self.ue_order]
             while cap_left > 0:
                 head_idx = -1
                 head_key = None
@@ -446,18 +448,15 @@ class RanCell:
             if sum(served.values()) > self.cfg.cell_bits_per_frame:
                 raise InvariantError(f, "cell served over shared capacity")
             for u, ue in zip(self.ue_order, ues):
-                per_ue[u] = self._frame_stats(ue, arrived[u], served[u], lat_sum[u], lat_n[u])
+                per_ue[u] = self._frame_stats(ue, served[u], lat_sum[u], lat_n[u])
         self.frame_index += 1
         return FrameReport(frame_index=f, per_ue=per_ue)
 
-    def _frame_stats(self, ue: UeState, arrived: int, served: int, lat_sum: int, lat_n: int) -> UeFrameStats:
+    def _frame_stats(self, ue: UeState, served: int, lat_sum: int, lat_n: int) -> UeFrameStats:
         ue.window_served_bits += served
-        q = ue.queue
         return UeFrameStats(
             served,
-            arrived,
             ue.queue_bits() // 8,
-            (self.frame_index - q[0].arrival_frame + 1) * self.cfg.frame_ms if q else None,
             lat_sum / lat_n if lat_n else None,
             _STATE_TEXT[ue.auth_state],
             ue.slice_id,
@@ -493,8 +492,7 @@ class RanCell:
         if self.frame_index % self.report_period_frames:
             return
         period_ms = self.report_period_frames * self.cfg.frame_ms
-        targets = self.ue_filter if self.ue_filter is not None else tuple(self.ue_order)
-        for ue_id in targets:
-            if ue_id in self.ues:
+        for ue_id in self.ue_order:
+            if self.ues[ue_id].auth_state is not AuthState.DENIED:  # terminal: nothing to decide
                 report = self.collect_kpm(ue_id, period_ms)
                 self._send(e2.MsgKind.KPM_INDICATION, e2.KpmIndicationBody(report))

@@ -85,7 +85,6 @@ class RunResult:
     slicing: SlicingXapp | None = None
     auth: AuthXapp | None = None
     intrusion: IntrusionXapp | None = None
-    router: Router | None = None
     sdl: Sdl | None = None
 
 
@@ -239,7 +238,6 @@ def run(
         slicing=slic_x,
         auth=auth_x,
         intrusion=intr_x,
-        router=router,
         sdl=sdl,
     )
     if out_dir is not None:
@@ -281,10 +279,10 @@ def summarize_rows(
 
     pre_end = detection_frame if detection_frame is not None else duration
     post_start = isolation_frame if isolation_frame is not None else duration
-    bounds = ((0, pre_end), (post_start, duration), (0, duration))
     exceed_frames: set[int] = set()
     peak = 0.0
-    # ue -> [bits, frames] per window: pre-detection, post-isolation, whole run
+    # ue -> [bits, frames] per window, each a contiguous frame range: pre-detection
+    # [0, pre_end), post-isolation [post_start, duration) and the whole run
     windows: dict[int, list[list[int]]] = {}
     for f, ue, served_bits, _, latency_ms, _, _ in rows:
         if ue in legit and latency_ms is not None:
@@ -295,11 +293,16 @@ def summarize_rows(
             if latency_ms > latency_threshold_ms:
                 exceed_frames.add(f)
         if ue not in windows:
-            windows[ue] = [[0, 0] for _ in bounds]
-        for (lo, hi), acc in zip(bounds, windows[ue]):
-            if lo <= f < hi:
-                acc[0] += served_bits
-                acc[1] += 1
+            windows[ue] = [[0, 0], [0, 0], [0, 0]]
+        pre, post, whole = windows[ue]
+        if f < pre_end:
+            pre[0] += served_bits
+            pre[1] += 1
+        if f >= post_start:
+            post[0] += served_bits
+            post[1] += 1
+        whole[0] += served_bits
+        whole[1] += 1
 
     def mean_mbps(acc: list[int]) -> float | None:
         bits, frames = acc

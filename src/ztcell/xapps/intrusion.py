@@ -306,10 +306,7 @@ class IntrusionXapp(Xapp):
                     }
                 ).encode(),
             )
-        ctx.send_e2(
-            MsgKind.SUBSCRIPTION_REQUEST,
-            e2.SubscriptionRequestBody(self.cfg.report_period_ms, None),
-        )
+        ctx.send_e2(MsgKind.SUBSCRIPTION_REQUEST, e2.SubscriptionRequestBody(self.cfg.report_period_ms))
 
     def handle(self, msg: e2.E2Message) -> None:
         body = msg.body

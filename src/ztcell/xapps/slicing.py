@@ -7,6 +7,9 @@ Isolated intruders all share one restricted slice pinned to the
 highest-index PRBs, so slicing work stays independent of intruder count;
 verification slices sit just below it. Tables change only at frame
 boundaries and every emitted table is validated for disjointness and budget.
+A table is emitted only when an occupancy changes: a bind to the kind a UE
+already holds emits nothing. Isolation is sticky: a grant never moves an
+isolated UE out of the restricted slice; only a deny or revoke releases it.
 """
 from __future__ import annotations
 
@@ -110,6 +113,8 @@ class SlicingXapp(Xapp):
             raise PolicyError(f"cannot bind a UE as {kind!r}")
         if kind == "normal" and self.ctx.sdl.get(NS_AUTH, f"grant:{ue}") is None:
             raise PolicyError(f"UE {ue} is not authenticated")
+        if self._occupancy.get(ue) in (kind, "restricted"):
+            return  # the table would come out the same, and a grant never lifts isolation
         cause = "grant" if kind == "normal" else "verify"
         self._occupancy[ue] = kind
         self._recompute(cause_ue=ue, cause=cause)

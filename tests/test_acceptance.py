@@ -247,10 +247,7 @@ def _random_message(rng: Random) -> e2.E2Message:
         )
         body = e2.SliceControlBody(bindings=bindings, slices=tuple(slices))
     elif kind is MsgKind.SUBSCRIPTION_REQUEST:
-        ue_filter = None if rng.random() < 0.5 else tuple(
-            rng.randrange(1 << 64) for _ in range(rng.randrange(4))
-        )
-        body = SubscriptionRequestBody(rng.randrange(1, 500) * 10, ue_filter)
+        body = SubscriptionRequestBody(rng.randrange(1, 500) * 10)
     else:
         body = SubscriptionAckBody(rng.randrange(1 << 32), rng.random() < 0.5)
     return e2.E2Message(kind, cell, e2_id, seq, body)

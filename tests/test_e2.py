@@ -47,10 +47,7 @@ def golden_messages() -> dict[str, E2Message]:
     mask = PRBMask.from_range(0, 25, 100)
     return {
         "subscription_request_all": E2Message(
-            MsgKind.SUBSCRIPTION_REQUEST, 7, 9, 1, SubscriptionRequestBody(100, None)
-        ),
-        "subscription_request_filtered": E2Message(
-            MsgKind.SUBSCRIPTION_REQUEST, 7, 9, 2, SubscriptionRequestBody(100, (42,))
+            MsgKind.SUBSCRIPTION_REQUEST, 7, 9, 1, SubscriptionRequestBody(100)
         ),
         "subscription_ack": E2Message(
             MsgKind.SUBSCRIPTION_ACK, 7, 9, 3, SubscriptionAckBody(200, True)
@@ -87,7 +84,8 @@ class TestGoldenFrames:
     def test_subscription_kind_tag_and_fields(self):
         raw = GOLDEN["subscription_request_all"]
         assert raw[4] == 0x04
-        assert raw[-5:] == bytes.fromhex("0000006400")  # period 100 ms, filter all
+        assert raw[-4:] == bytes.fromhex("00000064")  # period 100 ms, the whole body
+        assert len(raw) == e2.HEADER_LEN + 4
 
     def test_length_prefix_equals_emitted_byte_count(self):
         for name, raw in GOLDEN.items():
@@ -152,10 +150,7 @@ def messages(draw) -> E2Message:
     elif kind == MsgKind.SLICE_CONTROL:
         body = draw(slice_control_bodies())
     elif kind == MsgKind.SUBSCRIPTION_REQUEST:
-        ue_filter = draw(
-            st.one_of(st.none(), st.lists(uint(64), max_size=4).map(tuple))
-        )
-        body = SubscriptionRequestBody(draw(st.integers(1, 1000)) * 10, ue_filter)
+        body = SubscriptionRequestBody(draw(st.integers(1, 1000)) * 10)
     else:
         body = SubscriptionAckBody(draw(uint(32)), draw(st.booleans()))
     return E2Message(kind, draw(uint(32)), draw(uint(32)), draw(uint(64)), body)
@@ -224,7 +219,7 @@ class TestErrors:
             encode(E2Message(MsgKind.SLICE_CONTROL, 1, 1, 1, body))
 
     def test_period_must_be_whole_frames(self):
-        body = SubscriptionRequestBody(105, None)
+        body = SubscriptionRequestBody(105)
         with pytest.raises(EncodeError):
             encode(E2Message(MsgKind.SUBSCRIPTION_REQUEST, 1, 1, 1, body))
 
@@ -329,11 +324,6 @@ def _ref_validate(msg: E2Message) -> None:
                 f"report period {body.report_period_ms} ms is not a whole number of "
                 f"10 ms frames"
             )
-        if body.ue_filter is not None:
-            if len(body.ue_filter) > 0xFFFF:
-                raise EncodeError("ue filter exceeds u16 count")
-            for ue in body.ue_filter:
-                _ref_check_uint(ue, 64, "ue id")
     elif isinstance(body, SubscriptionAckBody):
         _ref_check_uint(body.report_period_ms, 32, "report period")
 
@@ -414,14 +404,8 @@ def _ref_decode_body(kind: MsgKind, rd: _RefReader):
                 raise DecodeError(at, str(e)) from e
         return SliceControlBody(bindings=bindings, slices=tuple(slices))
     if kind == MsgKind.SUBSCRIPTION_REQUEST:
-        period, flag = rd.unpack(">IB", "subscription")
-        if flag == 0:
-            return SubscriptionRequestBody(period, None)
-        if flag != 1:
-            raise DecodeError(rd.offset - 1, f"unknown filter flag {flag}")
-        (count,) = rd.unpack(">H", "filter count")
-        ues = tuple(rd.unpack(">Q", "filtered ue")[0] for _ in range(count))
-        return SubscriptionRequestBody(period, ues)
+        (period,) = rd.unpack(">I", "subscription")
+        return SubscriptionRequestBody(period)
     if kind == MsgKind.SUBSCRIPTION_ACK:
         period, accepted = rd.unpack(">IB", "subscription ack")
         if accepted > 1:

@@ -4,7 +4,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ztcell import e2
@@ -21,8 +21,11 @@ from ztcell.ran import (
     TrafficModel,
     UeFrameStats,
 )
+from ztcell.ric import Router
 from ztcell.runner import run
 from ztcell.scenario import load_scenario, parse_scenario
+from ztcell.xapps.auth import NS_AUTH
+from ztcell.xapps.intrusion import NS_PROFILES
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 SECRET = b"\x5a" * 32
@@ -74,7 +77,7 @@ class TestCapacity:
         stats = report.per_ue[1]
         assert stats.served_bits == 0
         assert stats.mean_latency_ms is None
-        assert stats.hol_latency_ms is None
+        assert not cell.ues[1].queue  # no head-of-line packet
 
     def test_served_never_exceeds_slice_capacity(self):
         cell = RanCell(CellConfig(), SECRET, zero_trust=True)
@@ -122,9 +125,10 @@ class TestLegacyQueueGrowth:
         attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=40.0))
         hol = []
         for _ in range(600):
-            report = cell.step_frame()
-            if report.per_ue[1].hol_latency_ms is not None:
-                hol.append(report.per_ue[1].hol_latency_ms)
+            cell.step_frame()
+            queue = cell.ues[1].queue
+            if queue:
+                hol.append((cell.frame_index - queue[0].arrival_frame) * cell.cfg.frame_ms)
         assert hol[-1] > 2000  # several seconds of backlog by frame 600
         assert hol == sorted(hol)  # monotone growth under constant overload
 
@@ -259,7 +263,7 @@ class ReferenceCell(RanCell):
         pkt_bits = ue.traffic.packet_size_bytes * 8
         n = int(ue.bits_accum // pkt_bits)
         if n <= 0:
-            return 0
+            return
         ue.bits_accum -= n * pkt_bits
         base = f * self.cfg.frame_ms
         for j in range(n):
@@ -267,7 +271,6 @@ class ReferenceCell(RanCell):
             ue.queue.append(RefPacket(pkt_bits, f, key, ue.pkt_seq))
             ue.pkt_seq += 1
         ue.window_arrived_pkts += n
-        return n * pkt_bits
 
     def _drain_packets(self, ue, capacity: int, latencies: list[int]) -> int:
         served = 0
@@ -287,7 +290,8 @@ class ReferenceCell(RanCell):
         if self.zero_trust:
             self._check_invariants()
         f = self.frame_index
-        arrived = {u: self._enqueue_traffic(self.ues[u]) for u in self.ue_order}
+        for u in self.ue_order:
+            self._enqueue_traffic(self.ues[u])
         served = {u: 0 for u in self.ue_order}
         latencies: dict[int, list[int]] = {u: [] for u in self.ue_order}
         if self.zero_trust:
@@ -326,14 +330,9 @@ class ReferenceCell(RanCell):
             ue = self.ues[ue_id]
             ue.window_served_bits += served[ue_id]
             lat = latencies[ue_id]
-            hol = None
-            if ue.queue:
-                hol = (f - ue.queue[0].arrival_frame + 1) * self.cfg.frame_ms
             per_ue[ue_id] = UeFrameStats(
                 served_bits=served[ue_id],
-                arrived_bits=arrived[ue_id],
                 queue_bytes=sum(p.bits_left for p in ue.queue) // 8,
-                hol_latency_ms=hol,
                 mean_latency_ms=sum(lat) / len(lat) if lat else None,
                 auth_state=ue.auth_state.value,
                 slice_id=ue.slice_id,
@@ -451,7 +450,7 @@ class TestDeniedIsTerminal:
         for f in range(200):
             stats = cell.step_frame().per_ue[1]
             assert stats.served_bits == 0
-            assert stats.hol_latency_ms == (f + 4) * 10  # the head batch is still frame 0's
+            assert cell.frame_index - ue.queue[0].arrival_frame == f + 4  # the head batch is still frame 0's
             assert len(ue.queue) == 3
             assert ue.queue_bits() == recount_queue_bits(ue) == ue.pkt_seq * 12_000
         tail = ue.queue[-1]
@@ -519,12 +518,23 @@ def apply_op(cell: RanCell, op: tuple):
     return None
 
 
+def one_slice_table(kind: SliceKind) -> SliceControlBody:
+    """UE 1 bound to slice 1 of `kind`, as `slice_tables` draws it."""
+    spec = SliceSpec(1, PRBMask.from_range(0, 10, 100), kind=kind)
+    return SliceControlBody(bindings=((1, 1),), slices=(spec,))
+
+
 class TestCheckOnChange:
     @given(check_ops)
+    @example([  # an isolated UE rebound to a normal slice
+        ("attach", 1), ("slices", one_slice_table(SliceKind.RESTRICTED)), ("step",),
+        ("auth", 1, True), ("slices", one_slice_table(SliceKind.NORMAL)), ("step",),
+    ])
     @settings(max_examples=300, deadline=None)
     def test_same_breach_at_same_step_as_checking_every_frame(self, ops):
         """Checking only after attach, AUTH_RESPONSE or SLICE_CONTROL raises
-        the same InvariantError at the same step as checking every frame."""
+        the same InvariantError at the same step as checking every frame, and
+        no frame is served with an isolated UE outside a restricted slice."""
         on_change = RanCell(CellConfig(), SECRET, zero_trust=True)
         every_frame = EveryFrameCheckCell(CellConfig(), SECRET, zero_trust=True)
         for op in ops:
@@ -532,6 +542,10 @@ class TestCheckOnChange:
             assert outcome == apply_op(every_frame, op)
             if isinstance(outcome, tuple):
                 break  # a breach ends the run
+            if isinstance(outcome, FrameReport):
+                for stats in outcome.per_ue.values():
+                    if stats.auth_state == "isolated":
+                        assert on_change.slice_kinds[stats.slice_id] is SliceKind.RESTRICTED
 
     def test_quiet_frames_scan_nothing(self, monkeypatch):
         scans = []
@@ -558,6 +572,24 @@ class TestCheckOnChange:
             cell.apply_slice_control(SliceControlBody(bindings=((1, 2),), slices=(spec,)))
         with pytest.raises(InvariantError, match="bound to unknown slice 2"):
             cell.step_frame()
+
+
+def gate_scenario():
+    """4000 frames with staggered attaches, re-auth every 300 frames, a
+    flooder from frame 1500 and UE 6 denied at attach."""
+    lines = [
+        "scenario.duration_frames = 4000",
+        "scenario.seed = 11",
+        "auth.reauth_period_frames = 300",
+        "ue.1.traffic = flood",
+        "ue.1.rate_mbps = 40",
+        "ue.1.onset_frame = 1500",
+        "ue.6.credentials = invalid",
+    ]
+    for ue in range(2, 7):
+        lines += [f"ue.{ue}.traffic = uniform_rate", f"ue.{ue}.rate_lo_mbps = 1",
+                  f"ue.{ue}.rate_hi_mbps = 2", f"ue.{ue}.attach_frame = {37 * ue}"]
+    return parse_scenario("\n".join(lines) + "\n", "gate")
 
 
 class TestAsymptoticGate:
@@ -612,19 +644,7 @@ class TestAsymptoticGate:
         """A 4000-frame run with staggered attaches, re-auth, a flooder and a
         denied UE: invariant scans are bounded by the state changes, not by
         the frames, and every frame reports each attached UE once."""
-        lines = [
-            "scenario.duration_frames = 4000",
-            "scenario.seed = 11",
-            "auth.reauth_period_frames = 300",
-            "ue.1.traffic = flood",
-            "ue.1.rate_mbps = 40",
-            "ue.1.onset_frame = 1500",
-            "ue.6.credentials = invalid",
-        ]
-        for ue in range(2, 7):
-            lines += [f"ue.{ue}.traffic = uniform_rate", f"ue.{ue}.rate_lo_mbps = 1",
-                      f"ue.{ue}.rate_hi_mbps = 2", f"ue.{ue}.attach_frame = {37 * ue}"]
-        sc = parse_scenario("\n".join(lines) + "\n", "gate")
+        sc = gate_scenario()
         counts = {"scans": 0, "changes": 0}
 
         def counting(name: str, key: str):
@@ -645,3 +665,31 @@ class TestAsymptoticGate:
         for report in result.frames:
             attached = [u.ue for u in sc.ues if u.attach_frame <= report.frame_index]
             assert sorted(report.per_ue) == sorted(attached)
+
+    def test_ric_works_on_change(self, monkeypatch):
+        """Over the same run: every emitted slice table differs from the one
+        before it, no KPM report names UE 6 after its denial, and the SDL keeps
+        no window for it."""
+        reported: list[tuple[int, int]] = []  # (frame the RIC got it, ue)
+        ingest = Router.ingest_frame
+
+        def recording_ingest(router, data):
+            msg = e2.decode(data)
+            if msg.kind is MsgKind.KPM_INDICATION:
+                reported.append((router.now_ms // 10, msg.body.report.ue))
+            return ingest(router, data)
+
+        monkeypatch.setattr(Router, "ingest_frame", recording_ingest)
+        result = run(gate_scenario())
+        tables = [body for _, body in result.slicing.emitted]
+        reauths = result.audit.scan("reauth")
+        assert len(tables) > 1 and len(reauths) > 10  # re-auth grants fall inside the run
+        assert all(prev != cur for prev, cur in zip(tables, tables[1:]))
+        denial = next(
+            e["frame"] for e in result.audit.scan("auth") if e["ue"] == 6 and e["outcome"] == "denied"
+        )
+        assert result.audit.scan("isolate")  # the flooder was isolated, then still reported
+        assert max(f for f, ue in reported if ue == 1) > 3900
+        assert all(f <= denial for f, ue in reported if ue == 6)
+        assert result.sdl.get(NS_PROFILES, "window:6") is None
+        assert result.sdl.get(NS_AUTH, "usage:6") is None

@@ -66,12 +66,21 @@ class TestDeterminism:
 
 class TestModes:
     def test_arrivals_independent_of_mode(self):
+        """Cumulative arrived bits per UE, served bits so far plus the queue,
+        match frame by frame; exact while PRB bits are whole bytes."""
         sc = parse_scenario(SMALL_MIX, "mix")
         zt = run(sc)
         legacy = run(sc, legacy=True)
-        for fz, fl in zip(zt.frames, legacy.frames):
+        assert zt.cell.cfg.prb_bits_per_frame % 8 == 0
+        served = {"zt": {}, "legacy": {}}
+        for fz, fl in zip(zt.frames, legacy.frames, strict=True):
+            assert fz.per_ue.keys() == fl.per_ue.keys()
             for ue in fz.per_ue:
-                assert fz.per_ue[ue].arrived_bits == fl.per_ue[ue].arrived_bits
+                arrived = {}
+                for mode, stats in (("zt", fz.per_ue[ue]), ("legacy", fl.per_ue[ue])):
+                    served[mode][ue] = served[mode].get(ue, 0) + stats.served_bits
+                    arrived[mode] = served[mode][ue] + 8 * stats.queue_bytes
+                assert arrived["zt"] == arrived["legacy"]
 
     def test_legacy_skips_xapps_entirely(self, tmp_path):
         sc = parse_scenario(SMALL_MIX, "mix")

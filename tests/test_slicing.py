@@ -3,8 +3,8 @@ import pytest
 
 from ztcell.core import SliceKind, SlicePriority, UeId, equal_split, validate_slice_table
 from ztcell.e2 import MsgKind, SliceControlBody
-from ztcell.ric import AuditLog, Router, Sdl, XappContext
-from ztcell.xapps.auth import NS_AUTH
+from ztcell.ric import AuditLog, InternalMessage, Router, Sdl, XappContext
+from ztcell.xapps.auth import KIND_GRANT, KIND_VERIFY_START, NS_AUTH, NS_SLICES
 from ztcell.xapps.intrusion import Verdict
 from ztcell.xapps.slicing import (
     PolicyError,
@@ -74,6 +74,19 @@ class TestBind:
         assert board.budgets() == {5: 2}
         assert board.kinds()[5] is SliceKind.VERIFICATION
 
+    def test_rebind_to_the_same_kind_emits_nothing(self):
+        board = Board()
+        board.xapp.bind_ue(1, "verification")
+        board.grant(1)
+        board.grant(2)
+        emitted, stored = len(board.xapp.emitted), board.sdl.get(NS_SLICES, "table")
+        board.xapp.on_frame_boundary(300)
+        board.grant(1)  # a re-authentication grant for a UE that is already normal
+        board.xapp.bind_ue(2, "normal")
+        assert len(board.xapp.emitted) == emitted == len(board.sent)
+        assert board.sdl.get(NS_SLICES, "table") == stored
+        assert board.xapp.epoch == 0
+
     def test_every_emission_validates(self):
         board = Board()
         board.xapp.bind_ue(1, "verification")
@@ -114,6 +127,18 @@ class TestIsolate:
         board.xapp.isolate(verdict(1))
         assert len(board.xapp.emitted) == emissions  # nothing changed
         assert board.audit.scan("isolate_noop")
+
+    def test_grant_never_lifts_isolation(self):
+        board = Board()
+        for ue in (1, 2):
+            board.grant(ue)
+        board.xapp.isolate(verdict(1))
+        emitted = len(board.xapp.emitted)
+        for kind in (KIND_GRANT, KIND_VERIFY_START):
+            board.router.route(InternalMessage(kind, "auth", {"ue": 1}))
+        assert len(board.xapp.emitted) == emitted
+        assert board.kinds() == {1: SliceKind.RESTRICTED, 2: SliceKind.NORMAL}
+        assert board.budgets() == {1: 1, 2: 99}
 
     def test_isolating_ungranted_ue_skipped(self):
         board = Board()
