@@ -12,8 +12,6 @@ CellId = int
 E2Id = int
 SliceId = int
 
-NO_SLICE: SliceId = 0
-
 KPM_FIELDS = ("snr_db", "cqi", "tx_packets", "tx_power_dbm", "throughput_mbps")
 
 

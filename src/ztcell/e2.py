@@ -20,7 +20,7 @@ Bodies:
                           kind u8) where mask = u16 PRB count + padded bits
     SUBSCRIPTION_REQUEST  period_ms u32 (every attached UE that is not
                           denied reports once per period)
-    SUBSCRIPTION_ACK      period_ms u32, accepted u8
+    SUBSCRIPTION_ACK      period_ms u32
 
 Identical messages always encode to identical bytes; decode is the exact
 inverse on the image of encode and rejects anything else with the byte
@@ -67,7 +67,6 @@ _BINDING = struct.Struct(">QH")
 _SLICE_HEAD = struct.Struct(">HH")
 _SLICE_ATTRS = struct.Struct(">BB")
 _PERIOD = struct.Struct(">I")
-_PERIOD_FLAG = struct.Struct(">IB")
 
 HEADER_LEN = _HEADER.size
 
@@ -147,7 +146,6 @@ class SubscriptionRequestBody:
 @dataclass(frozen=True)
 class SubscriptionAckBody:
     report_period_ms: int
-    accepted: bool = True
 
 
 Body = (
@@ -257,11 +255,10 @@ def _pack_body(body: Body) -> bytes:
             out.append(_SLICE_ATTRS.pack(s.priority, s.kind))
         return b"".join(out)
     _check_uint(body.report_period_ms, 32, "report period")
-    if isinstance(body, SubscriptionAckBody):
-        return _PERIOD_FLAG.pack(body.report_period_ms, 1 if body.accepted else 0)
-    error = _period_error(body.report_period_ms)
-    if error:
-        raise EncodeError(error)
+    if isinstance(body, SubscriptionRequestBody):
+        error = _period_error(body.report_period_ms)
+        if error:
+            raise EncodeError(error)
     return _PERIOD.pack(body.report_period_ms)
 
 
@@ -348,10 +345,7 @@ def _read_body(kind: MsgKind, rd: _Reader) -> Body:
         return SliceControlBody(bindings=bindings, slices=tuple(slices))
     if kind is MsgKind.SUBSCRIPTION_REQUEST:
         return SubscriptionRequestBody(*rd.unpack(_PERIOD, "subscription"))
-    period, accepted = rd.unpack(_PERIOD_FLAG, "subscription ack")
-    if accepted > 1:
-        raise DecodeError(rd.offset - 1, f"accepted flag {accepted} not boolean")
-    return SubscriptionAckBody(period, bool(accepted))
+    return SubscriptionAckBody(*rd.unpack(_PERIOD, "subscription ack"))
 
 
 def decode(data: bytes) -> E2Message:

@@ -134,7 +134,7 @@ class AuthXapp(Xapp):
     def __init__(self, config: AuthConfig) -> None:
         super().__init__()
         self.cfg = config
-        self.verify_ops_log: list[tuple[UeId, int]] = []
+        self.verify_ops = 0  # running count of factor-check steps
         # pending verifications: ue -> (blob, due_frame); all durable state in SDL
         self._pending: dict[UeId, tuple[bytes, int]] = {}
         self._usage: SdlWindow | None = None
@@ -253,18 +253,18 @@ class AuthXapp(Xapp):
         try:
             token, blob_ue, cell, e2_id, slice_id, tag = parse_blob(blob)
         except ValueError:
-            self.verify_ops_log.append((ue, 1))
+            self.verify_ops += 1
             return AuthReason.BAD_TAG
         ops += 1
         # Possession: the token must be the one currently issued, and fresh.
         stored = self._stored_token(blob_ue)
         ops += 1
         if stored is None or not hmac.compare_digest(token, stored[0]):
-            self.verify_ops_log.append((ue, ops))
+            self.verify_ops += ops
             return AuthReason.UNKNOWN_TOKEN
         _, issued, expiry = stored
         if self.frame - issued >= expiry:
-            self.verify_ops_log.append((ue, ops))
+            self.verify_ops += ops
             return AuthReason.EXPIRED
         # Knowledge + inherence: rebuild the key chain from registered factors.
         chain = self.cfg.credentials.get(blob_ue, ())
@@ -275,19 +275,19 @@ class AuthXapp(Xapp):
         expected_tag = hmac.new(key, blob[: BLOB_LEN - TAG_LEN], hashlib.sha256).digest()
         ops += 1
         if not hmac.compare_digest(tag, expected_tag):
-            self.verify_ops_log.append((ue, ops))
+            self.verify_ops += ops
             return AuthReason.BAD_TAG
         # Identifier binding: tag-covered, but reject explicitly on mismatch.
         ops += 1
         if blob_ue != ue or cell != self.cfg.cell_id or e2_id != self.cfg.e2_id:
-            self.verify_ops_log.append((ue, ops))
+            self.verify_ops += ops
             return AuthReason.BAD_TAG
         if expect_slice is not None:
             ops += 1
             if slice_id != expect_slice:
-                self.verify_ops_log.append((ue, ops))
+                self.verify_ops += ops
                 return AuthReason.SLICE_MISMATCH
-        self.verify_ops_log.append((ue, ops))
+        self.verify_ops += ops
         return AuthReason.OK
 
     def verify_ue(self, ue: UeId, blob: bytes, expect_slice: SliceId | None = 0) -> AuthDecision:

@@ -13,6 +13,11 @@ down for verification and restricted slices, so a low value is the network's
 own doing, never evidence of intrusion. Radio-quality fields flag on
 deviation to either side.
 
+Every report is assessed, but a verdict is routed at its onset: the xApp
+writes one `intrusion_flag` record and sends the slicer one verdict when a
+UE's verdict turns from not flagged to flagged. An unflagged verdict clears
+the UE, so a later onset is routed again.
+
 The xApp holds each UE's window in memory and writes it through to the SDL
 as a JSON list on every report. It decodes the stored window again only
 when the SDL holds bytes the xApp did not write (`ric.SdlWindow`).
@@ -278,7 +283,7 @@ class IntrusionXapp(Xapp):
         self.cfg = config
         self.profiles: dict[UeId, BehaviorProfile] = {}
         self.ops = OpsCounter()
-        self.verdicts: list[Verdict] = []
+        self.flagged: set[UeId] = set()  # UEs whose latest verdict flagged
         self._windows: SdlWindow | None = None
 
     def on_init(self, ctx: XappContext) -> None:
@@ -320,8 +325,10 @@ class IntrusionXapp(Xapp):
         if len(window) < self.cfg.detection.min_reports_before_decision:
             return
         verdict = assess(profile, window, self.cfg.detection, self.ops)
-        if verdict.flagged:
-            self.verdicts.append(verdict)
+        if not verdict.flagged:
+            self.flagged.discard(report.ue)
+        elif report.ue not in self.flagged:
+            self.flagged.add(report.ue)
             worst = ", ".join(
                 f"{name} mean {mean:.2f} outside [{lo:.2f}, {hi:.2f}]"
                 for name, mean, (lo, hi) in verdict.offending

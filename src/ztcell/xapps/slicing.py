@@ -8,7 +8,9 @@ highest-index PRBs, so slicing work stays independent of intruder count;
 verification slices sit just below it. Tables change only at frame
 boundaries and every emitted table is validated for disjointness and budget.
 A table is emitted only when an occupancy changes: a bind to the kind a UE
-already holds emits nothing. Isolation is sticky: a grant never moves an
+already holds emits nothing. Any bound UE can be isolated, a verifying one
+included; a verdict for a UE that is unbound or already restricted leaves
+one `isolate_skipped` record. Isolation is sticky: a grant never moves an
 isolated UE out of the restricted slice; only a deny or revoke releases it.
 """
 from __future__ import annotations
@@ -81,10 +83,9 @@ class SlicingXapp(Xapp):
         self._restricted_id: SliceId | None = None
         self._next_id = 1
         self.bindings: dict[UeId, SliceId] = {}
-        self.epoch: int | None = None
         self.changes: list[SliceChange] = []
         self.emitted: list[tuple[int, e2.SliceControlBody]] = []
-        self.alloc_ops_log: list[int] = []
+        self.alloc_ops = 0  # running count of table-building steps
 
     def on_init(self, ctx: XappContext) -> None:
         super().on_init(ctx)
@@ -123,16 +124,12 @@ class SlicingXapp(Xapp):
         ue = verdict.ue
         if not verdict.flagged:
             raise PolicyError("isolate requires a flagged verdict")
-        if self._occupancy.get(ue) == "restricted":
-            self.ctx.audit.record(
-                self.frame * 10, self.name, "isolate_noop",
-                f"ue {ue} already isolated", frame=self.frame, ue=ue,
-            )
-            return
-        if self._occupancy.get(ue) != "normal":
+        held = self._occupancy.get(ue)
+        if held in (None, "restricted"):
+            reason = "not bound" if held is None else "already isolated"
             self.ctx.audit.record(
                 self.frame * 10, self.name, "isolate_skipped",
-                f"ue {ue} not currently granted", frame=self.frame, ue=ue,
+                f"ue {ue} {reason}", frame=self.frame, ue=ue,
             )
             return
         self._occupancy[ue] = "restricted"
@@ -242,8 +239,7 @@ class SlicingXapp(Xapp):
                 self.changes.append(SliceChange(self.frame, u, old, new, cause))
 
         self.bindings = new_bindings
-        self.epoch = self.frame
-        self.alloc_ops_log.append(ops)
+        self.alloc_ops += ops
 
         body = e2.SliceControlBody(
             bindings=tuple(sorted(new_bindings.items())), slices=tuple(slices)

@@ -50,7 +50,7 @@ def golden_messages() -> dict[str, E2Message]:
             MsgKind.SUBSCRIPTION_REQUEST, 7, 9, 1, SubscriptionRequestBody(100)
         ),
         "subscription_ack": E2Message(
-            MsgKind.SUBSCRIPTION_ACK, 7, 9, 3, SubscriptionAckBody(200, True)
+            MsgKind.SUBSCRIPTION_ACK, 7, 9, 3, SubscriptionAckBody(200)
         ),
         "auth_request": E2Message(MsgKind.AUTH_REQUEST, 1, 1, 4, AuthRequestBody(b"\x11" * 66)),
         "auth_response_granted": E2Message(
@@ -152,7 +152,7 @@ def messages(draw) -> E2Message:
     elif kind == MsgKind.SUBSCRIPTION_REQUEST:
         body = SubscriptionRequestBody(draw(st.integers(1, 1000)) * 10)
     else:
-        body = SubscriptionAckBody(draw(uint(32)), draw(st.booleans()))
+        body = SubscriptionAckBody(draw(uint(32)))
     return E2Message(kind, draw(uint(32)), draw(uint(32)), draw(uint(64)), body)
 
 
@@ -407,10 +407,8 @@ def _ref_decode_body(kind: MsgKind, rd: _RefReader):
         (period,) = rd.unpack(">I", "subscription")
         return SubscriptionRequestBody(period)
     if kind == MsgKind.SUBSCRIPTION_ACK:
-        period, accepted = rd.unpack(">IB", "subscription ack")
-        if accepted > 1:
-            raise DecodeError(rd.offset - 1, f"accepted flag {accepted} not boolean")
-        return SubscriptionAckBody(period, bool(accepted))
+        (period,) = rd.unpack(">I", "subscription ack")
+        return SubscriptionAckBody(period)
     raise DecodeError(4, f"unknown kind tag {kind}")
 
 

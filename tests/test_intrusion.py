@@ -278,7 +278,23 @@ class TestIntrusionXapp:
         assert audit.scan("intrusion_flag") == []
         self.deliver(xapp, 60.0, 3, pkts=400)
         assert len(audit.scan("intrusion_flag")) == 1
-        assert xapp.verdicts and xapp.verdicts[0].flagged
+        assert xapp.flagged == {1}
+
+    def test_verdict_routed_at_onset(self):
+        from ztcell.xapps.intrusion import KIND_VERDICT
+
+        xapp, _, audit, _ = self.make(window_n=3)
+        routed = []
+        xapp.ctx.router.subscribe("probe", [KIND_VERDICT], lambda msg: routed.append(msg.payload))
+        for seq in range(1, 6):
+            self.deliver(xapp, 60.0, seq, pkts=400)
+        assert len(audit.scan("intrusion_flag")) == len(routed) == 1
+        for seq in range(6, 9):  # three benign reports clear the window
+            self.deliver(xapp, 15.0, seq)
+        assert xapp.flagged == set()
+        self.deliver(xapp, 60.0, 9, pkts=400)
+        assert len(audit.scan("intrusion_flag")) == len(routed) == 2
+        assert all(v.flagged and v.ue == 1 for v in routed)
 
     def test_benign_stream_never_flags(self):
         xapp, _, audit, _ = self.make()

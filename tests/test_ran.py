@@ -668,8 +668,9 @@ class TestAsymptoticGate:
 
     def test_ric_works_on_change(self, monkeypatch):
         """Over the same run: every emitted slice table differs from the one
-        before it, no KPM report names UE 6 after its denial, and the SDL keeps
-        no window for it."""
+        before it, no KPM report names UE 6 after its denial, the SDL keeps no
+        window for it, and the flooder's verdict is routed once, at its onset,
+        so the second half of the audit holds only re-authentications."""
         reported: list[tuple[int, int]] = []  # (frame the RIC got it, ue)
         ingest = Router.ingest_frame
 
@@ -693,3 +694,8 @@ class TestAsymptoticGate:
         assert all(f <= denial for f, ue in reported if ue == 6)
         assert result.sdl.get(NS_PROFILES, "window:6") is None
         assert result.sdl.get(NS_AUTH, "usage:6") is None
+        ue1 = [e["action"] for e in result.audit.entries if e.get("ue") == 1]
+        assert ue1.count("intrusion_flag") == ue1.count("isolate") == 1
+        assert "isolate_skipped" not in ue1
+        late = {e["action"] for e in result.audit.entries if e["time_ms"] >= 2000 * 10}
+        assert late == {"reauth", "token_issued"}

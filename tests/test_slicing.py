@@ -1,10 +1,12 @@
 """Slice lifecycle: equal split, isolation, reallocation, emission validity."""
+import json
+
 import pytest
 
 from ztcell.core import SliceKind, SlicePriority, UeId, equal_split, validate_slice_table
 from ztcell.e2 import MsgKind, SliceControlBody
 from ztcell.ric import AuditLog, InternalMessage, Router, Sdl, XappContext
-from ztcell.xapps.auth import KIND_GRANT, KIND_VERIFY_START, NS_AUTH, NS_SLICES
+from ztcell.xapps.auth import KIND_DENY, KIND_GRANT, KIND_VERIFY_START, NS_AUTH, NS_SLICES
 from ztcell.xapps.intrusion import Verdict
 from ztcell.xapps.slicing import (
     PolicyError,
@@ -85,7 +87,7 @@ class TestBind:
         board.xapp.bind_ue(2, "normal")
         assert len(board.xapp.emitted) == emitted == len(board.sent)
         assert board.sdl.get(NS_SLICES, "table") == stored
-        assert board.xapp.epoch == 0
+        assert board.xapp.emitted[-1][0] == 0
 
     def test_every_emission_validates(self):
         board = Board()
@@ -118,7 +120,7 @@ class TestIsolate:
         restricted = next(s for s in body.slices if s.kind is SliceKind.RESTRICTED)
         assert restricted.mask.indices() == [99]
 
-    def test_isolate_twice_is_idempotent_noop(self):
+    def test_isolate_twice_is_skipped(self):
         board = Board()
         for ue in (1, 2):
             board.grant(ue)
@@ -126,7 +128,9 @@ class TestIsolate:
         emissions = len(board.xapp.emitted)
         board.xapp.isolate(verdict(1))
         assert len(board.xapp.emitted) == emissions  # nothing changed
-        assert board.audit.scan("isolate_noop")
+        assert [e["detail"] for e in board.audit.scan("isolate_skipped")] == [
+            "ue 1 already isolated"
+        ]
 
     def test_grant_never_lifts_isolation(self):
         board = Board()
@@ -144,8 +148,24 @@ class TestIsolate:
         board = Board()
         board.grant(2)
         board.xapp.isolate(verdict(7))
-        assert board.audit.scan("isolate_skipped")
+        assert [e["detail"] for e in board.audit.scan("isolate_skipped")] == ["ue 7 not bound"]
         assert 7 not in board.budgets()
+
+    def test_verifying_ue_isolated_until_denied(self):
+        board = Board()
+        board.grant(2)
+        board.xapp.bind_ue(1, "verification")
+        board.xapp.isolate(verdict(1))
+        assert board.kinds() == {1: SliceKind.RESTRICTED, 2: SliceKind.NORMAL}
+        assert board.audit.scan("isolate_skipped") == []
+        board.sdl.put(NS_AUTH, "grant:1", b"\x00" * 8)
+        board.router.route(InternalMessage(KIND_GRANT, "auth", {"ue": 1}))
+        assert board.kinds() == {1: SliceKind.RESTRICTED, 2: SliceKind.NORMAL}
+        board.router.route(InternalMessage(KIND_DENY, "auth", {"ue": 1}))
+        assert board.kinds() == {2: SliceKind.NORMAL}
+        assert [c.cause for c in board.xapp.changes if c.ue == 1] == [
+            "verify", "isolate", "release"
+        ]
 
     def test_isolated_ues_share_one_restricted_slice(self):
         board = Board()
@@ -229,10 +249,10 @@ class TestComplexity:
         ops = {}
         for m in (1, 5, 25):
             xapp = self.build_with_isolated(m)
-            before = len(xapp.alloc_ops_log)
+            before = xapp.alloc_ops
             xapp.isolate(verdict(m + 1))  # the next victim; 3 UEs stay granted
-            ops[m] = xapp.alloc_ops_log[before]
-        assert ops[1] == ops[5] == ops[25]
+            ops[m] = xapp.alloc_ops - before
+        assert ops[1] == ops[5] == ops[25] > 0
 
 
 class TestChangeLog:
@@ -263,4 +283,4 @@ class TestChangeLog:
         board.xapp.on_frame_boundary(7)
         board.grant(1)
         epoch, _ = board.xapp.emitted[-1]
-        assert epoch == 7 == board.xapp.epoch
+        assert epoch == 7 == json.loads(board.sdl.get(NS_SLICES, "table")[0])["epoch"]

@@ -5,8 +5,8 @@ xApp each UE's usage window and the parsed slice table. Other writers may
 put, delete, or delete and re-put those SDL keys at any time, including a
 re-put that lands on the version number the xApp last wrote. After every
 step the bytes the xApp wrote must be `json.dumps` of the window a fresh SDL
-read gives, and verdicts and re-auth decisions must equal those of the
-xApps as they were before the caches: decode and re-encode on every call.
+read gives, and flags and re-auth decisions must equal those of the xApps
+as they were before the caches: decode and re-encode on every call.
 """
 import json
 from dataclasses import asdict
@@ -26,7 +26,6 @@ from ztcell.xapps.intrusion import (
     IntrusionConfig,
     IntrusionXapp,
     ProfileModel,
-    assess,
 )
 
 SECRET = b"\x42" * 32
@@ -35,19 +34,26 @@ WINDOW_N = 3
 USAGE_KEEP = 4  # reauth period 40 frames / report period 10 frames
 
 
-class UncachedIntrusion(IntrusionXapp):
-    """Decodes and re-encodes the whole window from the SDL on every report."""
+class UncachedWindows:
+    """Decodes and re-encodes the whole report window from the SDL on every append."""
 
-    def handle(self, msg: e2.E2Message) -> None:
-        report = msg.body.report
-        key = f"window:{report.ue}"
-        entry = self.ctx.sdl.get(NS_PROFILES, key)
+    def __init__(self, sdl: Sdl, keep: int) -> None:
+        self.sdl, self.keep = sdl, keep
+
+    def append(self, key: str, report: KPMReport) -> list[KPMReport]:
+        entry = self.sdl.get(NS_PROFILES, key)
         window = [KPMReport(**d) for d in json.loads(entry[0])] if entry else []
-        window = (window + [report])[-self.cfg.detection.window_n :]
-        self.ctx.sdl.put(NS_PROFILES, key, json.dumps([asdict(r) for r in window]).encode())
-        verdict = assess(self.profiles[report.ue], window, self.cfg.detection, self.ops)
-        if verdict.flagged:
-            self.verdicts.append(verdict)
+        window = (window + [report])[-self.keep :]
+        self.sdl.put(NS_PROFILES, key, json.dumps([asdict(r) for r in window]).encode())
+        return window
+
+
+class UncachedIntrusion(IntrusionXapp):
+    """The intrusion xApp with only its window step replaced by `UncachedWindows`."""
+
+    def on_init(self, ctx: XappContext) -> None:
+        super().on_init(ctx)
+        self._windows = UncachedWindows(ctx.sdl, self.cfg.detection.window_n)
 
 
 class UncachedAuth(AuthXapp):
@@ -248,6 +254,6 @@ class TestWriteThroughWindows:
                     else:
                         world.outside_reput_same_version(*arg)
             assert cached.sdl.snapshot() == uncached.sdl.snapshot()
-            assert cached.intrusion.verdicts == uncached.intrusion.verdicts
-            assert cached.audit.scan("reauth") == uncached.audit.scan("reauth")
+            assert cached.intrusion.flagged == uncached.intrusion.flagged
+            assert cached.audit.entries == uncached.audit.entries  # flags and re-auths
             assert cached.sent == uncached.sent

@@ -6,7 +6,7 @@ import pytest
 from ztcell.core import SliceKind
 from ztcell.ran import InvariantError
 from ztcell.runner import run
-from ztcell.scenario import load_scenario
+from ztcell.scenario import load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -65,9 +65,13 @@ class TestAuditLaws:
         first_decisions = [e for e in flood_result.audit.entries if e["action"] == "auth"]
         assert sorted(e["ue"] for e in first_decisions) == [1, 2, 3, 4]
 
-    def test_isolation_logged_once_then_noops(self, flood_result):
+    def test_flag_and_isolation_logged_once(self, flood_result):
+        """The flooder keeps breaching its profile after isolation, but the
+        verdict reaches the slicer only at its onset."""
+        assert len(flood_result.audit.scan("intrusion_flag")) == 1
         assert len(flood_result.audit.scan("isolate")) == 1
-        assert len(flood_result.audit.scan("isolate_noop")) > 0
+        assert flood_result.audit.scan("isolate_skipped") == []
+        assert flood_result.intrusion.flagged == {1}
 
     def test_denied_ue_never_served(self, flood_result):
         for fr in flood_result.frames:
@@ -75,6 +79,32 @@ class TestAuditLaws:
             if stats.auth_state == "denied":
                 assert stats.served_bits == 0
                 assert stats.slice_id is None
+
+
+class TestIsolationOfVerifyingUe:
+    @pytest.mark.parametrize("credentials, final_state", [("valid", "isolated"), ("invalid", "denied")])
+    def test_flooder_flagged_while_verifying_is_isolated_at_once(self, credentials, final_state):
+        """A flooder from frame 0 is flagged at frame 10, five frames before
+        its verification ends. It is isolated in that frame; its grant keeps it
+        isolated, and a denial releases it without an invariant breach."""
+        text = "\n".join([
+            "scenario.duration_frames = 300",
+            "scenario.seed = 5",
+            "auth.verify_frames = 15",
+            "ue.1.traffic = flood",
+            "ue.1.rate_mbps = 40",
+            "ue.1.onset_frame = 0",
+            f"ue.1.credentials = {credentials}",
+            "ue.2.traffic = uniform_rate",
+            "ue.2.rate_lo_mbps = 10",
+            "ue.2.rate_hi_mbps = 20",
+        ]) + "\n"
+        result = run(parse_scenario(text, "verifying_flooder"))
+        assert result.summary.isolation_frame == result.summary.detection_frame == 10
+        states = [fr.per_ue[1].auth_state for fr in result.frames]
+        assert states[9:11] == ["verifying", "isolated"]
+        assert states[-1] == final_state
+        assert result.audit.scan("isolate_skipped") == []
 
 
 class TestReauthOverRun:
