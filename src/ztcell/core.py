@@ -4,6 +4,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 # Identifier widths are fixed by the wire layout: UE ids are 64-bit, cell and
 # E2 connection ids 32-bit, slice ids 16-bit. Slice id 0 means "no slice".
@@ -110,9 +111,11 @@ class SliceSpec:
         return self.mask.popcount()
 
 
-@dataclass(frozen=True)
-class KPMReport:
-    """One periodic per-UE measurement record carried over E2."""
+class KPMReport(NamedTuple):
+    """One periodic per-UE measurement record carried over E2.
+
+    A tuple in wire order: `ue`, `cell`, `seq`, then `KPM_FIELDS`.
+    """
 
     ue: UeId
     cell: CellId

@@ -36,6 +36,7 @@ from math import isfinite
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .core import (
     CellId,
@@ -169,8 +170,7 @@ _BODY_TYPES = {
 FRAME_MS = 10  # subscription periods must be whole radio frames
 
 
-@dataclass(frozen=True)
-class E2Message:
+class E2Message(NamedTuple):
     kind: MsgKind
     cell: CellId
     e2: E2Id
@@ -215,17 +215,17 @@ def _pack_body(body: Body) -> bytes:
             r.validate()
         except ValueError as e:
             raise EncodeError(str(e)) from e
-        _check_uint(r.ue, 64, "ue id")
-        _check_uint(r.cell, 32, "cell id")
-        _check_uint(r.seq, 64, "report seq")
-        _check_uint(r.tx_packets, 32, "tx_packets")
-        for name in ("snr_db", "tx_power_dbm", "throughput_mbps"):
-            value = getattr(r, name)
-            if not isfinite(value):
-                raise EncodeError(f"{name} must be finite, got {value}")
-        return _KPM.pack(
-            r.ue, r.cell, r.seq, r.snr_db, r.cqi, r.tx_packets, r.tx_power_dbm, r.throughput_mbps
-        )
+        ue, cell, seq, snr, cqi, pkts, power, tput = r
+        _check_uint(ue, 64, "ue id")
+        _check_uint(cell, 32, "cell id")
+        _check_uint(seq, 64, "report seq")
+        _check_uint(pkts, 32, "tx_packets")
+        if not (isfinite(snr) and isfinite(power) and isfinite(tput)):
+            for name in ("snr_db", "tx_power_dbm", "throughput_mbps"):
+                value = getattr(r, name)
+                if not isfinite(value):
+                    raise EncodeError(f"{name} must be finite, got {value}")
+        return _KPM.pack(ue, cell, seq, snr, cqi, pkts, power, tput)
     if isinstance(body, AuthRequestBody):
         if len(body.blob) != AUTH_BLOB_LEN:
             raise EncodeError(f"auth blob must be {AUTH_BLOB_LEN} bytes, got {len(body.blob)}")
@@ -263,13 +263,14 @@ def _pack_body(body: Body) -> bytes:
 
 
 def encode(msg: E2Message) -> bytes:
-    if not isinstance(msg.body, _BODY_TYPES[msg.kind]):
-        raise EncodeError(f"{msg.kind.name} carries {type(msg.body).__name__}")
-    _check_uint(msg.cell, 32, "cell id")
-    _check_uint(msg.e2, 32, "e2 id")
-    _check_uint(msg.seq, 64, "seq")
-    payload = _pack_body(msg.body)
-    return _HEADER.pack(HEADER_LEN + len(payload), msg.kind, msg.cell, msg.e2, msg.seq) + payload
+    kind, cell, e2, seq, body = msg
+    if not isinstance(body, _BODY_TYPES[kind]):
+        raise EncodeError(f"{kind.name} carries {type(body).__name__}")
+    _check_uint(cell, 32, "cell id")
+    _check_uint(e2, 32, "e2 id")
+    _check_uint(seq, 64, "seq")
+    payload = _pack_body(body)
+    return _HEADER.pack(HEADER_LEN + len(payload), kind, cell, e2, seq) + payload
 
 
 class _Reader:
@@ -390,4 +391,4 @@ class Connection:
         return self._tx[side]
 
     def make(self, side: str, kind: MsgKind, body: Body) -> E2Message:
-        return E2Message(kind=kind, cell=self.cell, e2=self.e2, seq=self.next_seq(side), body=body)
+        return E2Message(kind, self.cell, self.e2, self.next_seq(side), body)

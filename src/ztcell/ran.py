@@ -204,7 +204,6 @@ class RanCell:
         self.slice_masks: dict[SliceId, PRBMask] = {}
         self.slice_kinds: dict[SliceId, SliceKind] = {}
         self.slice_bits: dict[SliceId, int] = {}  # capacity per frame, per table
-        self.table_epoch: int | None = None
         self.report_period_frames: int | None = None
         self.reauth_period_frames: int = 0  # 0 disables RAN-driven re-auth
         self.state_changed = True  # UE auth or binding state moved since the last check
@@ -322,7 +321,6 @@ class RanCell:
             # Denied is terminal: a denied UE bound anyway fails _check_invariants.
             if restricted and ue.auth_state is not AuthState.DENIED:
                 ue.auth_state = AuthState.ISOLATED
-        self.table_epoch = self.frame_index
 
     # ---- frame advance ----------------------------------------------------
 
@@ -472,14 +470,8 @@ class RanCell:
         power = ue.rng_radio.gauss(ue.radio.tx_power_mean_dbm, ue.radio.tx_power_std_dbm)
         ue.kpm_seq += 1
         report = KPMReport(
-            ue=ue_id,
-            cell=self.cfg.cell_id,
-            seq=ue.kpm_seq,
-            snr_db=snr,
-            cqi=cqi,
-            tx_packets=ue.window_arrived_pkts,
-            tx_power_dbm=power,
-            throughput_mbps=ue.window_served_bits / (period_ms * 1000.0),
+            ue_id, self.cfg.cell_id, ue.kpm_seq, snr, cqi, ue.window_arrived_pkts, power,
+            ue.window_served_bits / (period_ms * 1000.0),
         )
         ue.window_arrived_pkts = 0
         ue.window_served_bits = 0

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Any, Callable
 
 from . import e2
@@ -69,18 +70,31 @@ class Sdl:
         return out
 
 
+def json_text(value: Any) -> str:
+    """`json.dumps(value)`, without the encoder set-up for an exact int or finite float.
+
+    For those two the JSON text is `repr`. Anything else, such as NaN, a
+    bool, an `IntEnum` or a string another writer stored, goes to
+    `json.dumps`.
+    """
+    if type(value) is int or type(value) is float and isfinite(value):
+        return repr(value)
+    return json.dumps(value)
+
+
 class SdlWindow:
     """Bounded JSON lists under one SDL namespace, held in memory and written through.
 
     `load` turns a decoded JSON value into an item and `dump` an item into
-    its JSON text. Per key the window caches the bytes last put or read, the
-    items and their texts, so an append costs one get, one join and one put.
-    It decodes the stored bytes only when they are not that object, which
-    means another writer replaced them; the version cannot tell, since a
-    delete then a put restarts it at 1.
+    its JSON text, which must equal `json.dumps` of the value `load` was
+    given (`json_text` by default). Per key the window caches the bytes last
+    put or read, the items and their texts, so an append costs one get, one
+    join and one put. It decodes the stored bytes only when they are not
+    that object, which means another writer replaced them; the version
+    cannot tell, since a delete then a put restarts it at 1.
     """
 
-    def __init__(self, sdl: Sdl, namespace: str, keep: int, load=lambda v: v, dump=json.dumps):
+    def __init__(self, sdl: Sdl, namespace: str, keep: int, load=lambda v: v, dump=json_text):
         self.sdl, self.namespace, self.keep = sdl, namespace, keep
         self._load, self._dump = load, dump
         self._cache: dict[str, tuple[bytes, list, list[str]]] = {}

@@ -20,9 +20,10 @@ audit-logged. Verification holds the UE in a minimal verification slice for
 
 Re-authentication compares a UE's mean reported throughput with its slice
 budget. The xApp holds each UE's usage window in memory and writes it
-through to the SDL on every report; it decodes the stored window, and the
-slicer's table, again only when the SDL holds bytes the xApp has not read
-or written (`ric.SdlWindow`).
+through to the SDL on every report, each value's text written by
+`ric.json_text` (`repr` of a finite float, else `json.dumps`); it decodes
+the stored window, and the slicer's table, again only when the SDL holds
+bytes the xApp has not read or written (`ric.SdlWindow`).
 """
 from __future__ import annotations
 

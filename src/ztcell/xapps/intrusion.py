@@ -19,8 +19,10 @@ UE's verdict turns from not flagged to flagged. An unflagged verdict clears
 the UE, so a later onset is routed again.
 
 The xApp holds each UE's window in memory and writes it through to the SDL
-as a JSON list on every report. It decodes the stored window again only
-when the SDL holds bytes the xApp did not write (`ric.SdlWindow`).
+as a JSON list on every report. A report's text is one format over its
+fields, each written by `ric.json_text`, and equals
+`json.dumps(report._asdict())`. The xApp decodes the stored window again
+only when the SDL holds bytes the xApp did not write (`ric.SdlWindow`).
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from random import Random
 from .. import e2
 from ..core import KPM_FIELDS, BehaviorProfile, FieldStats, KPMReport, UeId, ordered_sum
 from ..e2 import MsgKind
-from ..ric import InternalMessage, SdlWindow, Xapp, XappContext
+from ..ric import InternalMessage, SdlWindow, Xapp, XappContext, json_text
 
 NS_PROFILES = "profiles"
 
@@ -112,21 +114,29 @@ def build_profile(ue: UeId, history: list[KPMReport], config: DetectionConfig) -
     return BehaviorProfile(ue=ue, fields=fields)
 
 
+_FIELD_INDEX = {name: i for i, name in enumerate(KPMReport._fields)}
+
+
 def assess(
     profile: BehaviorProfile,
     reports: list[KPMReport],
     config: DetectionConfig,
     ops: OpsCounter | None = None,
 ) -> Verdict:
-    """Flag iff any field's window mean falls strictly outside its range."""
+    """Flag iff any field's window mean falls strictly outside its range.
+
+    Each mean adds the window's values left to right from 0.0, reading the
+    report tuples by field index.
+    """
     if not reports:
         raise NoVerdictError("no reports to assess")
     window = reports[-config.window_n :]
     offending = []
     for name, stats in profile.fields.items():
+        i = _FIELD_INDEX[name]
         total = 0.0
         for r in window:
-            total += float(getattr(r, name))
+            total += r[i]  # float + int rounds the int as float() does
         mean = total / len(window)
         if mean > stats.hi or (stats.flag_low and mean < stats.lo):
             offending.append((name, mean, (stats.lo, stats.hi)))
@@ -166,15 +176,13 @@ def synth_benign_report(
         rng.uniform(model.rate_lo_mbps, model.rate_hi_mbps) * 10_000 for _ in range(frames)
     )
     pkt_bits = model.packet_size_bytes * 8
-    return KPMReport(
-        ue=model.ue,
-        cell=0,
-        seq=seq,
-        snr_db=rng.gauss(snr_mean, snr_std),
-        cqi=min(15, max(0, round(rng.gauss(cqi_mean, cqi_std)))),
-        tx_packets=max(0, round(total_bits / pkt_bits)),
-        tx_power_dbm=rng.gauss(pow_mean, pow_std),
-        throughput_mbps=rng.uniform(*throughput_range),
+    return KPMReport(  # positional, in field order, which is also the draw order
+        model.ue, 0, seq,
+        rng.gauss(snr_mean, snr_std),
+        min(15, max(0, round(rng.gauss(cqi_mean, cqi_std)))),
+        max(0, round(total_bits / pkt_bits)),
+        rng.gauss(pow_mean, pow_std),
+        rng.uniform(*throughput_range),
     )
 
 
@@ -190,15 +198,13 @@ def profile_generated_report(
 ) -> KPMReport:
     """Draw one benign report from the profile's own generative model."""
     f = profile.fields
-    return KPMReport(
-        ue=profile.ue,
-        cell=0,
-        seq=seq,
-        snr_db=rng.gauss(f["snr_db"].mean, f["snr_db"].std),
-        cqi=min(15, max(0, round(rng.gauss(f["cqi"].mean, f["cqi"].std)))),
-        tx_packets=max(0, round(rng.gauss(f["tx_packets"].mean, f["tx_packets"].std))),
-        tx_power_dbm=rng.gauss(f["tx_power_dbm"].mean, f["tx_power_dbm"].std),
-        throughput_mbps=rng.uniform(*throughput_range),
+    return KPMReport(  # positional, in field order, which is also the draw order
+        profile.ue, 0, seq,
+        rng.gauss(f["snr_db"].mean, f["snr_db"].std),
+        min(15, max(0, round(rng.gauss(f["cqi"].mean, f["cqi"].std)))),
+        max(0, round(rng.gauss(f["tx_packets"].mean, f["tx_packets"].std))),
+        rng.gauss(f["tx_power_dbm"].mean, f["tx_power_dbm"].std),
+        rng.uniform(*throughput_range),
     )
 
 
@@ -266,6 +272,14 @@ def write_fpr_csv(estimates: list[FprEstimate], path: str) -> None:
 
 # ---- the xApp ----------------------------------------------------------------
 
+# A report's JSON object: its fields in order, each value's text left open.
+_REPORT_JSON = "{" + ", ".join(f'"{name}": %s' for name in KPMReport._fields) + "}"
+
+
+def report_json_text(report: KPMReport) -> str:
+    """`json.dumps(report._asdict())`, byte for byte, as one format over `json_text`s."""
+    return _REPORT_JSON % tuple(map(json_text, report))
+
 
 @dataclass
 class IntrusionConfig:
@@ -288,10 +302,9 @@ class IntrusionXapp(Xapp):
 
     def on_init(self, ctx: XappContext) -> None:
         super().on_init(ctx)
-        # A report's JSON text is its dataclass fields in declaration order.
         self._windows = SdlWindow(
             ctx.sdl, NS_PROFILES, self.cfg.detection.window_n,
-            load=lambda d: KPMReport(**d), dump=lambda r: json.dumps(vars(r)),
+            load=lambda d: KPMReport(**d), dump=report_json_text,
         )
         ctx.router.subscribe(
             self.name, [MsgKind.KPM_INDICATION, MsgKind.SUBSCRIPTION_ACK], self.handle

@@ -3,14 +3,17 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ztcell.core import BehaviorProfile, FieldStats, KPMReport
+from ztcell.core import KPM_FIELDS, BehaviorProfile, FieldStats, KPMReport
 from ztcell.xapps.intrusion import (
     DetectionConfig,
     InsufficientDataError,
     NoVerdictError,
     OpsCounter,
     ProfileModel,
+    Verdict,
     _sample_stats,
     assess,
     build_profile,
@@ -129,6 +132,62 @@ class TestAssess:
         cfg = DetectionConfig(window_n=window_n)
         window = [report(40.0, seq=s) for s in range(1, window_n + 1)]
         assert assess(nominal_profile(), window, cfg).flagged
+
+
+def reference_assess(profile, reports, config, ops=None) -> Verdict:
+    """`assess` reading each value by name and converting it with float()."""
+    if not reports:
+        raise NoVerdictError("no reports to assess")
+    window = reports[-config.window_n :]
+    offending = []
+    for name, stats in profile.fields.items():
+        total = 0.0
+        for r in window:
+            total += float(getattr(r, name))
+        mean = total / len(window)
+        if mean > stats.hi or (stats.flag_low and mean < stats.lo):
+            offending.append((name, mean, (stats.lo, stats.hi)))
+    if ops is not None:
+        ops.add(len(profile.fields) * (len(window) + 1))
+    return Verdict(profile.ue, bool(offending), tuple(offending), len(window))
+
+
+bounds = st.floats(min_value=-1e300, max_value=1e300) | st.integers(-(2**64), 2**64)
+# Ints past 2**53 round when added to a float, as float() rounds them.
+values = st.floats() | st.integers(-(2**64), 2**64)
+
+
+@st.composite
+def field_stats(draw):
+    lo, hi = sorted(draw(st.lists(bounds, min_size=2, max_size=2)))
+    return FieldStats(0.0, 0.0, float(lo), float(hi), flag_low=draw(st.booleans()))
+
+
+@st.composite
+def profiles(draw):
+    """A profile over a random subset of the KPM fields, in random order."""
+    names = draw(st.permutations(KPM_FIELDS))[: draw(st.integers(1, len(KPM_FIELDS)))]
+    return BehaviorProfile(ue=1, fields={name: draw(field_stats()) for name in names})
+
+
+kpm_reports = st.builds(KPMReport, *([st.integers(0, 2**64)] * 3), *([values] * 5))
+
+
+class TestAssessOracle:
+    def test_report_fields_are_ids_then_kpm_fields(self):
+        assert KPMReport._fields == ("ue", "cell", "seq", *KPM_FIELDS)
+
+    @given(
+        profiles(),
+        st.integers(1, 12),
+        st.lists(kpm_reports, min_size=1, max_size=25),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_assess_matches_reference(self, profile, window_n, reports):
+        cfg = DetectionConfig(window_n=window_n)
+        ops, ref_ops = OpsCounter(), OpsCounter()
+        assert assess(profile, reports, cfg, ops) == reference_assess(profile, reports, cfg, ref_ops)
+        assert ops.count == ref_ops.count
 
 
 class TestComplexity:

@@ -9,16 +9,15 @@ read gives, and flags and re-auth decisions must equal those of the xApps
 as they were before the caches: decode and re-encode on every call.
 """
 import json
-from dataclasses import asdict
 from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ztcell import e2
-from ztcell.core import KPMReport, ordered_sum
+from ztcell.core import KPMReport, SliceKind, ordered_sum
 from ztcell.e2 import MsgKind
-from ztcell.ric import AuditLog, Router, Sdl, XappContext
+from ztcell.ric import AuditLog, Router, Sdl, XappContext, json_text
 from ztcell.xapps.auth import NS_AUTH, NS_SLICES, AuthConfig, AuthXapp, blob_key, build_blob
 from ztcell.xapps.intrusion import (
     NS_PROFILES,
@@ -26,6 +25,7 @@ from ztcell.xapps.intrusion import (
     IntrusionConfig,
     IntrusionXapp,
     ProfileModel,
+    report_json_text,
 )
 
 SECRET = b"\x42" * 32
@@ -44,7 +44,7 @@ class UncachedWindows:
         entry = self.sdl.get(NS_PROFILES, key)
         window = [KPMReport(**d) for d in json.loads(entry[0])] if entry else []
         window = (window + [report])[-self.keep :]
-        self.sdl.put(NS_PROFILES, key, json.dumps([asdict(r) for r in window]).encode())
+        self.sdl.put(NS_PROFILES, key, json.dumps([r._asdict() for r in window]).encode())
         return window
 
 
@@ -187,7 +187,7 @@ def outside_values(draw):
     which = draw(st.sampled_from(["window", "usage", "table"]))
     if which == "window":
         reports = draw(st.lists(kpm_reports(ue=ue), max_size=WINDOW_N + 2))
-        return (NS_PROFILES, f"window:{ue}"), dumps_any(draw, [asdict(r) for r in reports])
+        return (NS_PROFILES, f"window:{ue}"), dumps_any(draw, [r._asdict() for r in reports])
     if which == "usage":
         window = draw(st.lists(tputs, max_size=USAGE_KEEP + 2))
         return (NS_AUTH, f"usage:{ue}"), dumps_any(draw, window)
@@ -237,7 +237,7 @@ class TestWriteThroughWindows:
                 for world in (cached, uncached):
                     world.deliver(arg)
                 assert cached.sdl.get(NS_PROFILES, f"window:{ue}")[0] == expected_write(
-                    before_window, asdict(arg), WINDOW_N
+                    before_window, arg._asdict(), WINDOW_N
                 )
                 assert cached.sdl.get(NS_AUTH, f"usage:{ue}")[0] == expected_write(
                     before_usage, arg.throughput_mbps, USAGE_KEEP
@@ -257,3 +257,34 @@ class TestWriteThroughWindows:
             assert cached.intrusion.flagged == uncached.intrusion.flagged
             assert cached.audit.entries == uncached.audit.entries  # flags and re-auths
             assert cached.sent == uncached.sent
+
+
+# Anything a writer can put in a window: floats include NaN, infinities and
+# -0.0; integers reach past 64 bits; an IntEnum is an int that is not exactly one.
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(), st.integers(-(2**200), 2**200),
+    st.text(), st.sampled_from(list(SliceKind)),
+)
+json_values = st.recursive(
+    json_scalars, lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner), max_leaves=6
+)
+
+
+class TestJsonText:
+    @given(json_values)
+    @settings(max_examples=500, deadline=None)
+    def test_item_text_is_json_dumps(self, value):
+        assert json_text(value) == json.dumps(value)
+
+    @given(kpm_reports() | st.builds(KPMReport, *([json_values] * len(KPMReport._fields))))
+    @settings(max_examples=300, deadline=None)
+    def test_report_text_is_json_dumps(self, report):
+        assert report_json_text(report) == json.dumps(report._asdict())
+
+    def test_append_after_a_foreign_nan(self):
+        world = World(cached=True)
+        world.outside_put((NS_AUTH, "usage:1"), b"[NaN]")
+        report = KPMReport(1, 1, 1, 25.0, 12, 125, 20.0, 12.5)
+        world.deliver(report)
+        written = world.sdl.get(NS_AUTH, "usage:1")[0]
+        assert written == json.dumps([float("nan"), 12.5]).encode() == b"[NaN, 12.5]"
