@@ -13,6 +13,8 @@ CellId = int
 E2Id = int
 SliceId = int
 
+FRAME_MS = 10  # the radio frame: every clock in the simulator counts whole frames
+
 KPM_FIELDS = ("snr_db", "cqi", "tx_packets", "tx_power_dbm", "throughput_mbps")
 
 

@@ -39,6 +39,7 @@ from enum import IntEnum
 from typing import NamedTuple
 
 from .core import (
+    FRAME_MS,
     CellId,
     E2Id,
     KPMReport,
@@ -166,9 +167,6 @@ _BODY_TYPES = {
     MsgKind.SUBSCRIPTION_REQUEST: SubscriptionRequestBody,
     MsgKind.SUBSCRIPTION_ACK: SubscriptionAckBody,
 }
-
-FRAME_MS = 10  # subscription periods must be whole radio frames
-
 
 class E2Message(NamedTuple):
     kind: MsgKind

@@ -1,4 +1,4 @@
-"""Discrete-event cell model advancing in 10 ms radio frames.
+"""Discrete-event cell model advancing in `core.FRAME_MS` (10 ms) radio frames.
 
 Per frame: new traffic is enqueued per each UE's traffic model, then the MAC
 scheduler drains queues. With zero-trust slicing active each UE is visited
@@ -36,7 +36,7 @@ from random import Random
 from typing import NamedTuple
 
 from . import e2
-from .core import CellId, E2Id, KPMReport, PRBMask, SliceId, SliceKind, UeId
+from .core import FRAME_MS, CellId, E2Id, KPMReport, PRBMask, SliceId, SliceKind, UeId
 from .xapps.auth import blob_key, build_blob, corrupt_chain, ran_identity_blob
 
 
@@ -60,16 +60,11 @@ class AuthState(Enum):
     ISOLATED = "isolated"
 
 
-# The state text per member, without the enum's `.value` descriptor per read.
-_STATE_TEXT = {state: state.value for state in AuthState}
-
-
 @dataclass(frozen=True)
 class CellConfig:
     total_prbs: int = 100
     bandwidth_mhz: float = 20.0
     per_prb_rate_mbps: float = 0.24
-    frame_ms: int = 10  # fixed radio-frame granularity
     cell_id: CellId = 1
     e2_id: E2Id = 1
 
@@ -78,13 +73,11 @@ class CellConfig:
             raise ValueError("total_prbs must be >= 1")
         if self.per_prb_rate_mbps <= 0:
             raise ValueError("per_prb_rate_mbps must be > 0")
-        if self.frame_ms != 10:
-            raise ValueError("frame_ms is fixed at 10")
 
     @property
     def prb_bits_per_frame(self) -> int:
         # 1 Mbps over one 10 ms frame is 10_000 bits.
-        return round(self.per_prb_rate_mbps * self.frame_ms * 1000)
+        return round(self.per_prb_rate_mbps * FRAME_MS * 1000)
 
     @property
     def cell_bits_per_frame(self) -> int:
@@ -111,7 +104,7 @@ class TrafficModel:
         if self.packet_size_bytes < 1:
             raise ValueError("packet_size_bytes must be >= 1")
 
-    def bits_in_frame(self, frame: int, frame_ms: int, rng: Random) -> float:
+    def bits_in_frame(self, frame: int, rng: Random) -> float:
         if self.kind == "idle":
             return 0.0
         if self.kind == "cbr":
@@ -120,7 +113,7 @@ class TrafficModel:
             rate = rng.uniform(self.lo_mbps, self.hi_mbps)
         else:  # flood
             rate = self.rate_mbps if frame >= self.onset_frame else 0.0
-        return rate * frame_ms * 1000.0
+        return rate * FRAME_MS * 1000.0
 
 
 @dataclass(frozen=True)
@@ -162,6 +155,7 @@ class UeState:
     slice_id: SliceId | None = None
     token: bytes | None = None
     credential_chain: tuple[bytes, ...] = ()
+    cred_mode: str = "valid"  # valid | wrong_token | wrong_credential, kept at re-auth
     granted_frame: int | None = None
     queue: deque[Batch] = field(default_factory=deque)
     queued_bits: int = 0
@@ -241,6 +235,7 @@ class RanCell:
             rng_radio=rng_radio,
             credential_chain=credential_chain,
             token=token,
+            cred_mode=cred_mode,
         )
         self.ues[ue] = state
         self.ue_order.append(ue)
@@ -262,7 +257,7 @@ class RanCell:
         blob = build_blob(token, ue.id, self.cfg.cell_id, self.cfg.e2_id, slice_id, key)
         self._send(e2.MsgKind.AUTH_REQUEST, e2.AuthRequestBody(blob))
 
-    def maybe_reauth(self, frame: int, cred_mode_of=None) -> None:
+    def maybe_reauth(self, frame: int) -> None:
         """Re-present credentials for granted UEs on the configured period."""
         if not self.zero_trust or self.reauth_period_frames <= 0:
             return
@@ -272,8 +267,7 @@ class RanCell:
                 continue
             age = frame - ue.granted_frame
             if age > 0 and age % self.reauth_period_frames == 0:
-                mode = cred_mode_of(ue_id) if cred_mode_of else "valid"
-                self._send_auth_request(ue, slice_id=ue.slice_id or 0, cred_mode=mode)
+                self._send_auth_request(ue, slice_id=ue.slice_id or 0, cred_mode=ue.cred_mode)
 
     # ---- E2 ingress -------------------------------------------------------
 
@@ -285,7 +279,7 @@ class RanCell:
         elif isinstance(body, e2.SliceControlBody):
             self.apply_slice_control(body)
         elif isinstance(body, e2.SubscriptionRequestBody):
-            self.report_period_frames = body.report_period_ms // self.cfg.frame_ms
+            self.report_period_frames = body.report_period_ms // FRAME_MS
             self._send(e2.MsgKind.SUBSCRIPTION_ACK, e2.SubscriptionAckBody(body.report_period_ms))
 
     def _on_auth_response(self, body: e2.AuthResponseBody) -> None:
@@ -340,7 +334,7 @@ class RanCell:
 
     def _enqueue_traffic(self, ue: UeState) -> None:
         f = self.frame_index
-        bits = ue.traffic.bits_in_frame(f, self.cfg.frame_ms, ue.rng_traffic)
+        bits = ue.traffic.bits_in_frame(f, ue.rng_traffic)
         ue.bits_accum += bits
         pkt_bits = ue.traffic.packet_size_bytes * 8
         n = int(ue.bits_accum // pkt_bits)
@@ -380,7 +374,7 @@ class RanCell:
             served += whole * pkt_bits
             done = whole + 1
             b.left -= done
-            lat_sum += done * (f - b.arrival_frame + 1) * self.cfg.frame_ms
+            lat_sum += done * (f - b.arrival_frame + 1) * FRAME_MS
             done_total += done
             if b.left:
                 b.head_bits_left = pkt_bits
@@ -405,7 +399,7 @@ class RanCell:
                     raise InvariantError(f, f"UE {ue_id} served over slice capacity")
                 per_ue[ue_id] = self._frame_stats(ue, served, lat_sum, lat_n)
         else:
-            fm = self.cfg.frame_ms
+            fm = FRAME_MS
             ues = [self.ues[u] for u in self.ue_order]
             for ue in ues:
                 self._enqueue_traffic(ue)
@@ -456,7 +450,7 @@ class RanCell:
             served,
             ue.queue_bits() // 8,
             lat_sum / lat_n if lat_n else None,
-            _STATE_TEXT[ue.auth_state],
+            ue.auth_state._value_,  # a plain attribute, unlike the `.value` property
             ue.slice_id,
         )
 
@@ -483,7 +477,7 @@ class RanCell:
             return
         if self.frame_index % self.report_period_frames:
             return
-        period_ms = self.report_period_frames * self.cfg.frame_ms
+        period_ms = self.report_period_frames * FRAME_MS
         for ue_id in self.ue_order:
             if self.ues[ue_id].auth_state is not AuthState.DENIED:  # terminal: nothing to decide
                 report = self.collect_kpm(ue_id, period_ms)

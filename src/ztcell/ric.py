@@ -12,6 +12,7 @@ from math import isfinite
 from typing import Any, Callable
 
 from . import e2
+from .core import FRAME_MS
 from .e2 import DecodeError, E2Message, MsgKind
 
 
@@ -25,12 +26,17 @@ class SubscriptionError(ValueError):
 
 @dataclass
 class AuditLog:
-    """Append-only JSON-lines audit trail (dead letters, replays, decisions)."""
+    """Append-only JSON-lines audit trail (dead letters, replays, decisions).
+
+    Every record is stamped here with its frame: `time_ms` first, then
+    `actor`, `action` and `detail`, then `frame`, then any extra keys.
+    """
 
     entries: list[dict] = field(default_factory=list)
 
-    def record(self, time_ms: int, actor: str, action: str, detail: str, **extra: Any) -> None:
-        entry = {"time_ms": time_ms, "actor": actor, "action": action, "detail": detail}
+    def record(self, frame: int, actor: str, action: str, detail: str, **extra: Any) -> None:
+        entry = {"time_ms": frame * FRAME_MS, "actor": actor, "action": action,
+                 "detail": detail, "frame": frame}
         entry.update(extra)
         self.entries.append(entry)
 
@@ -130,7 +136,6 @@ class InternalMessage:
     """xApp-to-xApp message routed alongside E2 traffic, keyed by a kind string."""
 
     kind: str
-    source: str
     payload: Any
 
 
@@ -144,14 +149,15 @@ class Router:
     E2 ingress decodes frames, drops stale sequence numbers with an audit
     record, and fans each message out to every subscriber of its kind in
     subscription order. A message with no subscriber lands in the
-    dead-letter log, which is not an error.
+    dead-letter log, which is not an error. The runner sets `frame` at each
+    frame boundary; the router's own audit records carry it.
     """
 
     def __init__(self, audit: AuditLog) -> None:
         self.audit = audit
         self._handlers: dict[RoutableKind, list[tuple[str, Handler]]] = {}
         self._last_seq: dict[tuple[int, int], int] = {}
-        self.now_ms: int = 0
+        self.frame = 0
 
     def subscribe(self, xapp: str, kinds: set[RoutableKind] | list[RoutableKind], handler: Handler) -> None:
         for kind in kinds:
@@ -165,13 +171,13 @@ class Router:
         try:
             msg = e2.decode(data)
         except DecodeError as err:
-            self.audit.record(self.now_ms, "router", "decode_error", str(err))
+            self.audit.record(self.frame, "router", "decode_error", str(err))
             return
         conn = (msg.cell, msg.e2)
         last = self._last_seq.get(conn, 0)
         if msg.seq <= last:
             self.audit.record(
-                self.now_ms,
+                self.frame,
                 "router",
                 "replay_dropped",
                 f"seq {msg.seq} <= last {last} on cell {msg.cell} e2 {msg.e2}",
@@ -180,15 +186,14 @@ class Router:
         self._last_seq[conn] = msg.seq
         self.route(msg)
 
-    def route(self, msg: E2Message | InternalMessage) -> int:
+    def route(self, msg: E2Message | InternalMessage) -> None:
         subs = self._handlers.get(msg.kind, ())
         for _, handler in subs:
             handler(msg)
         if not subs:
             kind = msg.kind
             name = kind.name if isinstance(kind, MsgKind) else kind
-            self.audit.record(self.now_ms, "router", "dead_letter", f"no subscriber for {name}")
-        return len(subs)
+            self.audit.record(self.frame, "router", "dead_letter", f"no subscriber for {name}")
 
 
 @dataclass
@@ -215,6 +220,10 @@ class Xapp:
 
     def on_frame_boundary(self, frame: int) -> None:
         self.frame = frame
+
+    def record(self, action: str, detail: str, **extra: Any) -> None:
+        """Audit `action` as this xApp at its current frame."""
+        self.ctx.audit.record(self.frame, self.name, action, detail, **extra)
 
 
 class XappRegistry:

@@ -1,23 +1,29 @@
 """Experiment orchestration: the frame loop, metric logs, and run summaries.
 
 A run wires one RAN cell to the RIC over the binary E2 codec and advances
-in 10 ms frames. At each frame boundary the message queues are drained to
-quiescence, so an indication emitted at the end of frame f can trigger a
-verdict, an isolation, and a slice-control message that all take effect at
-the start of frame f+1 and never mid-frame. Everything is driven by named
-RNG streams derived from the scenario seed, making outputs byte-identical
-across runs; legacy runs reuse the same traffic streams so arrivals match
-the zero-trust run frame for frame.
+in `core.FRAME_MS` (10 ms) frames. At each frame boundary the message
+queues are drained to quiescence, so an indication emitted at the end of
+frame f can trigger a verdict, an isolation, and a slice-control message
+that all take effect at the start of frame f+1 and never mid-frame.
+Everything is driven by named RNG streams derived from the scenario seed,
+making outputs byte-identical across runs; legacy runs reuse the same
+traffic streams so arrivals match the zero-trust run frame for frame.
+
+The run keeps one copy of its per-frame data, `RunResult.frames`. The
+summary and `frames.csv` each walk it through `frames_to_rows`, a generator,
+so no list of every row is built.
 """
 from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
 from . import e2
+from .core import FRAME_MS
 from .ran import FrameReport, InvariantError, RanCell
 from .ric import AuditLog, Router, Sdl, XappContext, XappRegistry
 from .scenario import Scenario, resolved_lines
@@ -142,7 +148,7 @@ def run(
                 token_expiry_frames=sc.auth.token_expiry_frames,
                 usage_tolerance=sc.auth.usage_tolerance,
                 per_prb_rate_mbps=sc.cell.per_prb_rate_mbps,
-                report_period_frames=sc.report_period_ms // sc.cell.frame_ms,
+                report_period_frames=sc.report_period_ms // FRAME_MS,
             )
         )
         intr_x = IntrusionXapp(
@@ -182,10 +188,9 @@ def run(
             frame, f"E2 traffic still pending after {PUMP_ROUND_LIMIT} exchange rounds"
         )
 
-    cred_mode = {u.ue: u.credentials for u in sc.ues}
     frames: list[FrameReport] = []
     for f in range(sc.duration_frames):
-        router.now_ms = f * sc.cell.frame_ms
+        router.frame = f
         registry.frame_boundary(f)
         for spec in sc.ues:
             if spec.attach_frame == f:
@@ -200,15 +205,15 @@ def run(
                     token=token,
                     cred_mode=spec.credentials,
                 )
-        cell.maybe_reauth(f, cred_mode_of=cred_mode.get)
+        cell.maybe_reauth(f)
         pump(f)
         frames.append(cell.step_frame())
         cell.emit_kpm_if_due()
-    router.now_ms = sc.duration_frames * sc.cell.frame_ms
+    router.frame = sc.duration_frames
     registry.frame_boundary(sc.duration_frames)
     pump(sc.duration_frames)
 
-    rows = frames_to_rows(frames, [u.ue for u in sc.ues])
+    ue_order = [u.ue for u in sc.ues]
     meta = {
         "scenario": sc.name,
         "zero_trust": zero_trust,
@@ -225,7 +230,9 @@ def run(
             for u in sc.ues
         },
     }
-    summary = summarize_rows(rows, audit.entries, meta, sc.latency_threshold_ms)
+    summary = summarize_rows(
+        frames_to_rows(frames, ue_order), audit.entries, meta, sc.latency_threshold_ms
+    )
 
     result = RunResult(
         scenario=sc,
@@ -242,29 +249,24 @@ def run(
     )
     if out_dir is not None:
         result.out_dir = Path(out_dir)
-        _write_outputs(result, rows, meta)
+        _write_outputs(result, frames_to_rows(frames, ue_order), meta)
     return result
 
 
-def frames_to_rows(frames: list[FrameReport], ue_order: list[int]) -> list[tuple]:
-    """One `frames.csv` row per UE per frame, in `ue_order` within a frame:
+def frames_to_rows(frames: list[FrameReport], ue_order: list[int]) -> Iterator[tuple]:
+    """Yield one `frames.csv` row per UE per frame, in `ue_order` within a frame:
     (frame, ue, served_bits, queue_bytes, latency_ms, auth_state, slice_id)."""
-    rows = []
     for report in frames:
         f = report.frame_index
         per_ue = report.per_ue
         for ue in ue_order:
             stats = per_ue.get(ue)
             if stats is not None:
-                rows.append(
-                    (f, ue, stats.served_bits, stats.queue_bytes, stats.mean_latency_ms,
-                     stats.auth_state, stats.slice_id)
-                )
-    return rows
+                yield (f, ue, *stats)
 
 
 def summarize_rows(
-    rows: list[tuple], audit_entries: list[dict], meta: dict, latency_threshold_ms: int
+    rows: Iterable[tuple], audit_entries: list[dict], meta: dict, latency_threshold_ms: int
 ) -> RunSummary:
     duration = meta["duration_frames"]
     legit = {int(u) for u, info in meta["ues"].items() if info["legitimate"]}
@@ -306,7 +308,7 @@ def summarize_rows(
 
     def mean_mbps(acc: list[int]) -> float | None:
         bits, frames = acc
-        return bits / frames / 10_000.0 if frames else None  # bits per 10 ms frame -> Mbps
+        return bits / frames / (FRAME_MS * 1000) if frames else None  # bits per frame -> Mbps
 
     per_ue: dict[int, dict] = {}
     for ue in sorted(windows):
@@ -332,7 +334,7 @@ def summarize_rows(
     )
 
 
-def _write_outputs(result: RunResult, rows: list[tuple], meta: dict) -> None:
+def _write_outputs(result: RunResult, rows: Iterable[tuple], meta: dict) -> None:
     out = result.out_dir
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "frames.csv", "w", newline="") as fh:

@@ -10,7 +10,7 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import SlicePriority, UeId
+from .core import FRAME_MS, SlicePriority, UeId
 from .ran import CellConfig, RadioProfile, TrafficModel
 from .xapps.intrusion import DetectionConfig
 from .xapps.slicing import RestrictedPolicy, UePolicy
@@ -219,8 +219,10 @@ def _build(values: dict, ue_values: dict[int, dict], name: str) -> Scenario:
         raise ScenarioError(f"cell.*: {err}")
 
     period = _get(values, "report.period_ms")
-    if period < 10 or period % 10:
-        raise ScenarioError(f"report.period_ms: must be a positive multiple of 10, got {period}")
+    if period < FRAME_MS or period % FRAME_MS:
+        raise ScenarioError(
+            f"report.period_ms: must be a positive multiple of {FRAME_MS}, got {period}"
+        )
 
     try:
         detection = DetectionConfig(

@@ -174,10 +174,7 @@ class AuthXapp(Xapp):
         )
         packed = token.token + struct.pack(">QQ", token.issued_frame, token.expiry_frames)
         self.ctx.sdl.put(NS_AUTH, f"token:{ue}", packed)
-        self.ctx.audit.record(
-            self.frame * 10, self.name, "token_issued",
-            f"ue {ue} token {token.token[:4].hex()}..", frame=self.frame, ue=ue,
-        )
+        self.record("token_issued", f"ue {ue} token {token.token[:4].hex()}..", ue=ue)
         return token
 
     def provision(self, ue: UeId) -> bytes:
@@ -204,15 +201,9 @@ class AuthXapp(Xapp):
         expected = ran_identity_blob(self.cfg.secret, cell, e2_id, self.cfg.ran_credential)
         if hmac.compare_digest(blob, expected):
             self.ctx.sdl.put(NS_AUTH, self._ran_key(cell, e2_id), b"\x01")
-            self.ctx.audit.record(
-                self.frame * 10, self.name, "verified_ran",
-                f"cell {cell} e2 {e2_id} verified", frame=self.frame,
-            )
+            self.record("verified_ran", f"cell {cell} e2 {e2_id} verified")
             return True
-        self.ctx.audit.record(
-            self.frame * 10, self.name, "ran_verify_failed",
-            f"cell {cell} e2 {e2_id} presented a bad tag", frame=self.frame,
-        )
+        self.record("ran_verify_failed", f"cell {cell} e2 {e2_id} presented a bad tag")
         return False
 
     # ---- UE verification -------------------------------------------------------
@@ -227,10 +218,9 @@ class AuthXapp(Xapp):
             return
         if not self.ran_verified(msg.cell, msg.e2):
             # Everything from an unverified RAN node is ignored: no decision.
-            self.ctx.audit.record(
-                self.frame * 10, self.name, "auth_ignored",
-                f"request from unverified cell {msg.cell} e2 {msg.e2}",
-                frame=self.frame, ue=ue, reason="ran_unverified",
+            self.record(
+                "auth_ignored", f"request from unverified cell {msg.cell} e2 {msg.e2}",
+                ue=ue, reason="ran_unverified",
             )
             return
         if ue is None:
@@ -240,13 +230,8 @@ class AuthXapp(Xapp):
             return
         # Fresh transaction: park the UE in a verification slice while checks run.
         self._pending[ue] = (blob, self.frame + self.cfg.verify_frames)
-        self.ctx.audit.record(
-            self.frame * 10, self.name, "auth_pending",
-            f"ue {ue} under verification", frame=self.frame, ue=ue,
-        )
-        self.ctx.router.route(
-            InternalMessage(KIND_VERIFY_START, self.name, {"ue": ue, "frame": self.frame})
-        )
+        self.record("auth_pending", f"ue {ue} under verification", ue=ue)
+        self.ctx.router.route(InternalMessage(KIND_VERIFY_START, {"ue": ue}))
 
     def _verify_factors(self, ue: UeId, blob: bytes, expect_slice: SliceId | None) -> AuthReason:
         """Run the factor checks in order; first failure names the reason."""
@@ -269,10 +254,8 @@ class AuthXapp(Xapp):
             return AuthReason.EXPIRED
         # Knowledge + inherence: rebuild the key chain from registered factors.
         chain = self.cfg.credentials.get(blob_ue, ())
-        key = self.cfg.secret
-        for cred in chain:
-            key = hmac.new(key, b"factor|" + cred, hashlib.sha256).digest()
-            ops += 1
+        key = blob_key(self.cfg.secret, chain)
+        ops += len(chain)  # one step per factor folded into the key
         expected_tag = hmac.new(key, blob[: BLOB_LEN - TAG_LEN], hashlib.sha256).digest()
         ops += 1
         if not hmac.compare_digest(tag, expected_tag):
@@ -319,17 +302,13 @@ class AuthXapp(Xapp):
         if decision.outcome is AuthOutcome.GRANTED:
             token = self.issue_token(ue).token  # rotate for the next transaction
             self.ctx.sdl.put(NS_AUTH, f"grant:{ue}", struct.pack(">Q", self.frame))
-            self.ctx.router.route(InternalMessage(KIND_GRANT, self.name, {"ue": ue}))
+            self.ctx.router.route(InternalMessage(KIND_GRANT, {"ue": ue}))
         else:
             self.ctx.sdl.delete(NS_AUTH, f"grant:{ue}")
             kind = KIND_REVOKE if decision.outcome is AuthOutcome.REVOKED else KIND_DENY
-            self.ctx.router.route(InternalMessage(kind, self.name, {"ue": ue}))
-        self.ctx.audit.record(
-            self.frame * 10, self.name, action,
-            f"ue {ue} {decision.outcome.name.lower()} ({decision.reason.name.lower()})",
-            frame=self.frame, ue=ue,
-            outcome=decision.outcome.name.lower(), reason=decision.reason.name.lower(),
-        )
+            self.ctx.router.route(InternalMessage(kind, {"ue": ue}))
+        outcome, reason = decision.outcome.name.lower(), decision.reason.name.lower()
+        self.record(action, f"ue {ue} {outcome} ({reason})", ue=ue, outcome=outcome, reason=reason)
         self.ctx.send_e2(
             MsgKind.AUTH_RESPONSE,
             e2.AuthResponseBody(ue, decision.outcome, decision.reason, token),

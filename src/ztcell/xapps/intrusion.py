@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from random import Random
 
 from .. import e2
-from ..core import KPM_FIELDS, BehaviorProfile, FieldStats, KPMReport, UeId, ordered_sum
+from ..core import FRAME_MS, KPM_FIELDS, BehaviorProfile, FieldStats, KPMReport, UeId, ordered_sum
 from ..e2 import MsgKind
 from ..ric import InternalMessage, SdlWindow, Xapp, XappContext, json_text
 
@@ -171,9 +171,10 @@ def synth_benign_report(
     snr_mean, snr_std = model.gauss_fields["snr_db"]
     cqi_mean, cqi_std = model.gauss_fields["cqi"]
     pow_mean, pow_std = model.gauss_fields["tx_power_dbm"]
-    frames = model.report_period_ms // 10
+    frames = model.report_period_ms // FRAME_MS
+    bits_per_mbps = FRAME_MS * 1000  # bits one frame carries at 1 Mbps
     total_bits = ordered_sum(
-        rng.uniform(model.rate_lo_mbps, model.rate_hi_mbps) * 10_000 for _ in range(frames)
+        rng.uniform(model.rate_lo_mbps, model.rate_hi_mbps) * bits_per_mbps for _ in range(frames)
     )
     pkt_bits = model.packet_size_bytes * 8
     return KPMReport(  # positional, in field order, which is also the draw order
@@ -346,8 +347,5 @@ class IntrusionXapp(Xapp):
                 f"{name} mean {mean:.2f} outside [{lo:.2f}, {hi:.2f}]"
                 for name, mean, (lo, hi) in verdict.offending
             )
-            self.ctx.audit.record(
-                self.frame * 10, self.name, "intrusion_flag",
-                f"ue {report.ue}: {worst}", frame=self.frame, ue=report.ue,
-            )
-            self.ctx.router.route(InternalMessage(KIND_VERDICT, self.name, verdict))
+            self.record("intrusion_flag", f"ue {report.ue}: {worst}", ue=report.ue)
+            self.ctx.router.route(InternalMessage(KIND_VERDICT, verdict))

@@ -79,9 +79,8 @@ class SlicingXapp(Xapp):
         self.cfg = config
         # ue -> occupancy kind: "verification" | "normal" | "restricted"
         self._occupancy: dict[UeId, str] = {}
-        self._slice_ids: dict[tuple[UeId, str], SliceId] = {}
-        self._restricted_id: SliceId | None = None
-        self._next_id = 1
+        # (ue, kind) -> slice id, and (None, "restricted") -> the shared restricted slice
+        self._slice_ids: dict[tuple[UeId | None, str], SliceId] = {}
         self.bindings: dict[UeId, SliceId] = {}
         self.changes: list[SliceChange] = []
         self.emitted: list[tuple[int, e2.SliceControlBody]] = []
@@ -127,43 +126,25 @@ class SlicingXapp(Xapp):
         held = self._occupancy.get(ue)
         if held in (None, "restricted"):
             reason = "not bound" if held is None else "already isolated"
-            self.ctx.audit.record(
-                self.frame * 10, self.name, "isolate_skipped",
-                f"ue {ue} {reason}", frame=self.frame, ue=ue,
-            )
+            self.record("isolate_skipped", f"ue {ue} {reason}", ue=ue)
             return
         self._occupancy[ue] = "restricted"
         fields = ", ".join(f"{name}={mean:.2f}" for name, mean, _ in verdict.offending)
-        self.ctx.audit.record(
-            self.frame * 10, self.name, "isolate",
-            f"ue {ue} isolated; offending: {fields}", frame=self.frame, ue=ue,
-        )
+        self.record("isolate", f"ue {ue} isolated; offending: {fields}", ue=ue)
         self._recompute(cause_ue=ue, cause="isolate")
 
     def release(self, ue: UeId, cause: str = "release") -> None:
         if ue not in self._occupancy:
-            self.ctx.audit.record(
-                self.frame * 10, self.name, "release_noop",
-                f"ue {ue} not bound", frame=self.frame, ue=ue,
-            )
+            self.record("release_noop", f"ue {ue} not bound", ue=ue)
             return
         del self._occupancy[ue]
         self._recompute(cause_ue=ue, cause=cause)
 
     # ---- table computation -------------------------------------------------------
 
-    def _slice_id(self, ue: UeId, kind: str) -> SliceId:
-        key = (ue, kind)
-        if key not in self._slice_ids:
-            self._slice_ids[key] = self._next_id
-            self._next_id += 1
-        return self._slice_ids[key]
-
-    def _restricted_slice_id(self) -> SliceId:
-        if self._restricted_id is None:
-            self._restricted_id = self._next_id
-            self._next_id += 1
-        return self._restricted_id
+    def _slice_id(self, ue: UeId | None, kind: str) -> SliceId:
+        """The id first given to (ue, kind); ids count up from 1 in first-use order."""
+        return self._slice_ids.setdefault((ue, kind), len(self._slice_ids) + 1)
 
     def _recompute(self, cause_ue: UeId, cause: str) -> None:
         total = self.cfg.total_prbs
@@ -179,7 +160,7 @@ class SlicingXapp(Xapp):
         if isolated:
             budget = self.cfg.restricted.budget_prbs
             top -= budget
-            rid = self._restricted_slice_id()
+            rid = self._slice_id(None, "restricted")
             slices.append(
                 SliceSpec(rid, PRBMask.from_range(top, budget, total), kind=SliceKind.RESTRICTED)
             )

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ztcell import e2
-from ztcell.core import PRBMask, SliceKind, SliceSpec
+from ztcell.core import FRAME_MS, PRBMask, SliceKind, SliceSpec
 from ztcell.e2 import MsgKind, SliceControlBody
 from ztcell.ran import (
     AttachError,
@@ -128,7 +128,7 @@ class TestLegacyQueueGrowth:
             cell.step_frame()
             queue = cell.ues[1].queue
             if queue:
-                hol.append((cell.frame_index - queue[0].arrival_frame) * cell.cfg.frame_ms)
+                hol.append((cell.frame_index - queue[0].arrival_frame) * FRAME_MS)
         assert hol[-1] > 2000  # several seconds of backlog by frame 600
         assert hol == sorted(hol)  # monotone growth under constant overload
 
@@ -258,16 +258,16 @@ class ReferenceCell(RanCell):
 
     def _enqueue_traffic(self, ue):
         f = self.frame_index
-        bits = ue.traffic.bits_in_frame(f, self.cfg.frame_ms, ue.rng_traffic)
+        bits = ue.traffic.bits_in_frame(f, ue.rng_traffic)
         ue.bits_accum += bits
         pkt_bits = ue.traffic.packet_size_bytes * 8
         n = int(ue.bits_accum // pkt_bits)
         if n <= 0:
             return
         ue.bits_accum -= n * pkt_bits
-        base = f * self.cfg.frame_ms
+        base = f * FRAME_MS
         for j in range(n):
-            key = base + self.cfg.frame_ms * (2 * j + 1) / (2 * n)
+            key = base + FRAME_MS * (2 * j + 1) / (2 * n)
             ue.queue.append(RefPacket(pkt_bits, f, key, ue.pkt_seq))
             ue.pkt_seq += 1
         ue.window_arrived_pkts += n
@@ -283,7 +283,7 @@ class ReferenceCell(RanCell):
             capacity -= take
             if head.bits_left == 0:
                 ue.queue.popleft()
-                latencies.append((f - head.arrival_frame + 1) * self.cfg.frame_ms)
+                latencies.append((f - head.arrival_frame + 1) * FRAME_MS)
         return served
 
     def step_frame(self) -> FrameReport:
@@ -324,7 +324,7 @@ class ReferenceCell(RanCell):
                 cap_left -= take
                 if head.bits_left == 0:
                     ue.queue.popleft()
-                    latencies[head_ue].append((f - head.arrival_frame + 1) * self.cfg.frame_ms)
+                    latencies[head_ue].append((f - head.arrival_frame + 1) * FRAME_MS)
         per_ue = {}
         for ue_id in self.ue_order:
             ue = self.ues[ue_id]
@@ -677,7 +677,7 @@ class TestAsymptoticGate:
         def recording_ingest(router, data):
             msg = e2.decode(data)
             if msg.kind is MsgKind.KPM_INDICATION:
-                reported.append((router.now_ms // 10, msg.body.report.ue))
+                reported.append((router.frame, msg.body.report.ue))
             return ingest(router, data)
 
         monkeypatch.setattr(Router, "ingest_frame", recording_ingest)

@@ -85,8 +85,18 @@ class TestRouter:
         router, _ = make_router()
         got = []
         router.subscribe("slicing", ["intrusion.verdict"], got.append)
-        router.route(InternalMessage("intrusion.verdict", "intrusion", {"ue": 1}))
+        router.route(InternalMessage("intrusion.verdict", {"ue": 1}))
         assert got[0].payload == {"ue": 1}
+
+    def test_router_records_are_frame_stamped(self):
+        router, audit = make_router()
+        router.frame = 7
+        router.ingest_frame(kpm_frame(1))  # no subscriber: a dead letter
+        router.ingest_frame(kpm_frame(1))  # the same seq again: a replay
+        router.ingest_frame(b"\x00\x00\x00\x05\x7f")
+        assert [(e["action"], e["frame"], e["time_ms"]) for e in audit.entries] == [
+            ("dead_letter", 7, 70), ("replay_dropped", 7, 70), ("decode_error", 7, 70)
+        ]
 
     def test_duplicate_subscription_rejected(self):
         router, _ = make_router()

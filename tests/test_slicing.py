@@ -6,11 +6,19 @@ import pytest
 from ztcell.core import SliceKind, SlicePriority, UeId, equal_split, validate_slice_table
 from ztcell.e2 import MsgKind, SliceControlBody
 from ztcell.ric import AuditLog, InternalMessage, Router, Sdl, XappContext
-from ztcell.xapps.auth import KIND_DENY, KIND_GRANT, KIND_VERIFY_START, NS_AUTH, NS_SLICES
+from ztcell.xapps.auth import (
+    KIND_DENY,
+    KIND_GRANT,
+    KIND_REVOKE,
+    KIND_VERIFY_START,
+    NS_AUTH,
+    NS_SLICES,
+)
 from ztcell.xapps.intrusion import Verdict
 from ztcell.xapps.slicing import (
     PolicyError,
     RestrictedPolicy,
+    SliceChange,
     SlicingConfig,
     SlicingXapp,
     UePolicy,
@@ -139,7 +147,7 @@ class TestIsolate:
         board.xapp.isolate(verdict(1))
         emitted = len(board.xapp.emitted)
         for kind in (KIND_GRANT, KIND_VERIFY_START):
-            board.router.route(InternalMessage(kind, "auth", {"ue": 1}))
+            board.router.route(InternalMessage(kind, {"ue": 1}))
         assert len(board.xapp.emitted) == emitted
         assert board.kinds() == {1: SliceKind.RESTRICTED, 2: SliceKind.NORMAL}
         assert board.budgets() == {1: 1, 2: 99}
@@ -159,9 +167,9 @@ class TestIsolate:
         assert board.kinds() == {1: SliceKind.RESTRICTED, 2: SliceKind.NORMAL}
         assert board.audit.scan("isolate_skipped") == []
         board.sdl.put(NS_AUTH, "grant:1", b"\x00" * 8)
-        board.router.route(InternalMessage(KIND_GRANT, "auth", {"ue": 1}))
+        board.router.route(InternalMessage(KIND_GRANT, {"ue": 1}))
         assert board.kinds() == {1: SliceKind.RESTRICTED, 2: SliceKind.NORMAL}
-        board.router.route(InternalMessage(KIND_DENY, "auth", {"ue": 1}))
+        board.router.route(InternalMessage(KIND_DENY, {"ue": 1}))
         assert board.kinds() == {2: SliceKind.NORMAL}
         assert [c.cause for c in board.xapp.changes if c.ue == 1] == [
             "verify", "isolate", "release"
@@ -197,6 +205,16 @@ class TestRelease:
             board.grant(ue)
         board.xapp.release(1)
         assert board.budgets() == {2: 50, 3: 50}
+
+    def test_revoke_releases_bound_ue_as_reauth_revoke(self):
+        board = Board()
+        for ue in (1, 2):
+            board.grant(ue)
+        sid = dict(board.xapp.emitted[-1][1].bindings)[1]
+        board.router.route(InternalMessage(KIND_REVOKE, {"ue": 1}))
+        assert board.budgets() == {2: 100}
+        assert board.xapp.changes[-1] == SliceChange(0, 1, sid, None, "reauth_revoke")
+        assert board.audit.scan("release_noop") == []
 
     def test_release_last_isolated_removes_restricted_slice(self):
         board = Board()

@@ -107,6 +107,33 @@ class TestIsolationOfVerifyingUe:
         assert result.audit.scan("isolate_skipped") == []
 
 
+class TestWrongCredential:
+    def test_denied_bad_tag_and_never_served_past_verification(self):
+        """A UE whose credential is corrupted (`corrupt_chain`) fails the tag
+        check: it is denied with bad_tag, never granted or bound to a normal
+        slice, and served nothing once denied."""
+        text = "\n".join([
+            "scenario.duration_frames = 60",
+            "scenario.seed = 7",
+            "ue.1.traffic = cbr",
+            "ue.1.rate_mbps = 1",
+            "ue.2.traffic = cbr",
+            "ue.2.rate_mbps = 1",
+            "ue.2.credentials = wrong_credential",
+        ]) + "\n"
+        result = run(parse_scenario(text, "wrong_credential"))
+        decisions = [e for e in result.audit.entries if e.get("ue") == 2 and "outcome" in e]
+        assert [(e["outcome"], e["reason"]) for e in decisions] == [("denied", "bad_tag")]
+        assert [c.cause for c in result.slicing.changes if c.ue == 2] == ["verify", "release"]
+        denied = decisions[0]["frame"]
+        for fr in result.frames:
+            stats = fr.per_ue[2]
+            if fr.frame_index >= denied:
+                assert (stats.auth_state, stats.served_bits, stats.slice_id) == ("denied", 0, None)
+            else:
+                assert stats.auth_state == "verifying"
+
+
 class TestReauthOverRun:
     def test_periodic_reauth_fires_for_granted_ues(self, flood_result):
         reauths = flood_result.audit.scan("reauth")
