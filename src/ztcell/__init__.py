@@ -10,7 +10,6 @@ from .core import (
     SliceKind,
     SlicePriority,
     SliceSpec,
-    budgets_to_masks,
     equal_split,
     validate_slice_table,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "SlicePriority",
     "SliceSpec",
     "TrafficModel",
-    "budgets_to_masks",
     "equal_split",
     "fpr_sweep",
     "load_scenario",

@@ -33,10 +33,6 @@ class SplitError(ValueError):
     """Raised for an impossible equal split (n = 0 or n > total PRBs)."""
 
 
-class OverAllocationError(ValueError):
-    """Raised when requested budgets exceed the cell PRB count."""
-
-
 @dataclass(frozen=True)
 class PRBMask:
     """Fixed-length bit vector over the cell's PRBs; bit i set = PRB i owned.
@@ -61,20 +57,8 @@ class PRBMask:
             raise ValueError(f"PRB range [{start}, {start + count}) outside cell of {size}")
         return cls(size=size, bits=((1 << count) - 1) << start)
 
-    @classmethod
-    def from_indices(cls, indices: list[int], size: int) -> PRBMask:
-        bits = 0
-        for i in indices:
-            if not 0 <= i < size:
-                raise ValueError(f"PRB index {i} outside cell of {size}")
-            bits |= 1 << i
-        return cls(size=size, bits=bits)
-
     def popcount(self) -> int:
         return self.bits.bit_count()
-
-    def indices(self) -> list[int]:
-        return [i for i in range(self.size) if self.bits >> i & 1]
 
     def to_bytes(self) -> bytes:
         # Little-endian bytes put PRB 8k at bit 0 of byte k; the wire wants bit 7.
@@ -198,22 +182,6 @@ def equal_split(total_prbs: int, n: int) -> list[int]:
         raise SplitError(f"cannot split {total_prbs} PRBs into {n} slices")
     base, rem = divmod(total_prbs, n)
     return [base + 1 if i < rem else base for i in range(n)]
-
-
-def budgets_to_masks(budgets: list[int], total_prbs: int) -> list[PRBMask]:
-    """Lay budgets out contiguously from PRB 0; slice i starts where i-1 ends."""
-    if any(b < 0 for b in budgets):
-        raise ValueError("budgets must be >= 0")
-    if sum(budgets) > total_prbs:
-        raise OverAllocationError(
-            f"budgets sum to {sum(budgets)} but the cell has {total_prbs} PRBs"
-        )
-    masks = []
-    cursor = 0
-    for b in budgets:
-        masks.append(PRBMask.from_range(cursor, b, total_prbs))
-        cursor += b
-    return masks
 
 
 def validate_slice_table(slices: list[SliceSpec], total_prbs: int) -> list[SliceTableViolation]:

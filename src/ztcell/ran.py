@@ -63,7 +63,6 @@ class AuthState(Enum):
 @dataclass(frozen=True)
 class CellConfig:
     total_prbs: int = 100
-    bandwidth_mhz: float = 20.0
     per_prb_rate_mbps: float = 0.24
     cell_id: CellId = 1
     e2_id: E2Id = 1

@@ -12,13 +12,17 @@ traffic streams so arrivals match the zero-trust run frame for frame.
 The run keeps one copy of its per-frame data, `RunResult.frames`. The
 summary and `frames.csv` each walk it through `frames_to_rows`, a generator,
 so no list of every row is built.
+
+A run applies its seed and legacy overrides to the scenario once, and
+`run.log` echoes that scenario as run, effective seed and mode included. It is
+the one statement of a run's configuration: `summarize_dir` parses it back.
 """
 from __future__ import annotations
 
 import csv
 import json
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
 
@@ -26,7 +30,7 @@ from . import e2
 from .core import FRAME_MS
 from .ran import FrameReport, InvariantError, RanCell
 from .ric import AuditLog, Router, Sdl, XappContext, XappRegistry
-from .scenario import Scenario, resolved_lines
+from .scenario import Scenario, parse_scenario, resolved_lines
 from .xapps.auth import AuthConfig, AuthXapp
 from .xapps.intrusion import (
     FprEstimate,
@@ -80,9 +84,8 @@ class RunSummary:
 
 @dataclass
 class RunResult:
-    scenario: Scenario
+    scenario: Scenario  # as run: the seed and legacy overrides applied
     zero_trust: bool
-    seed: int
     frames: list[FrameReport]
     audit: AuditLog
     summary: RunSummary
@@ -115,13 +118,14 @@ def run(
     legacy: bool = False,
     seed: int | None = None,
 ) -> RunResult:
-    zero_trust = sc.zero_trust and not legacy
-    eff_seed = sc.seed if seed is None else seed
+    sc = replace(
+        sc, zero_trust=sc.zero_trust and not legacy, seed=sc.seed if seed is None else seed
+    )
     secret = sc.secret()
 
     audit = AuditLog()
-    cell = RanCell(sc.cell, secret, zero_trust=zero_trust)
-    cell.reauth_period_frames = sc.auth.reauth_period_frames if zero_trust else 0
+    cell = RanCell(sc.cell, secret, zero_trust=sc.zero_trust)
+    cell.reauth_period_frames = sc.auth.reauth_period_frames if sc.zero_trust else 0
 
     router = Router(audit)
     sdl = Sdl()
@@ -132,7 +136,7 @@ def run(
         ric_outbox.append(e2.encode(cell.conn.make("ric", kind, body)))
 
     auth_x = intr_x = slic_x = None
-    if zero_trust:
+    if sc.zero_trust:
         ctx = XappContext(router=router, sdl=sdl, audit=audit, send_e2=send_e2)
         auth_x = AuthXapp(
             AuthConfig(
@@ -141,7 +145,7 @@ def run(
                 ran_credential=sc.ran_credential(),
                 cell_id=sc.cell.cell_id,
                 e2_id=sc.cell.e2_id,
-                rng_tokens=Random(f"{eff_seed}/auth/tokens"),
+                rng_tokens=Random(f"{sc.seed}/auth/tokens"),
                 verification_budget_prbs=sc.auth.verification_budget_prbs,
                 verify_frames=sc.auth.verify_frames,
                 reauth_period_frames=sc.auth.reauth_period_frames,
@@ -156,7 +160,7 @@ def run(
                 detection=sc.detection,
                 models={u.ue: _profile_model(u, sc.report_period_ms) for u in sc.ues},
                 report_period_ms=sc.report_period_ms,
-                seed=eff_seed,
+                seed=sc.seed,
             )
         )
         slic_x = SlicingXapp(
@@ -194,13 +198,13 @@ def run(
         registry.frame_boundary(f)
         for spec in sc.ues:
             if spec.attach_frame == f:
-                token = auth_x.provision(spec.ue) if zero_trust else None
+                token = auth_x.provision(spec.ue) if sc.zero_trust else None
                 cell.attach(
                     spec.ue,
                     traffic=spec.traffic,
                     radio=spec.radio,
-                    rng_traffic=Random(f"{eff_seed}/ue{spec.ue}/traffic"),
-                    rng_radio=Random(f"{eff_seed}/ue{spec.ue}/radio"),
+                    rng_traffic=Random(f"{sc.seed}/ue{spec.ue}/traffic"),
+                    rng_radio=Random(f"{sc.seed}/ue{spec.ue}/radio"),
                     credential_chain=(spec.credential,),
                     token=token,
                     cred_mode=spec.credentials,
@@ -214,30 +218,13 @@ def run(
     pump(sc.duration_frames)
 
     ue_order = [u.ue for u in sc.ues]
-    meta = {
-        "scenario": sc.name,
-        "zero_trust": zero_trust,
-        "seed": eff_seed,
-        "duration_frames": sc.duration_frames,
-        "report_period_ms": sc.report_period_ms,
-        "latency_threshold_ms": sc.latency_threshold_ms,
-        "ues": {
-            str(u.ue): {
-                "traffic": u.traffic.kind,
-                "credentials": u.credentials,
-                "legitimate": u.legitimate,
-            }
-            for u in sc.ues
-        },
-    }
     summary = summarize_rows(
-        frames_to_rows(frames, ue_order), audit.entries, meta, sc.latency_threshold_ms
+        frames_to_rows(frames, ue_order), audit.entries, sc, sc.latency_threshold_ms
     )
 
     result = RunResult(
         scenario=sc,
-        zero_trust=zero_trust,
-        seed=eff_seed,
+        zero_trust=sc.zero_trust,
         frames=frames,
         audit=audit,
         summary=summary,
@@ -249,7 +236,7 @@ def run(
     )
     if out_dir is not None:
         result.out_dir = Path(out_dir)
-        _write_outputs(result, frames_to_rows(frames, ue_order), meta)
+        _write_outputs(result, frames_to_rows(frames, ue_order))
     return result
 
 
@@ -266,10 +253,10 @@ def frames_to_rows(frames: list[FrameReport], ue_order: list[int]) -> Iterator[t
 
 
 def summarize_rows(
-    rows: Iterable[tuple], audit_entries: list[dict], meta: dict, latency_threshold_ms: int
+    rows: Iterable[tuple], audit_entries: list[dict], sc: Scenario, latency_threshold_ms: int
 ) -> RunSummary:
-    duration = meta["duration_frames"]
-    legit = {int(u) for u, info in meta["ues"].items() if info["legitimate"]}
+    duration = sc.duration_frames
+    legit = {u.ue for u in sc.ues if u.legitimate}
 
     detection_frame = None
     isolation_frame = None
@@ -321,9 +308,9 @@ def summarize_rows(
         }
 
     return RunSummary(
-        scenario=meta["scenario"],
-        zero_trust=meta["zero_trust"],
-        seed=meta["seed"],
+        scenario=sc.name,
+        zero_trust=sc.zero_trust,
+        seed=sc.seed,
         duration_frames=duration,
         latency_threshold_ms=latency_threshold_ms,
         latency_exceedance=len(exceed_frames) / duration if duration else 0.0,
@@ -334,7 +321,7 @@ def summarize_rows(
     )
 
 
-def _write_outputs(result: RunResult, rows: Iterable[tuple], meta: dict) -> None:
+def _write_outputs(result: RunResult, rows: Iterable[tuple]) -> None:
     out = result.out_dir
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "frames.csv", "w", newline="") as fh:
@@ -349,22 +336,22 @@ def _write_outputs(result: RunResult, rows: Iterable[tuple], meta: dict) -> None
         result.slicing.write_changes_csv(str(out / "slice_changes.csv"))
     else:
         (out / "slice_changes.csv").write_text("frame,ue,old_slice,new_slice,cause\n")
-    with open(out / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
     with open(out / "summary.json", "w") as fh:
         json.dump(result.summary.to_dict(), fh, indent=2, sort_keys=True)
-    mode = "zero-trust" if result.zero_trust else "legacy"
-    lines = [f"# run: {meta['scenario']} mode={mode} seed={result.seed}"]
-    lines += resolved_lines(result.scenario)
+    lines = [f"# run: {result.scenario.name}", *resolved_lines(result.scenario)]
     (out / "run.log").write_text("\n".join(lines) + "\n")
     if result.sdl is not None:
         with open(out / "sdl_snapshot.json", "w") as fh:
             json.dump(result.sdl.snapshot(), fh, indent=2, sort_keys=True)
 
 
-def load_rows(metrics_dir: str | Path) -> tuple[list[tuple], list[dict], dict]:
-    """Read frames.csv, audit.jsonl, and meta.json back from a run directory."""
+def summarize_dir(metrics_dir: str | Path, latency_threshold_ms: int | None = None) -> RunSummary:
+    """Recompute summary.json from a run directory: the scenario as run from
+    run.log (its first line names it), rows from frames.csv, verdicts from
+    audit.jsonl."""
     out = Path(metrics_dir)
+    log = (out / "run.log").read_text()
+    sc = parse_scenario(log, name=log.partition("\n")[0].removeprefix("# run: "))
     rows = []
     with open(out / "frames.csv", newline="") as fh:
         records = csv.reader(fh)
@@ -379,21 +366,12 @@ def load_rows(metrics_dir: str | Path) -> tuple[list[tuple], list[dict], dict]:
     if audit_path.exists():
         with open(audit_path) as fh:
             audit_entries = [json.loads(line) for line in fh if line.strip()]
-    with open(out / "meta.json") as fh:
-        meta = json.load(fh)
-    return rows, audit_entries, meta
-
-
-def summarize_dir(metrics_dir: str | Path, latency_threshold_ms: int | None = None) -> RunSummary:
-    rows, audit_entries, meta = load_rows(metrics_dir)
-    threshold = (
-        latency_threshold_ms if latency_threshold_ms is not None else meta["latency_threshold_ms"]
-    )
-    summary = summarize_rows(rows, audit_entries, meta, threshold)
-    fpr_csvs = sorted(Path(metrics_dir).glob("fpr*.csv"))
+    threshold = sc.latency_threshold_ms if latency_threshold_ms is None else latency_threshold_ms
+    summary = summarize_rows(rows, audit_entries, sc, threshold)
+    fpr_csvs = sorted(out.glob("fpr*.csv"))
     if fpr_csvs:
         summary.fpr_curve = fpr_csvs[0].name
-    with open(Path(metrics_dir) / "summary.json", "w") as fh:
+    with open(out / "summary.json", "w") as fh:
         json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
     return summary
 
@@ -408,17 +386,17 @@ def fpr_sweep(
     """Estimate the false-positive rate per report-window size and emit CSV."""
     if trials < 10_000:
         raise ValueError("fpr sweep needs trials >= 10000")
-    eff_seed = sc.seed if seed is None else seed
+    seed = sc.seed if seed is None else seed
     spec = next((u for u in sc.ues if u.legitimate), sc.ues[0])
     model = _profile_model(spec, sc.report_period_ms)
-    rng = Random(f"{eff_seed}/ue{spec.ue}/warmup")
+    rng = Random(f"{seed}/ue{spec.ue}/warmup")
     profile = build_profile(spec.ue, warmup_history(model, sc.detection, rng), sc.detection)
     estimates = [
         estimate_fpr(
             profile,
             window_n=w,
             trials=trials,
-            seed=eff_seed,
+            seed=seed,
             config=sc.detection,
             throughput_range=sc.fpr_benign_range,
         )

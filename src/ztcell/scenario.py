@@ -86,7 +86,6 @@ _TOP_KEYS: dict[str, tuple[type, object]] = {
     "scenario.zero_trust": (bool, True),
     "scenario.latency_threshold_ms": (int, 100),
     "cell.total_prbs": (int, 100),
-    "cell.bandwidth_mhz": (float, 20.0),
     "cell.per_prb_rate_mbps": (float, 0.24),
     "cell.id": (int, 1),
     "cell.e2_id": (int, 1),
@@ -116,7 +115,7 @@ _UE_KEYS: dict[str, type] = {
     "onset_frame": int,
     "packet_size_bytes": int,
     "credentials": str,
-    "credential": str,
+    "credential": bytes,  # hex
     "attach_frame": int,
     "priority": str,
     "reserved_prbs": int,
@@ -143,6 +142,8 @@ def _convert(raw: str, typ: type, key: str, line_no: int):
             return int(raw)
         if typ is float:
             return float(raw)
+        if typ is bytes:
+            return bytes.fromhex(raw)
         return raw
     except ValueError:
         raise ScenarioError(f"line {line_no}: expected {typ.__name__} for {key}, got {raw!r}")
@@ -210,7 +211,6 @@ def _build(values: dict, ue_values: dict[int, dict], name: str) -> Scenario:
     try:
         cell = CellConfig(
             total_prbs=_get(values, "cell.total_prbs"),
-            bandwidth_mhz=_get(values, "cell.bandwidth_mhz"),
             per_prb_rate_mbps=_get(values, "cell.per_prb_rate_mbps"),
             cell_id=_get(values, "cell.id"),
             e2_id=_get(values, "cell.e2_id"),
@@ -318,9 +318,6 @@ def _build_ue(ue_id: int, vals: dict, detection: DetectionConfig, secret_seed: s
     if priority is SlicePriority.MISSION_CRITICAL and reserved < 1:
         raise ScenarioError(f"{prefix}.reserved_prbs: mission_critical UEs need >= 1 PRB")
 
-    credential = vals.get("credential")
-    cred_bytes = bytes.fromhex(credential) if credential else _derive_credential(ue_id, secret_seed)
-
     radio = RadioProfile(
         snr_mean_db=vals.get("snr_mean_db", 25.0),
         snr_std_db=vals.get("snr_std_db", 2.0),
@@ -334,7 +331,7 @@ def _build_ue(ue_id: int, vals: dict, detection: DetectionConfig, secret_seed: s
         traffic=traffic,
         radio=radio,
         credentials=credentials,
-        credential=cred_bytes,
+        credential=vals.get("credential") or _derive_credential(ue_id, secret_seed),
         attach_frame=vals.get("attach_frame", 0),
         priority=priority,
         reserved_prbs=reserved,
@@ -359,7 +356,6 @@ def resolved_lines(sc: Scenario) -> list[str]:
         "scenario.zero_trust": sc.zero_trust,
         "scenario.latency_threshold_ms": sc.latency_threshold_ms,
         "cell.total_prbs": sc.cell.total_prbs,
-        "cell.bandwidth_mhz": sc.cell.bandwidth_mhz,
         "cell.per_prb_rate_mbps": sc.cell.per_prb_rate_mbps,
         "cell.id": sc.cell.cell_id,
         "cell.e2_id": sc.cell.e2_id,
@@ -392,6 +388,8 @@ def resolved_lines(sc: Scenario) -> list[str]:
             lines[f"{p}.onset_frame"] = ue.traffic.onset_frame
         lines[f"{p}.packet_size_bytes"] = ue.traffic.packet_size_bytes
         lines[f"{p}.credentials"] = ue.credentials
+        if ue.credential != _derive_credential(ue.ue, sc.auth.secret_seed):
+            lines[f"{p}.credential"] = ue.credential.hex()
         lines[f"{p}.attach_frame"] = ue.attach_frame
         lines[f"{p}.priority"] = (
             "mission_critical" if ue.priority is SlicePriority.MISSION_CRITICAL else "commercial"

@@ -1,14 +1,14 @@
 """PRB arithmetic: split/mask oracles and invariant property tests."""
+from itertools import accumulate
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ztcell.core import (
-    OverAllocationError,
     PRBMask,
     SliceSpec,
     SplitError,
-    budgets_to_masks,
     equal_split,
     validate_slice_table,
 )
@@ -49,41 +49,6 @@ class TestEqualSplit:
         assert budgets == split_oracle(total, n)
 
 
-class TestBudgetsToMasks:
-    def test_four_contiguous_blocks(self):
-        masks = budgets_to_masks([25, 25, 25, 25], 100)
-        # Exhaustive bit scan: each PRB owned by exactly one slice.
-        owners = [[m.bits >> prb & 1 for m in masks] for prb in range(100)]
-        assert all(sum(row) == 1 for row in owners)
-        assert masks[0].indices() == list(range(0, 25))
-        assert masks[1].indices() == list(range(25, 50))
-        assert masks[2].indices() == list(range(50, 75))
-        assert masks[3].indices() == list(range(75, 100))
-
-    def test_all_ones(self):
-        (mask,) = budgets_to_masks([100], 100)
-        assert mask.popcount() == 100
-        assert mask.bits == (1 << 100) - 1
-
-    def test_over_allocation(self):
-        with pytest.raises(OverAllocationError):
-            budgets_to_masks([60, 60], 100)
-
-    @given(st.integers(min_value=1, max_value=200), st.data())
-    def test_popcounts_recover_budgets(self, total, data):
-        n = data.draw(st.integers(min_value=1, max_value=min(total, 8)))
-        budgets = data.draw(
-            st.lists(st.integers(min_value=0, max_value=total // n), min_size=n, max_size=n)
-        )
-        if sum(budgets) > total:
-            return
-        masks = budgets_to_masks(budgets, total)
-        assert [m.popcount() for m in masks] == budgets
-        for i, a in enumerate(masks):
-            for b in masks[i + 1 :]:
-                assert a.bits & b.bits == 0
-
-
 class TestValidateSliceTable:
     def test_empty_table_ok(self):
         assert validate_slice_table([], 100) == []
@@ -96,8 +61,7 @@ class TestValidateSliceTable:
         assert any("PRB 10" in v.detail for v in violations)
 
     def test_four_disjoint_ok(self):
-        masks = budgets_to_masks([25, 25, 25, 25], 100)
-        slices = [SliceSpec(i + 1, m) for i, m in enumerate(masks)]
+        slices = [SliceSpec(i + 1, PRBMask.from_range(25 * i, 25, 100)) for i in range(4)]
         # Pairwise AND of masks is zero.
         for i, a in enumerate(slices):
             for b in slices[i + 1 :]:
@@ -114,8 +78,12 @@ class TestValidateSliceTable:
     @given(st.integers(min_value=1, max_value=150), st.data())
     def test_split_then_mask_always_validates(self, total, data):
         n = data.draw(st.integers(min_value=1, max_value=total))
-        masks = budgets_to_masks(equal_split(total, n), total)
-        slices = [SliceSpec(i + 1, m) for i, m in enumerate(masks)]
+        budgets = equal_split(total, n)
+        starts = accumulate(budgets, initial=0)
+        slices = [
+            SliceSpec(i + 1, PRBMask.from_range(start, b, total))
+            for i, (start, b) in enumerate(zip(starts, budgets))
+        ]
         assert validate_slice_table(slices, total) == []
 
 
@@ -163,11 +131,11 @@ class TestPRBMask:
         assert len(PRBMask.from_range(0, 100, 100).to_bytes()) == 13
 
     def test_msb_of_first_byte_is_prb_zero(self):
-        raw = PRBMask.from_indices([0], 100).to_bytes()
+        raw = PRBMask.from_range(0, 1, 100).to_bytes()
         assert raw[0] == 0x80 and set(raw[1:]) == {0}
 
     def test_prb_seven_is_lsb_of_first_byte(self):
-        raw = PRBMask.from_indices([7], 100).to_bytes()
+        raw = PRBMask.from_range(7, 1, 100).to_bytes()
         assert raw[0] == 0x01
 
     def test_padding_bits_stay_zero(self):

@@ -1,6 +1,7 @@
 """E2 codec: golden frames, round-trip properties, and rejection paths."""
 import math
 import struct
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,6 @@ from ztcell.core import (
     SliceKind,
     SlicePriority,
     SliceSpec,
-    budgets_to_masks,
     equal_split,
     validate_slice_table,
 )
@@ -102,7 +102,11 @@ uint = lambda bits: st.integers(min_value=0, max_value=(1 << bits) - 1)
 def slice_control_bodies(draw):
     total = draw(st.integers(min_value=4, max_value=120))
     n = draw(st.integers(min_value=1, max_value=min(4, total)))
-    masks = budgets_to_masks(equal_split(total, n), total)
+    budgets = equal_split(total, n)
+    masks = [
+        PRBMask.from_range(start, b, total)
+        for start, b in zip(accumulate(budgets, initial=0), budgets)
+    ]
     ids = draw(
         st.lists(uint(16).filter(lambda v: v > 0), min_size=n, max_size=n, unique=True)
     )

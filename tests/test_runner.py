@@ -51,14 +51,14 @@ class TestDeterminism:
         run(sc, out_dir=tmp_path / "a")
         run(sc, out_dir=tmp_path / "b")
         for name in ("frames.csv", "audit.jsonl", "summary.json", "run.log",
-                     "slice_changes.csv", "meta.json", "sdl_snapshot.json"):
+                     "slice_changes.csv", "sdl_snapshot.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
     def test_seed_override_changes_outputs(self, tmp_path):
         sc = parse_scenario(SMALL_MIX, "mix")
         a = run(sc, out_dir=tmp_path / "a")
         b = run(sc, out_dir=tmp_path / "b", seed=99)
-        assert b.seed == 99
+        assert b.scenario.seed == 99
         assert (tmp_path / "a" / "frames.csv").read_bytes() != (
             tmp_path / "b" / "frames.csv"
         ).read_bytes()
@@ -150,6 +150,17 @@ class TestOutputs:
         result = run(parse_scenario(SMALL_MIX, "mix"), out_dir=tmp_path)
         recomputed = summarize_dir(tmp_path)
         assert recomputed.to_dict() == result.summary.to_dict()
+
+    def test_run_log_is_the_scenario_as_run(self, tmp_path):
+        """Overrides reach run.log, and summarizing reads them from there."""
+        result = run(parse_scenario(SMALL_MIX, "mix"), out_dir=tmp_path, seed=99, legacy=True)
+        log = (tmp_path / "run.log").read_text()
+        assert log.startswith("# run: mix\n")
+        logged = parse_scenario(log, "mix")
+        assert (logged.seed, logged.zero_trust) == (99, False)
+        assert logged == result.scenario
+        assert not (tmp_path / "meta.json").exists()
+        assert summarize_dir(tmp_path).to_dict() == result.summary.to_dict()
 
     @pytest.mark.parametrize("name", ["flood_isolation", "latency_flood", "latency_flood-legacy"])
     def test_summarize_shipped_run_rewrites_pinned_summary(self, tmp_path, name):

@@ -1,4 +1,5 @@
 """Scenario format: parsing, defaults, rejection with line/key diagnostics."""
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,10 @@ class TestRejection:
         with pytest.raises(ScenarioError, match="reserved_prbs"):
             parse_scenario(MINIMAL + "ue.1.priority = mission_critical\n")
 
+    def test_non_hex_credential_names_line_and_key(self):
+        with pytest.raises(ScenarioError, match="line 5: .*ue.1.credential"):
+            parse_scenario(MINIMAL + "ue.1.credential = not-hex\n")
+
     def test_missing_file(self):
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario("no/such/file.scn")
@@ -145,8 +150,16 @@ class TestEcho:
             assert expected in keys
 
     def test_echo_is_reparsable(self):
-        sc = parse_scenario(MINIMAL)
-        again = parse_scenario("\n".join(resolved_lines(sc)))
-        assert again.cell == sc.cell
-        assert again.detection == sc.detection
-        assert again.ues == sc.ues
+        for text in (MINIMAL, MINIMAL + "ue.1.credential = 00112233445566778899aabbccddeeff\n"):
+            sc = parse_scenario(text)
+            again = parse_scenario("\n".join(resolved_lines(sc)))
+            assert again.cell == sc.cell
+            assert again.detection == sc.detection
+            assert again.ues == sc.ues
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")), ids=lambda p: p.stem)
+    def test_echo_states_the_scenario_as_run(self, path):
+        """A run's seed and legacy overrides reach run.log: the echo of the
+        overridden scenario parses back to it, all but the name."""
+        sc = replace(load_scenario(path), seed=99, zero_trust=False)
+        assert parse_scenario("\n".join(resolved_lines(sc)), name=sc.name) == sc

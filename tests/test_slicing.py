@@ -126,7 +126,7 @@ class TestIsolate:
         board.xapp.isolate(verdict(1))
         _, body = board.xapp.emitted[-1]
         restricted = next(s for s in body.slices if s.kind is SliceKind.RESTRICTED)
-        assert restricted.mask.indices() == [99]
+        assert restricted.mask.bits == 1 << 99
 
     def test_isolate_twice_is_skipped(self):
         board = Board()
@@ -251,7 +251,7 @@ class TestPriorities:
         assert sorted((budgets[1], budgets[2]), reverse=True) == equal_split(60, 2)
         _, body = board.xapp.emitted[-1]
         critical = next(s for s in body.slices if s.priority is SlicePriority.MISSION_CRITICAL)
-        assert min(critical.mask.indices()) == 0  # allocated off the bottom
+        assert critical.mask.bits & 1  # allocated off the bottom
 
 
 class TestComplexity:
