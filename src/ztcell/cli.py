@@ -1,6 +1,8 @@
 """Command line entry points: run, summarize, fpr-sweep.
 
-Exit codes: 0 success, 1 configuration error, 2 internal invariant breach.
+Exit codes: 0 success; 1 configuration error, raised while the scenario,
+the run directory's `run.log` or the arguments are read; 2 internal invariant
+breach, or any other error raised once they have been read (a runtime failure).
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .ran import InvariantError
-from .runner import fpr_sweep, run, summarize_dir
+from .runner import FPR_MIN_TRIALS, fpr_sweep, run, summarize_dir
 from .scenario import ScenarioError, load_scenario
 
 
@@ -33,9 +35,14 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 def _cmd_fpr_sweep(args: argparse.Namespace) -> int:
     sc = load_scenario(args.scenario)
-    windows = [int(w) for w in args.windows.split(",") if w]
+    try:
+        windows = [int(w) for w in args.windows.split(",") if w]
+    except ValueError:
+        windows = []
     if not windows or any(w < 1 for w in windows):
         raise ScenarioError(f"--windows: need positive window sizes, got {args.windows!r}")
+    if args.trials < FPR_MIN_TRIALS:
+        raise ScenarioError(f"--trials: need at least {FPR_MIN_TRIALS}, got {args.trials}")
     out = args.out if args.out is not None else Path("out") / f"fpr_{sc.name}.csv"
     estimates = fpr_sweep(sc, windows, trials=args.trials, seed=args.seed, out_csv=out)
     print(f"wrote {out}")
@@ -69,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fpr = sub.add_parser("fpr-sweep", help="false-positive rate vs. report window size")
     p_fpr.add_argument("scenario")
     p_fpr.add_argument("--windows", default="1,2,5,10")
-    p_fpr.add_argument("--trials", type=int, default=10_000)
+    p_fpr.add_argument("--trials", type=int, default=FPR_MIN_TRIALS)
     p_fpr.add_argument("--seed", type=int, default=None)
     p_fpr.add_argument("--out", type=Path, default=None)
     p_fpr.set_defaults(func=_cmd_fpr_sweep)
@@ -81,11 +88,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, FileNotFoundError, ValueError) as err:
+    except (ScenarioError, FileNotFoundError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except (InvariantError, AssertionError) as err:
         print(f"invariant breach: {err}", file=sys.stderr)
+        return 2
+    except ValueError as err:  # e2.DecodeError included
+        print(f"runtime failure: {err}", file=sys.stderr)
         return 2
 
 

@@ -17,8 +17,9 @@ enqueues in one frame share their size and arrival frame, so a batch is the
 run-length form `(arrival_frame, n, left, head_bits_left, seq0)`. Each UE
 also keeps a running count of its queued bits, so per-frame work does not
 grow with the backlog: a zero-trust drain completes the whole packets of a
-batch in O(1), and the legacy FIFO scans the UEs' head batches once per
-packet served.
+batch in O(1), and the legacy FIFO merges the UEs' head batches in runs: the
+UE with the smallest head key serves, in one step, every packet of its head
+batch that comes before the next UE's head, so a frame costs O(runs).
 
 Packet latency is quantized to whole frames: a packet enqueued in frame a and
 fully served in frame f took (f - a + 1) frames. Latency is accumulated as an
@@ -32,6 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heapify, heappop, heapreplace
 from random import Random
 from typing import NamedTuple
 
@@ -141,6 +143,11 @@ class Batch:
         self.left = n
         self.head_bits_left = pkt_bits
         self.seq0 = seq0
+
+
+def _head_key(b: Batch) -> float:
+    """The legacy FIFO key of `b`'s head packet, in ms."""
+    return b.arrival_frame * FRAME_MS + FRAME_MS * (2 * (b.n - b.left) + 1) / (2 * b.n)
 
 
 @dataclass
@@ -398,50 +405,94 @@ class RanCell:
                     raise InvariantError(f, f"UE {ue_id} served over slice capacity")
                 per_ue[ue_id] = self._frame_stats(ue, served, lat_sum, lat_n)
         else:
-            fm = FRAME_MS
             ues = [self.ues[u] for u in self.ue_order]
             for ue in ues:
                 self._enqueue_traffic(ue)
-            served = {u: 0 for u in self.ue_order}
-            lat_sum = {u: 0 for u in self.ue_order}
-            lat_n = {u: 0 for u in self.ue_order}
-            cap_left = self.cfg.cell_bits_per_frame
-            while cap_left > 0:
-                head_idx = -1
-                head_key = None
-                for idx, ue in enumerate(ues):
-                    if not ue.queue:
-                        continue
-                    b = ue.queue[0]
-                    j = b.n - b.left
-                    # idx differs per UE, so it settles every tie of the float key.
-                    key = (b.arrival_frame * fm + fm * (2 * j + 1) / (2 * b.n), idx)
-                    if head_key is None or key < head_key:
-                        head_key = key
-                        head_idx = idx
-                if head_key is None:
-                    break
-                ue = ues[head_idx]
-                b = ue.queue[0]
-                take = min(b.head_bits_left, cap_left)
-                b.head_bits_left -= take
-                ue.queued_bits -= take
-                served[ue.id] += take
-                cap_left -= take
-                if b.head_bits_left == 0:
-                    b.left -= 1
-                    lat_sum[ue.id] += (f - b.arrival_frame + 1) * fm
-                    lat_n[ue.id] += 1
-                    if b.left:
-                        b.head_bits_left = ue.traffic.packet_size_bytes * 8
-                    else:
-                        ue.queue.popleft()
-            if sum(served.values()) > self.cfg.cell_bits_per_frame:
+            cap = self.cfg.cell_bits_per_frame
+            served, lat_sum, lat_n = self._serve_shared(ues, cap)
+            if sum(served) > cap:
                 raise InvariantError(f, "cell served over shared capacity")
-            for u, ue in zip(self.ue_order, ues):
-                per_ue[u] = self._frame_stats(ue, served[u], lat_sum[u], lat_n[u])
+            for u, ue, s, ls, ln in zip(self.ue_order, ues, served, lat_sum, lat_n):
+                per_ue[u] = self._frame_stats(ue, s, ls, ln)
         self.frame_index += 1
         return FrameReport(frame_index=f, per_ue=per_ue)
+
+    def _serve_shared(self, ues: list[UeState], cap: int) -> tuple[list[int], list[int], list[int]]:
+        """Serve the legacy shared FIFO up to `cap` bits, one run of packets at a time.
+
+        The UE whose head packet has the smallest `(key, idx)` serves, in one
+        step, every packet of its head batch that comes before the next UE's
+        head. `idx` differs per UE, so it settles every tie of the float key.
+        Returns per-UE lists, in `ues` order, of bits served, latency sum in
+        ms and packets completed.
+        """
+        fm = FRAME_MS
+        done_at = (self.frame_index + 1) * fm  # latency = done_at - arrival_frame * fm
+        served = [0] * len(ues)
+        lat_sum = [0] * len(ues)
+        lat_n = [0] * len(ues)
+        heads = [(_head_key(ue.queue[0]), idx) for idx, ue in enumerate(ues) if ue.queue]
+        heapify(heads)
+        while cap > 0 and heads:
+            idx = heads[0][1]
+            ue = ues[idx]
+            b = ue.queue[0]
+            take = b.head_bits_left
+            if take > cap:  # the cell runs out inside the head packet
+                b.head_bits_left = take - cap
+                served[idx] += cap
+                break
+            n = b.n
+            j = n - b.left
+            base = b.arrival_frame * fm
+            end = n  # one past the last packet of the run
+            rivals = len(heads) - 1
+            if rivals:
+                nxt = heads[1]  # the next head is a child of the heap's root
+                if rivals > 1 and heads[2] < nxt:
+                    nxt = heads[2]
+                # Packet i's key, base + fm * (2i + 1) / 2n as in `_head_key`,
+                # is below the next head's key nk while i < (nk - base) n / fm
+                # - 1/2. A run that rounding cuts short costs one more step; one
+                # that runs long would reorder packets, so the float keys settle
+                # that side (they never fall as i grows).
+                end = int((nxt[0] - base) * n / fm + 0.5)
+                if end >= n:
+                    end = n
+                elif end <= j:
+                    end = j + 1
+                while end > j + 1 and not (base + fm * (2 * end - 1) / (2 * n), idx) < nxt:
+                    end -= 1
+            cap -= take
+            pkt_bits = ue.traffic.packet_size_bytes * 8
+            whole = cap // pkt_bits
+            if whole >= end - j:
+                whole = end - j - 1
+            cap -= whole * pkt_bits
+            done = whole + 1
+            served[idx] += take + whole * pkt_bits
+            lat_sum[idx] += done * (done_at - base)
+            lat_n[idx] += done
+            j += done
+            if j < end:  # the cell runs out inside the run: cap < pkt_bits
+                b.left = n - j
+                b.head_bits_left = pkt_bits - cap
+                served[idx] += cap
+                break
+            if j < n:
+                b.left = n - j
+                b.head_bits_left = pkt_bits
+                heapreplace(heads, (base + fm * (2 * j + 1) / (2 * n), idx))
+            else:
+                q = ue.queue
+                q.popleft()
+                if q:
+                    heapreplace(heads, (_head_key(q[0]), idx))
+                else:
+                    heappop(heads)
+        for ue, bits in zip(ues, served):
+            ue.queued_bits -= bits
+        return served, lat_sum, lat_n
 
     def _frame_stats(self, ue: UeState, served: int, lat_sum: int, lat_n: int) -> UeFrameStats:
         ue.window_served_bits += served

@@ -51,6 +51,9 @@ FRAMES_CSV_HEADER = "frame_index,ue,served_bits,queue_bytes,latency_ms,auth_stat
 # closed rather than hang the run.
 PUMP_ROUND_LIMIT = 16
 
+# The fewest Monte Carlo trials per window an FPR sweep accepts.
+FPR_MIN_TRIALS = 10_000
+
 
 @dataclass
 class RunSummary:
@@ -384,8 +387,8 @@ def fpr_sweep(
     out_csv: str | Path | None = None,
 ) -> list[FprEstimate]:
     """Estimate the false-positive rate per report-window size and emit CSV."""
-    if trials < 10_000:
-        raise ValueError("fpr sweep needs trials >= 10000")
+    if trials < FPR_MIN_TRIALS:
+        raise ValueError(f"fpr sweep needs trials >= {FPR_MIN_TRIALS}")
     seed = sc.seed if seed is None else seed
     spec = next((u for u in sc.ues if u.legitimate), sc.ues[0])
     model = _profile_model(spec, sc.report_period_ms)

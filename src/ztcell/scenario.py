@@ -129,6 +129,15 @@ _UE_KEYS: dict[str, type] = {
     "profile_rate_hi_mbps": float,
 }
 
+# The traffic keys each kind reads, in echo order. A kind is given no other,
+# so `resolved_lines` echoes every traffic key a scenario set.
+_KIND_KEYS: dict[str, tuple[str, ...]] = {
+    "cbr": ("rate_mbps",),
+    "uniform_rate": ("rate_lo_mbps", "rate_hi_mbps"),
+    "flood": ("rate_mbps", "onset_frame"),
+    "idle": (),
+}
+
 _BOOL_WORDS = {"on": True, "true": True, "yes": True, "off": False, "false": False, "no": False}
 
 
@@ -288,6 +297,10 @@ def _build_ue(ue_id: int, vals: dict, detection: DetectionConfig, secret_seed: s
     if "traffic" not in vals:
         raise ScenarioError(f"{prefix}.traffic: required key missing")
     kind = vals["traffic"]
+    if kind in _KIND_KEYS:  # an unknown kind fails in TrafficModel below
+        for key in ("rate_mbps", "rate_lo_mbps", "rate_hi_mbps", "onset_frame"):
+            if key in vals and key not in _KIND_KEYS[kind]:
+                raise ScenarioError(f"{prefix}.{key}: traffic {kind} does not use this key")
     try:
         traffic = TrafficModel(
             kind=kind,
@@ -378,15 +391,13 @@ def resolved_lines(sc: Scenario) -> list[str]:
     }
     for ue in sc.ues:
         p = f"ue.{ue.ue}"
-        lines[f"{p}.traffic"] = ue.traffic.kind
-        if ue.traffic.kind in ("cbr", "flood"):
-            lines[f"{p}.rate_mbps"] = ue.traffic.rate_mbps
-        if ue.traffic.kind == "uniform_rate":
-            lines[f"{p}.rate_lo_mbps"] = ue.traffic.lo_mbps
-            lines[f"{p}.rate_hi_mbps"] = ue.traffic.hi_mbps
-        if ue.traffic.kind == "flood":
-            lines[f"{p}.onset_frame"] = ue.traffic.onset_frame
-        lines[f"{p}.packet_size_bytes"] = ue.traffic.packet_size_bytes
+        t = ue.traffic
+        lines[f"{p}.traffic"] = t.kind
+        values = {"rate_mbps": t.rate_mbps, "rate_lo_mbps": t.lo_mbps, "rate_hi_mbps": t.hi_mbps,
+                  "onset_frame": t.onset_frame}
+        for key in _KIND_KEYS[t.kind]:
+            lines[f"{p}.{key}"] = values[key]
+        lines[f"{p}.packet_size_bytes"] = t.packet_size_bytes
         lines[f"{p}.credentials"] = ue.credentials
         if ue.credential != _derive_credential(ue.ue, sc.auth.secret_seed):
             lines[f"{p}.credential"] = ue.credential.hex()

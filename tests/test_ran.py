@@ -379,20 +379,43 @@ def bind_widths(cell: RanCell, widths: list[int]) -> None:
     cell.apply_slice_control(SliceControlBody(bindings=tuple(bindings), slices=tuple(slices)))
 
 
+def peak_packets_per_frame(model: TrafficModel) -> float:
+    rate = model.hi_mbps if model.kind == "uniform_rate" else model.rate_mbps
+    return rate * FRAME_MS * 1000 / (model.packet_size_bytes * 8)
+
+
 @st.composite
 def cell_runs(draw):
-    models = draw(st.lists(traffic_models(), min_size=1, max_size=4))
+    count = draw(st.integers(min_value=1, max_value=8))
+    if draw(st.booleans()):
+        # One model on every UE: equal batch sizes give exact cross-UE key ties.
+        models = [draw(traffic_models())] * count
+    else:
+        models = draw(st.lists(traffic_models(), min_size=count, max_size=count))
     zero_trust = draw(st.booleans())
-    width = st.integers(min_value=0, max_value=100 // len(models))
-    tables = [draw(st.lists(width, min_size=len(models), max_size=len(models)))
-              for _ in range(2)]
-    frames = draw(st.integers(min_value=1, max_value=60))
+    width = st.integers(min_value=0, max_value=100 // count)
+    tables = [draw(st.lists(width, min_size=count, max_size=count)) for _ in range(2)]
+    # The reference holds one object per packet, so a run offers at most
+    # about 20k packets; at 100 packets a frame or fewer that is 200 frames,
+    # long enough for a flood backlog to span many batches.
+    offered = 1 + sum(peak_packets_per_frame(m) for m in models)
+    frames = draw(st.integers(min_value=1, max_value=max(1, min(200, int(20_000 / offered)))))
     switch = draw(st.integers(min_value=0, max_value=frames))
     return models, zero_trust, tables, frames, switch
 
 
 class TestBatchedQueueOracle:
     @given(cell_runs())
+    @example((  # two UEs tie on every key; the flood backlog outgrows the cell
+        [TrafficModel(kind="cbr", rate_mbps=6.0)] * 2
+        + [TrafficModel(kind="flood", rate_mbps=40.0, onset_frame=10)],
+        False, [[0, 0, 0], [0, 0, 0]], 200, 0,
+    ))
+    @example((  # 120 and 24 packets a frame: UE 1's runs end in ties it wins
+        [TrafficModel(kind="cbr", rate_mbps=120.0, packet_size_bytes=1250),
+         TrafficModel(kind="cbr", rate_mbps=24.0, packet_size_bytes=1250)],
+        False, [[0, 0], [0, 0]], 40, 0,
+    ))
     @settings(max_examples=200, deadline=None)
     def test_frames_equal_per_packet_reference(self, run):
         models, zero_trust, tables, frames, switch = run

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ztcell.cli import main
-from ztcell.e2 import AuthOutcome
+from ztcell.e2 import AuthOutcome, DecodeError
 from ztcell.ran import InvariantError, RanCell
 from ztcell.runner import FRAMES_CSV_HEADER, fpr_sweep, run, summarize_dir
 from ztcell.scenario import load_scenario, parse_scenario
@@ -214,6 +214,20 @@ class TestCli:
     def test_bad_windows_rejected(self, capsys):
         code = main(["fpr-sweep", str(SCENARIOS / "fpr_leaky.scn"), "--windows", "0,5"])
         assert code == 1
+
+    def test_fpr_sweep_trials_below_floor_is_config_error(self, capsys):
+        assert main(["fpr-sweep", str(SCENARIOS / "fpr_leaky.scn"), "--trials", "500"]) == 1
+        assert "config error: --trials" in capsys.readouterr().err
+
+    def test_decode_error_after_parse_is_runtime_failure(self, monkeypatch, tmp_path, capsys):
+        import ztcell.cli as cli
+
+        def corrupt(*args, **kwargs):
+            raise DecodeError(3, "synthetic corruption")
+
+        monkeypatch.setattr(cli, "run", corrupt)
+        assert main(["run", str(SCENARIOS / "flood_isolation.scn"), "--out", str(tmp_path)]) == 2
+        assert "runtime failure: decode error at byte 3" in capsys.readouterr().err
 
     def test_fpr_sweep_trials_floor(self):
         sc = load_scenario(SCENARIOS / "fpr_leaky.scn")

@@ -133,6 +133,28 @@ class TestRejection:
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario("no/such/file.scn")
 
+    KIND_TEXT = {
+        "cbr": "ue.1.traffic = cbr\nue.1.rate_mbps = 5\n",
+        "uniform_rate": "ue.1.traffic = uniform_rate\nue.1.rate_lo_mbps = 4\nue.1.rate_hi_mbps = 8\n",
+        "flood": "ue.1.traffic = flood\nue.1.rate_mbps = 40\nue.1.onset_frame = 3\n",
+        "idle": "ue.1.traffic = idle\n",
+    }
+
+    @pytest.mark.parametrize(("kind", "key"), [
+        ("uniform_rate", "rate_mbps"), ("idle", "rate_mbps"),
+        ("cbr", "rate_lo_mbps"), ("cbr", "rate_hi_mbps"),
+        ("flood", "rate_lo_mbps"), ("flood", "rate_hi_mbps"),
+        ("idle", "rate_lo_mbps"), ("idle", "rate_hi_mbps"),
+        ("cbr", "onset_frame"), ("uniform_rate", "onset_frame"), ("idle", "onset_frame"),
+    ])
+    def test_traffic_key_the_kind_ignores_names_the_key(self, kind, key):
+        """Such a key would be dropped from the echo, so run.log would not
+        parse back to the same scenario."""
+        parse_scenario("scenario.duration_frames = 5\n" + self.KIND_TEXT[kind])
+        text = "scenario.duration_frames = 5\n" + self.KIND_TEXT[kind] + f"ue.1.{key} = 7\n"
+        with pytest.raises(ScenarioError, match=rf"ue\.1\.{key}: traffic {kind} does not use"):
+            parse_scenario(text)
+
 
 class TestEcho:
     def test_resolved_lines_cover_every_section(self):
