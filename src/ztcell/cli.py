@@ -54,8 +54,18 @@ def _cmd_fpr_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a configuration error (exit 1), not with
+    argparse's exit 2, which this CLI keeps for invariant breaches and runtime
+    failures. Subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ScenarioError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ztcell",
         description="Deterministic O-RAN cell simulator with zero-trust security xApps",
     )
@@ -84,9 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ScenarioError, FileNotFoundError) as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -7,6 +7,11 @@ statistic is the mean of each field over the last up-to-window_n reports:
 larger windows smooth benign excursions, which is what drives the false
 positive rate down as more reports accumulate.
 
+`estimate_fpr` measures that rate on benign windows drawn from a profile.
+Each report takes five `random()` values in order: one Box-Muller pair for
+snr_db and cqi, a second for tx_packets and tx_power_dbm, and a uniform for
+the throughput. It equals `profile_generated_report` draw for draw.
+
 Traffic-volume fields (tx_packets, throughput_mbps) only flag when the
 window mean exceeds the upper bound: the slicer itself pushes served volume
 down for verification and restricted slices, so a low value is the network's
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from random import Random
 
@@ -209,6 +215,48 @@ def profile_generated_report(
     )
 
 
+def _benign_windows(
+    profile: BehaviorProfile, window_n: int, rng: Random, throughput_range: tuple[float, float]
+) -> Iterator[list[tuple]]:
+    """Endless benign windows of window_n reports, as plain tuples in KPMReport field order.
+
+    Each report is `profile_generated_report(profile, seq, rng, throughput_range)`
+    draw for draw, with `Random.gauss`'s own arithmetic inlined. A report's
+    four normals are two whole Box-Muller pairs, (snr_db, cqi) then
+    (tx_packets, tx_power_dbm), so `gauss` would never carry a cached normal
+    from one report into the next; the fifth `random()` gives the throughput.
+    """
+    f = profile.fields
+    ue = profile.ue
+    snr_mean, snr_std = f["snr_db"].mean, f["snr_db"].std
+    cqi_mean, cqi_std = f["cqi"].mean, f["cqi"].std
+    pkt_mean, pkt_std = f["tx_packets"].mean, f["tx_packets"].std
+    pow_mean, pow_std = f["tx_power_dbm"].mean, f["tx_power_dbm"].std
+    rate_lo, rate_hi = throughput_range
+    rate_span = rate_hi - rate_lo
+    random, tau, sqrt, log, cos, sin = rng.random, math.tau, math.sqrt, math.log, math.cos, math.sin
+    seqs = range(1, window_n + 1)
+    while True:
+        window = []
+        for seq in seqs:
+            x = random() * tau
+            g = sqrt(-2.0 * log(1.0 - random()))
+            snr = snr_mean + cos(x) * g * snr_std
+            cqi = round(cqi_mean + sin(x) * g * cqi_std)
+            if cqi < 0:
+                cqi = 0
+            elif cqi > 15:
+                cqi = 15
+            x = random() * tau
+            g = sqrt(-2.0 * log(1.0 - random()))
+            pkts = round(pkt_mean + cos(x) * g * pkt_std)
+            if pkts < 0:
+                pkts = 0
+            power = pow_mean + sin(x) * g * pow_std
+            window.append((ue, 0, seq, snr, cqi, pkts, power, rate_lo + rate_span * random()))
+        yield window
+
+
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     if trials == 0:
         return 0.0, 1.0
@@ -241,7 +289,10 @@ def estimate_fpr(
     Draws `trials` windows of window_n reports from the profile's generative
     model (Gaussian per field, throughput uniform on the given range) and
     returns the flagged fraction with a 95% Wilson interval. Deterministic
-    for a given seed.
+    for a given seed: each window size draws from its own
+    `Random(f"fpr/{seed}/{window_n}")`, five `random()` values per report
+    (snr_db and cqi, tx_packets and tx_power_dbm, throughput), and every
+    report equals `profile_generated_report`'s draw for draw.
     """
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
@@ -250,13 +301,10 @@ def estimate_fpr(
         profile.fields["throughput_mbps"].lo,
         profile.fields["throughput_mbps"].hi,
     )
-    rng = Random(f"fpr/{seed}/{window_n}")
+    windows = _benign_windows(profile, window_n, Random(f"fpr/{seed}/{window_n}"), span)
     flagged = 0
     for _ in range(trials):
-        window = [
-            profile_generated_report(profile, seq, rng, span) for seq in range(1, window_n + 1)
-        ]
-        if assess(profile, window, cfg).flagged:
+        if assess(profile, next(windows), cfg).flagged:
             flagged += 1
     lo, hi = wilson_interval(flagged, trials)
     return FprEstimate(window_n=window_n, trials=trials, fpr=flagged / trials, ci_low=lo, ci_high=hi)

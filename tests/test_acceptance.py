@@ -4,13 +4,15 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line
 per criterion. Each criterion also enforces its wall-clock budget.
 """
 import json
+import math
 import time
 from pathlib import Path
 from random import Random
+from unittest import mock
 
 import pytest
 
-from ztcell import e2
+from ztcell import e2, runner
 from ztcell.core import KPMReport, PRBMask, SliceSpec, validate_slice_table
 from ztcell.e2 import AuthOutcome, AuthRequestBody, KpmIndicationBody, MsgKind, SubscriptionAckBody, SubscriptionRequestBody
 from ztcell.runner import fpr_sweep, run
@@ -203,6 +205,88 @@ class TestCriterion4FalsePositiveCurve:
             f"{curve}; non-increasing with CI ordering, FPR(10) < FPR(1) with "
             f"non-overlapping CIs, runtime {elapsed:.2f}s < 60s",
         )
+
+
+# ---- an exact FPR oracle, independent of the Monte Carlo sweep --------------------
+#
+# The benign generator draws every field independently, so P(a window of n
+# reports is not flagged) is a product over the fields: Gaussian window means
+# via math.erf, cqi and tx_packets (rounded, clipped normals) via a discrete
+# convolution of n draws, and the one-sided throughput via the Irwin-Hall CDF.
+
+
+def _phi(x: float) -> float:
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def _p_ok_normal(stats, n: int) -> float:
+    scale = stats.std / math.sqrt(n)
+    below = _phi((stats.lo - stats.mean) / scale) if stats.flag_low else 0.0
+    return _phi((stats.hi - stats.mean) / scale) - below
+
+
+def _p_ok_rounded(stats, n: int, top: int | None) -> float:
+    """P(the mean of n draws of min(top, max(0, round(N(mean, std)))) is not
+    flagged). With no top, the mass more than 12 std above the mean is lumped
+    at mean + 12 std; the mass more than 12 std below it is lumped likewise."""
+    first = max(0, math.floor(stats.mean - 12 * stats.std))
+    last = top if top is not None else math.ceil(stats.mean + 12 * stats.std)
+    cdf = [_phi((k + 0.5 - stats.mean) / stats.std) for k in range(first, last)] + [1.0]
+    pmf = [cdf[0]] + [b - a for a, b in zip(cdf, cdf[1:])]
+    dist = [1.0]  # P(sum of the draws so far - their count * first = index)
+    for _ in range(n):
+        out = [0.0] * (len(dist) + len(pmf) - 1)
+        for i, a in enumerate(dist):
+            for j, b in enumerate(pmf):
+                out[i + j] += a * b
+        dist = out
+    means = ((i + n * first) / n for i in range(len(dist)))
+    return sum(
+        p for p, mean in zip(dist, means)
+        if not (mean > stats.hi or (stats.flag_low and mean < stats.lo))
+    )
+
+
+def _p_ok_uniform(stats, n: int, lo: float, hi: float) -> float:
+    """The mean of n U(lo, hi) stays at or below stats.hi (one-sided field)."""
+    x = n * (stats.hi - lo) / (hi - lo)  # the bound on a sum of n U(0, 1)
+    y = n - x  # P(sum > x) = P(sum < n - x) by symmetry
+    if y <= 0:
+        return 1.0
+    if y >= n:
+        return 0.0
+    tail = sum((-1) ** k * math.comb(n, k) * (y - k) ** n for k in range(math.floor(y) + 1))
+    return 1.0 - tail / math.factorial(n)
+
+
+def exact_fpr(profile, n: int, throughput_range: tuple[float, float]) -> float:
+    f = profile.fields
+    assert not f["throughput_mbps"].flag_low  # _p_ok_uniform is one-sided
+    p_ok = (
+        _p_ok_normal(f["snr_db"], n)
+        * _p_ok_rounded(f["cqi"], n, top=15)
+        * _p_ok_rounded(f["tx_packets"], n, top=None)
+        * _p_ok_normal(f["tx_power_dbm"], n)
+        * _p_ok_uniform(f["throughput_mbps"], n, *throughput_range)
+    )
+    return 1.0 - p_ok
+
+
+class TestExactFprOracle:
+    def test_golden_intervals_cover_the_exact_fpr(self):
+        sc = load_scenario(SCENARIOS / "fpr_leaky.scn")
+        with mock.patch.object(runner, "estimate_fpr") as estimate:  # capture the sweep's inputs
+            fpr_sweep(sc, [1], trials=runner.FPR_MIN_TRIALS)
+        (profile,), kwargs = estimate.call_args
+        rows = (GOLDEN / "fpr_leaky.csv").read_text().splitlines()[1:]
+        exact = {}
+        for row in rows:
+            window_n, _, _, ci_low, ci_high = row.split(",")
+            exact[int(window_n)] = exact_fpr(profile, int(window_n), kwargs["throughput_range"])
+            assert float(ci_low) <= exact[int(window_n)] <= float(ci_high), row
+        assert sorted(exact) == [1, 2, 5, 10]
+        assert exact[1] == pytest.approx(0.15023, abs=5e-6)
+        assert exact[10] == pytest.approx(9.755e-6, rel=1e-3)
 
 
 def _random_message(rng: Random) -> e2.E2Message:

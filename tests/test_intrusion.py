@@ -1,23 +1,29 @@
 """Profiling and anomaly detection: boundary arithmetic and Monte Carlo laws."""
 import math
+from itertools import islice
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ztcell.core import KPM_FIELDS, BehaviorProfile, FieldStats, KPMReport
+from ztcell.xapps import intrusion
 from ztcell.xapps.intrusion import (
     DetectionConfig,
+    FprEstimate,
     InsufficientDataError,
     NoVerdictError,
     OpsCounter,
     ProfileModel,
     Verdict,
+    _benign_windows,
     _sample_stats,
     assess,
     build_profile,
     estimate_fpr,
+    profile_generated_report,
     warmup_history,
     wilson_interval,
 )
@@ -256,6 +262,80 @@ class TestEstimateFpr:
     def test_trials_floor_enforced(self):
         with pytest.raises(ValueError):
             estimate_fpr(leaky_profile(), 1, 999, seed=1)
+
+
+@st.composite
+def sampler_profiles(draw):
+    """Profiles in field order whose cqi and tx_packets means may sit at a
+    clip edge, and whose stds may be zero, so every clip and every band side
+    is reached."""
+
+    def stats(mean: float, flag_low: bool = True) -> FieldStats:
+        std = draw(st.just(0.0) | st.floats(0.0, 4.0))
+        below, above = draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))
+        return FieldStats(mean, std, mean - below * std - 0.3, mean + above * std + 0.3, flag_low)
+
+    rate_lo = draw(st.floats(0.0, 30.0))
+    rate_hi = rate_lo + draw(st.floats(0.1, 10.0))
+    return BehaviorProfile(
+        ue=draw(st.integers(1, 8)),
+        fields={
+            "snr_db": stats(draw(st.floats(-10.0, 40.0))),
+            "cqi": stats(draw(st.floats(-1.0, 1.5) | st.floats(13.5, 16.0) | st.floats(0.0, 15.0))),
+            "tx_packets": stats(draw(st.floats(-1.0, 1.5) | st.floats(0.0, 200.0)), flag_low=False),
+            "tx_power_dbm": stats(draw(st.floats(-10.0, 30.0))),
+            "throughput_mbps": FieldStats(
+                (rate_lo + rate_hi) / 2, 1.0, rate_lo, rate_hi, flag_low=False
+            ),
+        },
+    )
+
+
+throughput_ranges = st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 10.0)).map(
+    lambda t: (t[0], t[0] + t[1])
+)
+fpr_seeds = st.integers(0, 2**32) | st.text(max_size=4)
+
+
+class TestFastSamplerMatchesReference:
+    """`estimate_fpr` draws its windows with `Random.gauss`'s arithmetic
+    inlined; it must equal `profile_generated_report` draw for draw."""
+
+    @given(sampler_profiles(), fpr_seeds, st.integers(1, 12), throughput_ranges)
+    @settings(max_examples=40, deadline=None)
+    def test_flagged_count_and_rng_state_equal_reference(self, profile, seed, window_n, span):
+        trials = 1000
+        cfg = DetectionConfig(window_n=window_n)
+        made = []
+
+        def recording_random(rng_seed):  # keeps estimate_fpr's Random to read its end state
+            made.append(Random(rng_seed))
+            return made[-1]
+
+        with mock.patch.object(intrusion, "Random", recording_random):
+            est = estimate_fpr(profile, window_n, trials, seed, cfg, span)
+        (fast_rng,) = made
+
+        ref_rng = Random(f"fpr/{seed}/{window_n}")
+        flagged = 0
+        for _ in range(trials):
+            window = [
+                profile_generated_report(profile, seq, ref_rng, span)
+                for seq in range(1, window_n + 1)
+            ]
+            flagged += assess(profile, window, cfg).flagged
+        assert est == FprEstimate(window_n, trials, flagged / trials, *wilson_interval(flagged, trials))
+        assert fast_rng.getstate() == ref_rng.getstate()
+
+    @given(sampler_profiles(), fpr_seeds, st.integers(1, 12), throughput_ranges)
+    @settings(max_examples=60, deadline=None)
+    def test_windows_equal_reference_reports(self, profile, seed, window_n, span):
+        fast_rng, ref_rng = Random(seed), Random(seed)
+        for window in islice(_benign_windows(profile, window_n, fast_rng, span), 20):
+            ref = [profile_generated_report(profile, seq, ref_rng, span) for seq in range(1, window_n + 1)]
+            # repr tells an int field from an equal float one
+            assert [tuple(map(repr, r)) for r in window] == [tuple(map(repr, r)) for r in ref]
+        assert fast_rng.getstate() == ref_rng.getstate()
 
 
 class TestWilson:

@@ -197,10 +197,10 @@ class TestCli:
         fpr_out = tmp_path / "fpr.csv"
         code = main([
             "fpr-sweep", str(SCENARIOS / "fpr_leaky.scn"),
-            "--windows", "1,2", "--trials", "10000", "--out", str(fpr_out),
+            "--windows", "1,2,5,10", "--trials", "10000", "--out", str(fpr_out),
         ])
         assert code == 0
-        assert fpr_out.read_text().startswith("window_n,trials,fpr_estimate,ci_low,ci_high")
+        assert fpr_out.read_bytes() == (GOLDEN / "fpr_leaky.csv").read_bytes()
 
     def test_missing_scenario_is_config_error(self, capsys):
         assert main(["run", "nope.scn"]) == 1
@@ -214,6 +214,28 @@ class TestCli:
     def test_bad_windows_rejected(self, capsys):
         code = main(["fpr-sweep", str(SCENARIOS / "fpr_leaky.scn"), "--windows", "0,5"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run"], "the following arguments are required: scenario"),
+            (["fpr-sweep", str(SCENARIOS / "fpr_leaky.scn"), "--trials", "abc"],
+             "argument --trials: invalid int value: 'abc'"),
+            (["summarize", "out", "--latency-threshold"], "expected one argument"),
+            (["frobnicate"], "invalid choice"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_usage_error_is_config_error(self, argv, message, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error: ztcell" in err and message in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fpr-sweep", "--help"])
+        assert exc.value.code == 0
+        assert "--trials" in capsys.readouterr().out
 
     def test_fpr_sweep_trials_below_floor_is_config_error(self, capsys):
         assert main(["fpr-sweep", str(SCENARIOS / "fpr_leaky.scn"), "--trials", "500"]) == 1
