@@ -7,10 +7,19 @@ statistic is the mean of each field over the last up-to-window_n reports:
 larger windows smooth benign excursions, which is what drives the false
 positive rate down as more reports accumulate.
 
-`estimate_fpr` measures that rate on benign windows drawn from a profile.
-Each report takes five `random()` values in order: one Box-Muller pair for
-snr_db and cqi, a second for tx_packets and tx_power_dbm, and a uniform for
-the throughput. It equals `profile_generated_report` draw for draw.
+`warmup_history` draws each warm-up report straight from `rng.random()`
+with the arithmetic of `Random.uniform` and `Random.gauss`, in this order:
+one rate uniform per frame of the report period, the snr_db, cqi and
+tx_power_dbm normals, then the throughput uniform. Three normals a report
+split every other Box-Muller pair across two reports, so the loop takes
+`gauss`'s cached normal from `rng.gauss_next` and writes it back. Its
+reference, one `rng.uniform`/`rng.gauss` call per draw, lives in the tests.
+
+`estimate_fpr` measures the false-positive rate on benign windows drawn
+from a profile. Each report takes five `random()` values in order: one
+Box-Muller pair for snr_db and cqi, a second for tx_packets and
+tx_power_dbm, and a uniform for the throughput. It equals
+`profile_generated_report` draw for draw.
 
 Traffic-volume fields (tx_packets, throughput_mbps) only flag when the
 window mean exceeds the upper bound: the slicer itself pushes served volume
@@ -33,7 +42,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from random import Random
 
@@ -73,6 +82,15 @@ class DetectionConfig:
             raise ValueError("rate range needs lo < hi")
         if self.z_sigma <= 0:
             raise ValueError("z_sigma must be > 0")
+        # A window never holds more than window_n reports, so a larger
+        # min_reports would never let a verdict be made.
+        if not 1 <= self.min_reports_before_decision <= self.window_n:
+            raise ValueError(
+                f"min_reports must be in [1, window_n = {self.window_n}], "
+                f"got {self.min_reports_before_decision}"
+            )
+        if self.warmup_reports < 2:
+            raise ValueError(f"warmup_reports must be >= 2, got {self.warmup_reports}")
 
 
 @dataclass(frozen=True)
@@ -95,21 +113,27 @@ class OpsCounter:
         self.count += n
 
 
-def _sample_stats(values: list[float]) -> tuple[float, float]:
+def _sample_stats(values: Sequence[float]) -> tuple[float, float]:
     n = len(values)
     mean = ordered_sum(values) / n
-    var = ordered_sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var)
+    squares = 0.0
+    for v in values:
+        squares += (v - mean) ** 2
+    return mean, math.sqrt(squares / (n - 1))
 
 
 def build_profile(ue: UeId, history: list[KPMReport], config: DetectionConfig) -> BehaviorProfile:
-    """Per-field sample mean/std over benign history, banded at z_sigma."""
+    """Per-field sample mean/std over benign history, banded at z_sigma.
+
+    Each field's column is summed as it stands: float + int rounds an int
+    as float() does.
+    """
     if len(history) < 2:
         raise InsufficientDataError(f"need >= 2 reports to profile, got {len(history)}")
+    columns = dict(zip(KPMReport._fields, zip(*history)))
     fields: dict[str, FieldStats] = {}
     for name in KPM_FIELDS:
-        values = [float(getattr(r, name)) for r in history]
-        mean, std = _sample_stats(values)
+        mean, std = _sample_stats(columns[name])
         if name == "throughput_mbps":
             lo, hi = config.rate_lo_mbps, config.rate_hi_mbps
         else:
@@ -171,33 +195,53 @@ class ProfileModel:
     report_period_ms: int = 100
 
 
-def synth_benign_report(
-    model: ProfileModel, seq: int, rng: Random, throughput_range: tuple[float, float]
-) -> KPMReport:
+def warmup_history(model: ProfileModel, config: DetectionConfig, rng: Random) -> list[KPMReport]:
+    """`config.warmup_reports` benign reports, seqs 1, 2, ..., drawn from `model`.
+
+    Leaves every report and `rng`'s state as one `rng.uniform`/`rng.gauss`
+    call per draw would; the draw order is in the module docstring.
+    """
     snr_mean, snr_std = model.gauss_fields["snr_db"]
     cqi_mean, cqi_std = model.gauss_fields["cqi"]
     pow_mean, pow_std = model.gauss_fields["tx_power_dbm"]
-    frames = model.report_period_ms // FRAME_MS
+    ue = model.ue
+    rate_lo = model.rate_lo_mbps
+    rate_span = model.rate_hi_mbps - rate_lo
     bits_per_mbps = FRAME_MS * 1000  # bits one frame carries at 1 Mbps
-    total_bits = ordered_sum(
-        rng.uniform(model.rate_lo_mbps, model.rate_hi_mbps) * bits_per_mbps for _ in range(frames)
-    )
+    frames = range(model.report_period_ms // FRAME_MS)
     pkt_bits = model.packet_size_bytes * 8
-    return KPMReport(  # positional, in field order, which is also the draw order
-        model.ue, 0, seq,
-        rng.gauss(snr_mean, snr_std),
-        min(15, max(0, round(rng.gauss(cqi_mean, cqi_std)))),
-        max(0, round(total_bits / pkt_bits)),
-        rng.gauss(pow_mean, pow_std),
-        rng.uniform(*throughput_range),
-    )
-
-
-def warmup_history(model: ProfileModel, config: DetectionConfig, rng: Random) -> list[KPMReport]:
-    span = (model.rate_lo_mbps, model.rate_hi_mbps)
-    return [
-        synth_benign_report(model, seq, rng, span) for seq in range(1, config.warmup_reports + 1)
-    ]
+    random, tau, sqrt, log, cos, sin = rng.random, math.tau, math.sqrt, math.log, math.cos, math.sin
+    carried = rng.gauss_next
+    history = []
+    for seq in range(1, config.warmup_reports + 1):
+        total_bits = 0.0
+        for _ in frames:
+            total_bits += (rate_lo + rate_span * random()) * bits_per_mbps
+        if carried is None:  # snr and cqi share a pair; tx_power opens the next
+            x = random() * tau
+            g = sqrt(-2.0 * log(1.0 - random()))
+            snr_z, cqi_z = cos(x) * g, sin(x) * g
+            x = random() * tau
+            g = sqrt(-2.0 * log(1.0 - random()))
+            pow_z, carried = cos(x) * g, sin(x) * g
+        else:  # snr takes the carried normal; cqi and tx_power share a pair
+            x = random() * tau
+            g = sqrt(-2.0 * log(1.0 - random()))
+            snr_z, cqi_z, pow_z, carried = carried, cos(x) * g, sin(x) * g, None
+        cqi = round(cqi_mean + cqi_z * cqi_std)
+        if cqi < 0:
+            cqi = 0
+        elif cqi > 15:
+            cqi = 15
+        pkts = round(total_bits / pkt_bits)
+        if pkts < 0:
+            pkts = 0
+        history.append(KPMReport(  # positional, in field order
+            ue, 0, seq, snr_mean + snr_z * snr_std, cqi, pkts, pow_mean + pow_z * pow_std,
+            rate_lo + rate_span * random(),
+        ))
+    rng.gauss_next = carried
+    return history
 
 
 def profile_generated_report(
@@ -296,7 +340,8 @@ def estimate_fpr(
     """
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
-    cfg = replace(config or DetectionConfig(), window_n=window_n)
+    # Every trial assesses a full window, so no min_reports gate applies.
+    cfg = replace(config or DetectionConfig(), window_n=window_n, min_reports_before_decision=1)
     span = throughput_range or (
         profile.fields["throughput_mbps"].lo,
         profile.fields["throughput_mbps"].hi,

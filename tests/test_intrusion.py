@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ztcell.core import KPM_FIELDS, BehaviorProfile, FieldStats, KPMReport
+from ztcell.core import FRAME_MS, KPM_FIELDS, BehaviorProfile, FieldStats, KPMReport, ordered_sum
 from ztcell.xapps import intrusion
 from ztcell.xapps.intrusion import (
     DetectionConfig,
@@ -211,6 +211,114 @@ class TestComplexity:
         assert all(counts[k] <= 11 * k for k in counts)
 
 
+def synth_benign_report(
+    model: ProfileModel, seq: int, rng: Random, throughput_range: tuple[float, float]
+) -> KPMReport:
+    """One warm-up report, one `rng.uniform`/`rng.gauss` call per draw."""
+    snr_mean, snr_std = model.gauss_fields["snr_db"]
+    cqi_mean, cqi_std = model.gauss_fields["cqi"]
+    pow_mean, pow_std = model.gauss_fields["tx_power_dbm"]
+    frames = model.report_period_ms // FRAME_MS
+    bits_per_mbps = FRAME_MS * 1000  # bits one frame carries at 1 Mbps
+    total_bits = ordered_sum(
+        rng.uniform(model.rate_lo_mbps, model.rate_hi_mbps) * bits_per_mbps for _ in range(frames)
+    )
+    pkt_bits = model.packet_size_bytes * 8
+    return KPMReport(  # positional, in field order, which is also the draw order
+        model.ue, 0, seq,
+        rng.gauss(snr_mean, snr_std),
+        min(15, max(0, round(rng.gauss(cqi_mean, cqi_std)))),
+        max(0, round(total_bits / pkt_bits)),
+        rng.gauss(pow_mean, pow_std),
+        rng.uniform(*throughput_range),
+    )
+
+
+def reference_warmup_history(
+    model: ProfileModel, config: DetectionConfig, rng: Random
+) -> list[KPMReport]:
+    span = (model.rate_lo_mbps, model.rate_hi_mbps)
+    return [
+        synth_benign_report(model, seq, rng, span) for seq in range(1, config.warmup_reports + 1)
+    ]
+
+
+def gauss_field(mean_lo: float, mean_hi: float):
+    return st.tuples(st.floats(mean_lo, mean_hi), st.just(0.0) | st.floats(0.0, 5.0))
+
+
+@st.composite
+def profile_models(draw):
+    """Models with zero stds, equal rate bounds, cqi means at the clip edges,
+    and negative rates, which reach the tx_packets clip."""
+    rate_lo = draw(st.floats(-50.0, 50.0))
+    rate_hi = draw(st.just(rate_lo) | st.floats(rate_lo, rate_lo + 50.0))
+    return ProfileModel(
+        ue=draw(st.integers(1, 64)),
+        gauss_fields={
+            "snr_db": draw(gauss_field(-10.0, 40.0)),
+            "cqi": draw(gauss_field(-2.0, 1.0) | gauss_field(14.0, 17.0) | gauss_field(0.0, 15.0)),
+            "tx_power_dbm": draw(gauss_field(-10.0, 30.0)),
+        },
+        rate_lo_mbps=rate_lo,
+        rate_hi_mbps=rate_hi,
+        packet_size_bytes=draw(st.integers(1, 9000)),
+        report_period_ms=draw(st.integers(10, 1000)),
+    )
+
+
+@st.composite
+def warmup_rngs(draw):
+    """A seeded Random, half the time with `gauss_next` already set."""
+    rng = Random(draw(st.integers(0, 2**32) | st.text(max_size=4)))
+    if draw(st.booleans()):
+        rng.gauss()
+        assert rng.gauss_next is not None
+    return rng
+
+
+class TestWarmupMatchesReference:
+    """`warmup_history` draws with `Random.uniform`'s and `Random.gauss`'s
+    arithmetic written out; it must equal one call per draw, report for report."""
+
+    @given(profile_models(), st.integers(2, 300), warmup_rngs())
+    @settings(max_examples=150, deadline=None)
+    def test_reports_and_rng_state_equal_reference(self, model, warmup_reports, rng):
+        cfg = DetectionConfig(warmup_reports=warmup_reports)
+        ref_rng = Random()
+        ref_rng.setstate(rng.getstate())
+        history = warmup_history(model, cfg, rng)
+        ref = reference_warmup_history(model, cfg, ref_rng)
+        assert all(type(r) is KPMReport for r in history)
+        # repr tells an int field from an equal float one
+        assert [tuple(map(repr, r)) for r in history] == [tuple(map(repr, r)) for r in ref]
+        assert rng.getstate() == ref_rng.getstate()
+
+    @given(profile_models(), st.integers(2, 60), warmup_rngs())
+    @settings(max_examples=60, deadline=None)
+    def test_profile_equals_reference_profile(self, model, warmup_reports, rng):
+        cfg = DetectionConfig(warmup_reports=warmup_reports)
+        history = warmup_history(model, cfg, rng)
+        assert repr(build_profile(model.ue, history, cfg)) == repr(
+            reference_build_profile(model.ue, history, cfg)
+        )
+
+
+def reference_build_profile(ue, history, config) -> BehaviorProfile:
+    """`build_profile` reading each value by name and converting it with float()."""
+    fields = {}
+    for name in KPM_FIELDS:
+        values = [float(getattr(r, name)) for r in history]
+        mean = ordered_sum(values) / len(values)
+        std = math.sqrt(ordered_sum((v - mean) ** 2 for v in values) / (len(values) - 1))
+        if name == "throughput_mbps":
+            lo, hi = config.rate_lo_mbps, config.rate_hi_mbps
+        else:
+            lo, hi = mean - config.z_sigma * std, mean + config.z_sigma * std
+        fields[name] = FieldStats(mean, std, lo, hi, flag_low=name not in intrusion.TRAFFIC_FIELDS)
+    return BehaviorProfile(ue=ue, fields=fields)
+
+
 def leaky_profile() -> BehaviorProfile:
     model = ProfileModel(
         ue=1,
@@ -258,6 +366,12 @@ class TestEstimateFpr:
         a = estimate_fpr(profile, 5, 2000, seed=11, throughput_range=(8.0, 22.0))
         b = estimate_fpr(profile, 5, 2000, seed=11, throughput_range=(8.0, 22.0))
         assert a == b
+
+    def test_min_reports_above_a_swept_window_is_no_error(self):
+        # The sweep assesses full windows only, so the decision gate never applies.
+        cfg = DetectionConfig(window_n=10, min_reports_before_decision=5)
+        est = estimate_fpr(leaky_profile(), 1, 1000, seed=1, config=cfg, throughput_range=(8.0, 22.0))
+        assert est == estimate_fpr(leaky_profile(), 1, 1000, seed=1, throughput_range=(8.0, 22.0))
 
     def test_trials_floor_enforced(self):
         with pytest.raises(ValueError):

@@ -211,6 +211,20 @@ class TestCli:
         bad.write_text("scenario.duration_frames = 0\nue.1.traffic = idle\n")
         assert main(["run", str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("detection.min_reports = 11", "min_reports must be in [1, window_n = 10], got 11"),
+            ("detection.warmup_reports = -3", "warmup_reports must be >= 2, got -3"),
+        ],
+    )
+    def test_detection_that_could_never_decide_is_config_error(self, extra, message, tmp_path, capsys):
+        scn = tmp_path / "bad.scn"
+        scn.write_text((SCENARIOS / "flood_isolation.scn").read_text() + extra + "\n")
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: detection.*: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_windows_rejected(self, capsys):
         code = main(["fpr-sweep", str(SCENARIOS / "fpr_leaky.scn"), "--windows", "0,5"])
         assert code == 1

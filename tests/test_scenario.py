@@ -133,6 +133,22 @@ class TestRejection:
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario("no/such/file.scn")
 
+    @pytest.mark.parametrize("extra", ["detection.min_reports = 11\n", "detection.min_reports = 0\n",
+                                       "detection.window_n = 3\ndetection.min_reports = 4\n"])
+    def test_min_reports_outside_window_names_the_key(self, extra):
+        # A window never holds more than window_n reports: no verdict would ever be made.
+        with pytest.raises(ScenarioError, match=r"detection\.\*: min_reports must be in \[1, window_n"):
+            parse_scenario(MINIMAL + extra)
+
+    def test_min_reports_equal_to_window_accepted(self):
+        sc = parse_scenario(MINIMAL + "detection.window_n = 4\ndetection.min_reports = 4\n")
+        assert sc.detection.min_reports_before_decision == 4
+
+    @pytest.mark.parametrize("value", [1, 0, -3])
+    def test_warmup_reports_below_two_names_key_and_value(self, value):
+        with pytest.raises(ScenarioError, match=rf"detection\.\*: warmup_reports must be >= 2, got {value}$"):
+            parse_scenario(MINIMAL + f"detection.warmup_reports = {value}\n")
+
     KIND_TEXT = {
         "cbr": "ue.1.traffic = cbr\nue.1.rate_mbps = 5\n",
         "uniform_rate": "ue.1.traffic = uniform_rate\nue.1.rate_lo_mbps = 4\nue.1.rate_hi_mbps = 8\n",
