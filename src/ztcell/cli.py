@@ -106,6 +106,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:  # e2.DecodeError included
         print(f"runtime failure: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # no input ends in a traceback
+        print(f"runtime failure: {type(err).__name__}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

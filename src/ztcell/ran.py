@@ -10,7 +10,10 @@ The auth and binding invariants are checked at the start of a frame only
 when `attach`, an AUTH_RESPONSE or a SLICE_CONTROL changed state since the
 last check, so a quiet frame scans nothing. At each report boundary every
 attached UE sends one KPM indication, except a denied one: DENIED is
-terminal, so the RIC has nothing left to decide about it.
+terminal, so the RIC has nothing left to decide about it. A UE's stats for
+a frame are interned in one dict per cell: an equal value seen before is
+handed back as the stored object, so an idle, steady or repeating UE adds no
+new record per frame.
 
 A UE's queue holds one `Batch` per frame that had arrivals: all packets a UE
 enqueues in one frame share their size and arrival frame, so a batch is the
@@ -183,7 +186,7 @@ class UeFrameStats(NamedTuple):
     slice_id: SliceId | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameReport:
     frame_index: int
     per_ue: dict[UeId, UeFrameStats]
@@ -207,6 +210,7 @@ class RanCell:
         self.report_period_frames: int | None = None
         self.reauth_period_frames: int = 0  # 0 disables RAN-driven re-auth
         self.state_changed = True  # UE auth or binding state moved since the last check
+        self._stats: dict[UeFrameStats, UeFrameStats] = {}  # every distinct stats value, once
 
     # ---- E2 egress -------------------------------------------------------
 
@@ -495,14 +499,18 @@ class RanCell:
         return served, lat_sum, lat_n
 
     def _frame_stats(self, ue: UeState, served: int, lat_sum: int, lat_n: int) -> UeFrameStats:
+        """The stats of one UE's frame, interned: an equal value seen before in this
+        run is returned as the object stored then. Equal means identical text in
+        `frames.csv`, because each field keeps one type (`1 == 1.0`)."""
         ue.window_served_bits += served
-        return UeFrameStats(
+        stats = UeFrameStats(
             served,
             ue.queue_bits() // 8,
             lat_sum / lat_n if lat_n else None,
             ue.auth_state._value_,  # a plain attribute, unlike the `.value` property
             ue.slice_id,
         )
+        return self._stats.setdefault(stats, stats)
 
     # ---- KPM reporting ----------------------------------------------------
 

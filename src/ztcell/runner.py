@@ -9,9 +9,12 @@ Everything is driven by named RNG streams derived from the scenario seed,
 making outputs byte-identical across runs; legacy runs reuse the same
 traffic streams so arrivals match the zero-trust run frame for frame.
 
-The run keeps one copy of its per-frame data, `RunResult.frames`. The
-summary and `frames.csv` each walk it through `frames_to_rows`, a generator,
-so no list of every row is built.
+The run keeps one copy of its per-frame data, `RunResult.frames`, whose
+per-UE stats the cell interns, so equal stats are one object. The summary
+walks it through `frames_to_rows`, a generator, so no list of every row is
+built. `frames.csv` is written from the frames directly: each distinct stats
+value is formatted into its row tail once, and each row is the frame index
+and UE id put before that tail.
 
 A run applies its seed and legacy overrides to the scenario once, and
 `run.log` echoes that scenario as run, effective seed and mode included. It is
@@ -28,7 +31,7 @@ from random import Random
 
 from . import e2
 from .core import FRAME_MS
-from .ran import FrameReport, InvariantError, RanCell
+from .ran import FrameReport, InvariantError, RanCell, UeFrameStats
 from .ric import AuditLog, Router, Sdl, XappContext, XappRegistry
 from .scenario import Scenario, parse_scenario, resolved_lines
 from .xapps.auth import AuthConfig, AuthXapp
@@ -239,7 +242,7 @@ def run(
     )
     if out_dir is not None:
         result.out_dir = Path(out_dir)
-        _write_outputs(result, frames_to_rows(frames, ue_order))
+        _write_outputs(result)
     return result
 
 
@@ -324,16 +327,33 @@ def summarize_rows(
     )
 
 
-def _write_outputs(result: RunResult, rows: Iterable[tuple]) -> None:
+def _row_tail(stats: UeFrameStats) -> str:
+    """`served_bits,queue_bytes,latency_ms,auth_state,slice_id` and the newline."""
+    bits, queue_bytes, lat, state, sid = stats
+    return (
+        f"{bits},{queue_bytes},{'' if lat is None else f'{lat:.3f}'},"
+        f"{state},{'' if sid is None else sid}\n"
+    )
+
+
+def _write_outputs(result: RunResult) -> None:
     out = result.out_dir
     out.mkdir(parents=True, exist_ok=True)
+    ue_order = [u.ue for u in result.scenario.ues]
+    tails: dict[UeFrameStats, str] = {}  # each distinct stats value, formatted once
     with open(out / "frames.csv", "w", newline="") as fh:
-        fh.write(FRAMES_CSV_HEADER + "\n")
-        fh.writelines(
-            f"{f},{ue},{bits},{queue_bytes},{'' if lat is None else f'{lat:.3f}'},"
-            f"{state},{'' if sid is None else sid}\n"
-            for f, ue, bits, queue_bytes, lat, state, sid in rows
-        )
+        write = fh.write
+        write(FRAMES_CSV_HEADER + "\n")
+        for report in result.frames:
+            f = report.frame_index
+            per_ue = report.per_ue
+            for ue in ue_order:
+                stats = per_ue.get(ue)
+                if stats is not None:
+                    tail = tails.get(stats)
+                    if tail is None:
+                        tail = tails[stats] = _row_tail(stats)
+                    write(f"{f},{ue},{tail}")
     result.audit.dump(str(out / "audit.jsonl"))
     if result.slicing is not None:
         result.slicing.write_changes_csv(str(out / "slice_changes.csv"))

@@ -262,6 +262,13 @@ def _build(values: dict, ue_values: dict[int, dict], name: str) -> Scenario:
         raise ScenarioError("auth.verification_budget_prbs: must be >= 1")
     if auth.verify_frames < 0:
         raise ScenarioError("auth.verify_frames: must be >= 0")
+    # A token that expires before its verification completes denies every UE,
+    # and the token packs its lifetime into 64 bits.
+    if not auth.verify_frames < auth.token_expiry_frames < 2**64:
+        raise ScenarioError(
+            f"auth.token_expiry_frames: must be > auth.verify_frames "
+            f"({auth.verify_frames}) and < 2**64, got {auth.token_expiry_frames}"
+        )
 
     fpr_lo = values.get("fpr.benign_rate_lo_mbps", detection.rate_lo_mbps)
     fpr_hi = values.get("fpr.benign_rate_hi_mbps", detection.rate_hi_mbps)
@@ -339,6 +346,11 @@ def _build_ue(ue_id: int, vals: dict, detection: DetectionConfig, secret_seed: s
         tx_power_mean_dbm=vals.get("tx_power_mean_dbm", 20.0),
         tx_power_std_dbm=vals.get("tx_power_std_dbm", 1.0),
     )
+    lo = vals.get("profile_rate_lo_mbps", detection.rate_lo_mbps)
+    hi = vals.get("profile_rate_hi_mbps", detection.rate_hi_mbps)
+    if not 0 <= lo <= hi:
+        key = "profile_rate_lo_mbps" if not 0 <= lo else "profile_rate_hi_mbps"
+        raise ScenarioError(f"{prefix}.{key}: profile rate band needs 0 <= lo <= hi, got {lo}, {hi}")
     return UeSpec(
         ue=ue_id,
         traffic=traffic,
@@ -348,8 +360,8 @@ def _build_ue(ue_id: int, vals: dict, detection: DetectionConfig, secret_seed: s
         attach_frame=vals.get("attach_frame", 0),
         priority=priority,
         reserved_prbs=reserved,
-        profile_rate_lo_mbps=vals.get("profile_rate_lo_mbps", detection.rate_lo_mbps),
-        profile_rate_hi_mbps=vals.get("profile_rate_hi_mbps", detection.rate_hi_mbps),
+        profile_rate_lo_mbps=lo,
+        profile_rate_hi_mbps=hi,
     )
 
 

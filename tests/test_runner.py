@@ -1,14 +1,17 @@
 """End-to-end runs: determinism, output files, CLI behavior."""
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ztcell.cli import main
 from ztcell.e2 import AuthOutcome, DecodeError
 from ztcell.ran import InvariantError, RanCell
-from ztcell.runner import FRAMES_CSV_HEADER, fpr_sweep, run, summarize_dir
+from ztcell.runner import FRAMES_CSV_HEADER, fpr_sweep, frames_to_rows, run, summarize_dir
 from ztcell.scenario import load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -182,6 +185,61 @@ class TestOutputs:
         assert actions.index("verified_ran") < actions.index("auth")
 
 
+def reference_frames_csv(result) -> str:
+    """frames.csv formatted row by row from `frames_to_rows`, with no interning."""
+    rows = frames_to_rows(result.frames, [u.ue for u in result.scenario.ues])
+    return FRAMES_CSV_HEADER + "\n" + "".join(
+        f"{f},{ue},{bits},{queue_bytes},{'' if lat is None else f'{lat:.3f}'},"
+        f"{state},{'' if sid is None else sid}\n"
+        for f, ue, bits, queue_bytes, lat, state, sid in rows
+    )
+
+
+@st.composite
+def mixed_scenarios(draw):
+    """A scenario text of 1-8 UEs of mixed traffic kinds over up to 300
+    frames, and whether to run it in legacy mode."""
+    frames = draw(st.integers(min_value=1, max_value=300))
+    lines = [f"scenario.duration_frames = {frames}", f"scenario.seed = {draw(st.integers(0, 999))}"]
+    rate = st.sampled_from([0.1, 0.3, 1.0, 2.5, 6.0, 12.0, 40.0])
+    for ue in range(1, draw(st.integers(min_value=1, max_value=8)) + 1):
+        kind = draw(st.sampled_from(["cbr", "uniform_rate", "flood", "idle"]))
+        lines.append(f"ue.{ue}.traffic = {kind}")
+        if kind in ("cbr", "flood"):
+            lines.append(f"ue.{ue}.rate_mbps = {draw(rate)}")
+        if kind == "flood":
+            lines.append(f"ue.{ue}.onset_frame = {draw(st.integers(0, frames))}")
+        if kind == "uniform_rate":
+            lo, hi = sorted((draw(rate), draw(rate)))
+            lines += [f"ue.{ue}.rate_lo_mbps = {lo}", f"ue.{ue}.rate_hi_mbps = {hi}"]
+        lines.append(f"ue.{ue}.packet_size_bytes = {draw(st.sampled_from([200, 1500]))}")
+        lines.append(f"ue.{ue}.attach_frame = {draw(st.integers(0, frames))}")
+        lines.append(f"ue.{ue}.credentials = {draw(st.sampled_from(['valid', 'valid', 'invalid']))}")
+    return "\n".join(lines) + "\n", draw(st.booleans())
+
+
+class TestFramesCsv:
+    @given(mixed_scenarios())
+    @settings(max_examples=40, deadline=None)
+    def test_frames_csv_equals_per_row_reference(self, case):
+        text, legacy = case
+        with tempfile.TemporaryDirectory() as out:
+            result = run(parse_scenario(text, "mixed"), out_dir=out, legacy=legacy)
+            assert (Path(out) / "frames.csv").read_bytes() == reference_frames_csv(result).encode()
+
+    def test_48_ue_run_holds_one_object_per_distinct_stats(self):
+        text = ["scenario.duration_frames = 1000", "scenario.seed = 9",
+                "auth.reauth_period_frames = 300", "detection.min_reports = 3"]
+        for ue in range(1, 49):
+            text += [f"ue.{ue}.traffic = uniform_rate", f"ue.{ue}.rate_lo_mbps = 0.15",
+                     f"ue.{ue}.rate_hi_mbps = 0.3", f"ue.{ue}.attach_frame = {4 * (ue - 1)}"]
+        result = run(parse_scenario("\n".join(text) + "\n", "crowd"))
+        stats = [s for report in result.frames for s in report.per_ue.values()]
+        distinct = set(stats)
+        assert len({id(s) for s in stats}) == len(distinct)
+        assert len(distinct) * 10 < len(stats)  # light UEs repeat their stats
+
+
 class TestCli:
     def test_run_summarize_fpr_sweep(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -264,6 +322,16 @@ class TestCli:
         monkeypatch.setattr(cli, "run", corrupt)
         assert main(["run", str(SCENARIOS / "flood_isolation.scn"), "--out", str(tmp_path)]) == 2
         assert "runtime failure: decode error at byte 3" in capsys.readouterr().err
+
+    def test_any_other_error_after_parse_is_runtime_failure(self, monkeypatch, tmp_path, capsys):
+        import ztcell.cli as cli
+
+        def broken(*args, **kwargs):
+            raise KeyError("ue 9")
+
+        monkeypatch.setattr(cli, "run", broken)
+        assert main(["run", str(SCENARIOS / "flood_isolation.scn"), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "runtime failure: KeyError: 'ue 9'\n"
 
     def test_fpr_sweep_trials_floor(self):
         sc = load_scenario(SCENARIOS / "fpr_leaky.scn")

@@ -149,6 +149,38 @@ class TestRejection:
         with pytest.raises(ScenarioError, match=rf"detection\.\*: warmup_reports must be >= 2, got {value}$"):
             parse_scenario(MINIMAL + f"detection.warmup_reports = {value}\n")
 
+    @pytest.mark.parametrize(("lo", "hi", "key"), [
+        (-20, -10, "profile_rate_lo_mbps"), (-1, 5, "profile_rate_lo_mbps"),
+        (20, 10, "profile_rate_hi_mbps"), ("nan", 10, "profile_rate_lo_mbps"),
+    ])
+    def test_profile_rate_band_outside_domain_names_the_key(self, lo, hi, key):
+        # A negative band profiles tx_packets at [0, 0], so an honest UE is
+        # isolated on its first live report.
+        text = MINIMAL + f"ue.1.profile_rate_lo_mbps = {lo}\nue.1.profile_rate_hi_mbps = {hi}\n"
+        with pytest.raises(ScenarioError, match=rf"^ue\.1\.{key}: profile rate band needs 0 <= lo <= hi"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize(("lo", "hi"), [(0, 0), (0, 5), (7, 7)])
+    def test_profile_rate_band_edges_accepted(self, lo, hi):
+        text = MINIMAL + f"ue.1.profile_rate_lo_mbps = {lo}\nue.1.profile_rate_hi_mbps = {hi}\n"
+        ue = parse_scenario(text).ues[0]
+        assert (ue.profile_rate_lo_mbps, ue.profile_rate_hi_mbps) == (lo, hi)
+
+    @pytest.mark.parametrize("extra", [
+        "auth.token_expiry_frames = -1\n", "auth.token_expiry_frames = 0\n",
+        "auth.token_expiry_frames = 2\n", f"auth.token_expiry_frames = {2**64}\n",
+        "auth.verify_frames = 10\nauth.token_expiry_frames = 10\n",
+    ])
+    def test_token_expiry_outside_domain_names_the_key(self, extra):
+        # A token expiring by the end of its verification denies every UE.
+        with pytest.raises(ScenarioError, match=r"^auth\.token_expiry_frames: must be > auth\.verify_frames"):
+            parse_scenario(MINIMAL + extra)
+
+    @pytest.mark.parametrize(("verify", "expiry"), [(2, 3), (0, 1), (2, 2**64 - 1)])
+    def test_token_expiry_edges_accepted(self, verify, expiry):
+        text = MINIMAL + f"auth.verify_frames = {verify}\nauth.token_expiry_frames = {expiry}\n"
+        assert parse_scenario(text).auth.token_expiry_frames == expiry
+
     KIND_TEXT = {
         "cbr": "ue.1.traffic = cbr\nue.1.rate_mbps = 5\n",
         "uniform_rate": "ue.1.traffic = uniform_rate\nue.1.rate_lo_mbps = 4\nue.1.rate_hi_mbps = 8\n",
