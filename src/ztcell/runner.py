@@ -60,10 +60,6 @@ FPR_MIN_TRIALS = 10_000
 
 @dataclass
 class RunSummary:
-    scenario: str
-    zero_trust: bool
-    seed: int
-    duration_frames: int
     latency_threshold_ms: int
     latency_exceedance: float
     peak_latency_ms: float
@@ -74,10 +70,6 @@ class RunSummary:
 
     def to_dict(self) -> dict:
         return {
-            "scenario": self.scenario,
-            "zero_trust": self.zero_trust,
-            "seed": self.seed,
-            "duration_frames": self.duration_frames,
             "latency_threshold_ms": self.latency_threshold_ms,
             "latency_exceedance": self.latency_exceedance,
             "peak_latency_ms": self.peak_latency_ms,
@@ -314,10 +306,6 @@ def summarize_rows(
         }
 
     return RunSummary(
-        scenario=sc.name,
-        zero_trust=sc.zero_trust,
-        seed=sc.seed,
-        duration_frames=duration,
         latency_threshold_ms=latency_threshold_ms,
         latency_exceedance=len(exceed_frames) / duration if duration else 0.0,
         peak_latency_ms=peak,

@@ -1,12 +1,24 @@
 """Scenario configuration: a flat `section.key = value` text format.
 
-Unknown keys are rejected with their line number; omitted optional keys get
-documented defaults and the fully resolved configuration is echoed to the
-run log. See scenarios/example_annotated.scn for every key.
+Two ordered tables, `_TOP_KEYS` and `_UE_KEYS` (`ue.<id>.*`), state each key
+once: the section of `Scenario` or `UeSpec` it sets, its field, its type and
+its least value. Parsing, defaults and the run-log echo all read them:
+
+- An omitted key gets its config field's default. Three are derived instead:
+  the secret seed from the seed, the fpr and profile rate bands from the
+  detection band, and each UE's credential from the secret seed.
+- `resolved_lines` echoes every effective value in table order, which is
+  `run.log` order.
+- A new key is one table entry, beside the config field it sets.
+
+Unknown keys, values of the wrong type and floats that are not finite are
+rejected with their line number. See scenarios/example_annotated.scn for
+every key and its range.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +39,7 @@ class AuthParams:
     reauth_period_frames: int = 500
     token_expiry_frames: int = 1000
     usage_tolerance: float = 0.10
-    secret_seed: str = ""
+    secret_seed: str = ""  # "": derived from the scenario seed
 
 
 @dataclass(frozen=True)
@@ -36,12 +48,12 @@ class UeSpec:
     traffic: TrafficModel
     radio: RadioProfile = field(default_factory=RadioProfile)
     credentials: str = "valid"  # valid | wrong_token | wrong_credential
-    credential: bytes = b""
+    credential: bytes = b""  # b"": derived from the secret seed
     attach_frame: int = 0
     priority: SlicePriority = SlicePriority.COMMERCIAL
     reserved_prbs: int = 0
-    profile_rate_lo_mbps: float = 10.0
-    profile_rate_hi_mbps: float = 20.0
+    profile_rate_lo_mbps: float | None = None  # None: the detection band
+    profile_rate_hi_mbps: float | None = None
 
     @property
     def legitimate(self) -> bool:
@@ -52,16 +64,21 @@ class UeSpec:
 class Scenario:
     name: str
     duration_frames: int
-    seed: int
-    zero_trust: bool
-    latency_threshold_ms: int
     cell: CellConfig
-    report_period_ms: int
     detection: DetectionConfig
     restricted: RestrictedPolicy
     auth: AuthParams
-    fpr_benign_range: tuple[float, float]
     ues: tuple[UeSpec, ...]
+    seed: int = 1
+    zero_trust: bool = True
+    latency_threshold_ms: int = 100
+    report_period_ms: int = 100
+    fpr_benign_rate_lo_mbps: float | None = None  # None: the detection band
+    fpr_benign_rate_hi_mbps: float | None = None
+
+    @property
+    def fpr_benign_range(self) -> tuple[float, float]:
+        return (self.fpr_benign_rate_lo_mbps, self.fpr_benign_rate_hi_mbps)
 
     def secret(self) -> bytes:
         return hashlib.sha256(f"secret/{self.auth.secret_seed}".encode()).digest()
@@ -79,83 +96,122 @@ def _derive_credential(ue: UeId, secret_seed: str) -> bytes:
     return hashlib.sha256(f"cred/{ue}/{secret_seed}".encode()).digest()[:16]
 
 
-# key -> (type, default); None default means required or derived elsewhere
-_TOP_KEYS: dict[str, tuple[type, object]] = {
-    "scenario.duration_frames": (int, None),
-    "scenario.seed": (int, 1),
-    "scenario.zero_trust": (bool, True),
-    "scenario.latency_threshold_ms": (int, 100),
-    "cell.total_prbs": (int, 100),
-    "cell.per_prb_rate_mbps": (float, 0.24),
-    "cell.id": (int, 1),
-    "cell.e2_id": (int, 1),
-    "report.period_ms": (int, 100),
-    "detection.window_n": (int, 10),
-    "detection.rate_lo_mbps": (float, 10.0),
-    "detection.rate_hi_mbps": (float, 20.0),
-    "detection.z_sigma": (float, 3.0),
-    "detection.min_reports": (int, 1),
-    "detection.warmup_reports": (int, 100),
-    "restricted.budget_prbs": (int, 1),
-    "auth.verification_budget_prbs": (int, 2),
-    "auth.verify_frames": (int, 2),
-    "auth.reauth_period_frames": (int, 500),
-    "auth.token_expiry_frames": (int, 1000),
-    "auth.usage_tolerance": (float, 0.10),
-    "auth.secret_seed": (str, ""),
-    "fpr.benign_rate_lo_mbps": (float, None),
-    "fpr.benign_rate_hi_mbps": (float, None),
+# The rate keys each traffic kind does not read, in table order. Setting one
+# is rejected, so `resolved_lines`, which leaves them out, echoes every rate
+# key a scenario set.
+_UNREAD: dict[str, tuple[str, ...]] = {
+    "cbr": ("rate_lo_mbps", "rate_hi_mbps", "onset_frame"),
+    "uniform_rate": ("rate_mbps", "onset_frame"),
+    "flood": ("rate_lo_mbps", "rate_hi_mbps"),
+    "idle": ("rate_mbps", "rate_lo_mbps", "rate_hi_mbps", "onset_frame"),
 }
-
-_UE_KEYS: dict[str, type] = {
-    "traffic": str,
-    "rate_mbps": float,
-    "rate_lo_mbps": float,
-    "rate_hi_mbps": float,
-    "onset_frame": int,
-    "packet_size_bytes": int,
-    "credentials": str,
-    "credential": bytes,  # hex
-    "attach_frame": int,
-    "priority": str,
-    "reserved_prbs": int,
-    "snr_mean_db": float,
-    "snr_std_db": float,
-    "cqi_mean": float,
-    "cqi_std": float,
-    "tx_power_mean_dbm": float,
-    "tx_power_std_dbm": float,
-    "profile_rate_lo_mbps": float,
-    "profile_rate_hi_mbps": float,
-}
-
-# The traffic keys each kind reads, in echo order. A kind is given no other,
-# so `resolved_lines` echoes every traffic key a scenario set.
-_KIND_KEYS: dict[str, tuple[str, ...]] = {
-    "cbr": ("rate_mbps",),
-    "uniform_rate": ("rate_lo_mbps", "rate_hi_mbps"),
-    "flood": ("rate_mbps", "onset_frame"),
-    "idle": (),
-}
-
+# A word-valued key's type is (noun, word -> value). The echo names a value by
+# its first word, so an alias comes last: the shipped invalid-credential UE
+# presents a bad token.
+_TRAFFIC_KINDS = ("traffic kind", {kind: kind for kind in _UNREAD})
+_CREDENTIALS = ("mode", {"valid": "valid", "wrong_token": "wrong_token",
+                         "wrong_credential": "wrong_credential", "invalid": "wrong_token"})
+_PRIORITIES = ("priority", {"commercial": SlicePriority.COMMERCIAL,
+                            "mission_critical": SlicePriority.MISSION_CRITICAL})
 _BOOL_WORDS = {"on": True, "true": True, "yes": True, "off": False, "false": False, "no": False}
+_PARSERS = {bool: lambda raw: _BOOL_WORDS[raw.lower()], int: int, float: float,
+            bytes: bytes.fromhex, str: str}
+
+# key -> (section, field, type, least value or None), in run.log order. The
+# section is the `Scenario` attribute whose field the key sets, or None for a
+# field of `Scenario` itself. Domains a least value cannot state are rules in
+# `_build`, or checks in the config class (reported under its section's name).
+_TOP_KEYS: dict[str, tuple[str | None, str, object, int | None]] = {
+    "scenario.duration_frames": (None, "duration_frames", int, None),
+    "scenario.seed": (None, "seed", int, None),
+    "scenario.zero_trust": (None, "zero_trust", bool, None),
+    "scenario.latency_threshold_ms": (None, "latency_threshold_ms", int, 0),
+    "cell.total_prbs": ("cell", "total_prbs", int, None),
+    "cell.per_prb_rate_mbps": ("cell", "per_prb_rate_mbps", float, None),
+    "cell.id": ("cell", "cell_id", int, None),
+    "cell.e2_id": ("cell", "e2_id", int, None),
+    "report.period_ms": (None, "report_period_ms", int, None),
+    "detection.window_n": ("detection", "window_n", int, None),
+    "detection.rate_lo_mbps": ("detection", "rate_lo_mbps", float, None),
+    "detection.rate_hi_mbps": ("detection", "rate_hi_mbps", float, None),
+    "detection.z_sigma": ("detection", "z_sigma", float, None),
+    "detection.min_reports": ("detection", "min_reports_before_decision", int, None),
+    "detection.warmup_reports": ("detection", "warmup_reports", int, None),
+    "restricted.budget_prbs": ("restricted", "budget_prbs", int, None),
+    "auth.verification_budget_prbs": ("auth", "verification_budget_prbs", int, 1),
+    "auth.verify_frames": ("auth", "verify_frames", int, 0),
+    "auth.reauth_period_frames": ("auth", "reauth_period_frames", int, 0),
+    "auth.token_expiry_frames": ("auth", "token_expiry_frames", int, None),
+    "auth.usage_tolerance": ("auth", "usage_tolerance", float, 0),
+    "auth.secret_seed": ("auth", "secret_seed", str, None),
+    "fpr.benign_rate_lo_mbps": (None, "fpr_benign_rate_lo_mbps", float, None),
+    "fpr.benign_rate_hi_mbps": (None, "fpr_benign_rate_hi_mbps", float, None),
+}
+
+# The same for `ue.<id>.<key>`; None is a field of `UeSpec` itself.
+_UE_KEYS: dict[str, tuple[str | None, str, object, int | None]] = {
+    "traffic": ("traffic", "kind", _TRAFFIC_KINDS, None),
+    "rate_mbps": ("traffic", "rate_mbps", float, None),
+    "rate_lo_mbps": ("traffic", "lo_mbps", float, None),
+    "rate_hi_mbps": ("traffic", "hi_mbps", float, None),
+    "onset_frame": ("traffic", "onset_frame", int, None),
+    "packet_size_bytes": ("traffic", "packet_size_bytes", int, None),
+    "credentials": (None, "credentials", _CREDENTIALS, None),
+    "credential": (None, "credential", bytes, None),  # hex
+    "attach_frame": (None, "attach_frame", int, 0),
+    "priority": (None, "priority", _PRIORITIES, None),
+    "reserved_prbs": (None, "reserved_prbs", int, None),
+    "snr_mean_db": ("radio", "snr_mean_db", float, None),
+    "snr_std_db": ("radio", "snr_std_db", float, 0),
+    "cqi_mean": ("radio", "cqi_mean", float, None),
+    "cqi_std": ("radio", "cqi_std", float, 0),
+    "tx_power_mean_dbm": ("radio", "tx_power_mean_dbm", float, None),
+    "tx_power_std_dbm": ("radio", "tx_power_std_dbm", float, 0),
+    "profile_rate_lo_mbps": (None, "profile_rate_lo_mbps", float, None),
+    "profile_rate_hi_mbps": (None, "profile_rate_hi_mbps", float, None),
+}
+
+# section -> (its class, the name its ValueError is reported under); None is
+# the object itself, which raises none
+_TOP_SECTIONS: dict[str | None, tuple[type, str | None]] = {
+    None: (Scenario, None),
+    "cell": (CellConfig, "cell.*"),
+    "detection": (DetectionConfig, "detection.*"),
+    "restricted": (RestrictedPolicy, "restricted.budget_prbs"),
+    "auth": (AuthParams, "auth.*"),
+}
+_UE_SECTIONS: dict[str | None, tuple[type, str | None]] = {
+    None: (UeSpec, None),
+    "traffic": (TrafficModel, "traffic"),
+    "radio": (RadioProfile, "radio.*"),
+}
 
 
-def _convert(raw: str, typ: type, key: str, line_no: int):
+# The keys whose field has no default: a field with a default is a class attribute.
+_TOP_REQUIRED, _UE_REQUIRED = (
+    tuple(key for key, (section, name, _, _) in table.items()
+          if not hasattr(sections[section][0], name))
+    for table, sections in ((_TOP_KEYS, _TOP_SECTIONS), (_UE_KEYS, _UE_SECTIONS))
+)
+
+# Every float key must stay finite once a rate in Mbps becomes bits per frame.
+# That bounds each float key at about 1.8e304, far beyond any sane value.
+_BITS_PER_MBPS = FRAME_MS * 1000
+
+
+def _convert(raw: str, typ: object, key: str, line_no: int):
+    if type(typ) is tuple:
+        noun, words = typ
+        if raw not in words:
+            raise ScenarioError(f"{key}: unknown {noun} {raw!r}")
+        return words[raw]
     try:
-        if typ is bool:
-            if raw.lower() not in _BOOL_WORDS:
-                raise ValueError
-            return _BOOL_WORDS[raw.lower()]
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        if typ is bytes:
-            return bytes.fromhex(raw)
-        return raw
-    except ValueError:
+        value = _PARSERS[typ](raw)
+    except (ValueError, KeyError):
         raise ScenarioError(f"line {line_no}: expected {typ.__name__} for {key}, got {raw!r}")
+    if typ is float and not math.isfinite(value * _BITS_PER_MBPS):
+        raise ScenarioError(f"line {line_no}: expected a finite float for {key}, got {raw!r}")
+    return value
 
 
 def parse_scenario(text: str, name: str = "<inline>") -> Scenario:
@@ -174,21 +230,16 @@ def parse_scenario(text: str, name: str = "<inline>") -> Scenario:
             raise ScenarioError(f"line {line_no}: empty value for {key}")
         parts = key.split(".")
         if parts[0] == "ue":
-            if len(parts) != 3 or not parts[1].isdigit():
+            if len(parts) != 3 or not parts[1].isdecimal():
                 raise ScenarioError(f"line {line_no}: unknown key {key}")
-            ue_id, ue_field = int(parts[1]), parts[2]
-            if ue_field not in _UE_KEYS:
-                raise ScenarioError(f"line {line_no}: unknown key {key}")
-            bucket = ue_values.setdefault(ue_id, {})
-            if ue_field in bucket:
-                raise ScenarioError(f"line {line_no}: duplicate key {key}")
-            bucket[ue_field] = _convert(raw, _UE_KEYS[ue_field], key, line_no)
+            bucket, entry, table = ue_values.setdefault(int(parts[1]), {}), parts[2], _UE_KEYS
         else:
-            if key not in _TOP_KEYS:
-                raise ScenarioError(f"line {line_no}: unknown key {key}")
-            if key in values:
-                raise ScenarioError(f"line {line_no}: duplicate key {key}")
-            values[key] = _convert(raw, _TOP_KEYS[key][0], key, line_no)
+            bucket, entry, table = values, key, _TOP_KEYS
+        if entry not in table:
+            raise ScenarioError(f"line {line_no}: unknown key {key}")
+        if entry in bucket:
+            raise ScenarioError(f"line {line_no}: duplicate key {key}")
+        bucket[entry] = _convert(raw, table[entry][2], key, line_no)
     return _build(values, ue_values, name)
 
 
@@ -199,69 +250,40 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(path.read_text(), name=path.stem)
 
 
-def _get(values: dict, key: str):
-    typ, default = _TOP_KEYS[key]
-    if key in values:
-        return values[key]
-    if default is None and key.startswith("scenario."):
-        raise ScenarioError(f"{key}: required key missing")
-    return default
+def _sections(values: dict, table: dict, sections: dict, required: tuple, prefix: str):
+    """The keyword arguments of the object itself, and each section's config
+    object, from the given values, each checked against its least value."""
+    for key in required:
+        if key not in values:
+            raise ScenarioError(f"{prefix}{key}: required key missing")
+    kwargs = {section: {} for section in sections}
+    for key, value in values.items():
+        section, name, _, least = table[key]
+        if least is not None and value < least:
+            raise ScenarioError(f"{prefix}{key}: must be >= {least}")
+        kwargs[section][name] = value
+    configs = {}
+    for section, (cls, label) in sections.items():
+        if section is not None:
+            try:
+                configs[section] = cls(**kwargs[section])
+            except ValueError as err:
+                raise ScenarioError(f"{prefix}{label}: {err}")
+    return kwargs[None], configs
 
 
 def _build(values: dict, ue_values: dict[int, dict], name: str) -> Scenario:
-    duration = _get(values, "scenario.duration_frames")
-    if duration is None:
-        raise ScenarioError("scenario.duration_frames: required key missing")
+    values.setdefault("auth.secret_seed", str(values.get("scenario.seed", Scenario.seed)))
+    own, configs = _sections(values, _TOP_KEYS, _TOP_SECTIONS, _TOP_REQUIRED, "")
+    duration = own["duration_frames"]
     if duration < 1:
         raise ScenarioError(f"scenario.duration_frames: must be >= 1, got {duration}")
-    seed = _get(values, "scenario.seed")
-    secret_seed = _get(values, "auth.secret_seed") or str(seed)
-
-    try:
-        cell = CellConfig(
-            total_prbs=_get(values, "cell.total_prbs"),
-            per_prb_rate_mbps=_get(values, "cell.per_prb_rate_mbps"),
-            cell_id=_get(values, "cell.id"),
-            e2_id=_get(values, "cell.e2_id"),
-        )
-    except ValueError as err:
-        raise ScenarioError(f"cell.*: {err}")
-
-    period = _get(values, "report.period_ms")
+    period = own.get("report_period_ms", Scenario.report_period_ms)
     if period < FRAME_MS or period % FRAME_MS:
         raise ScenarioError(
             f"report.period_ms: must be a positive multiple of {FRAME_MS}, got {period}"
         )
-
-    try:
-        detection = DetectionConfig(
-            window_n=_get(values, "detection.window_n"),
-            rate_lo_mbps=_get(values, "detection.rate_lo_mbps"),
-            rate_hi_mbps=_get(values, "detection.rate_hi_mbps"),
-            z_sigma=_get(values, "detection.z_sigma"),
-            min_reports_before_decision=_get(values, "detection.min_reports"),
-            warmup_reports=_get(values, "detection.warmup_reports"),
-        )
-    except ValueError as err:
-        raise ScenarioError(f"detection.*: {err}")
-
-    try:
-        restricted = RestrictedPolicy(budget_prbs=_get(values, "restricted.budget_prbs"))
-    except ValueError as err:
-        raise ScenarioError(f"restricted.budget_prbs: {err}")
-
-    auth = AuthParams(
-        verification_budget_prbs=_get(values, "auth.verification_budget_prbs"),
-        verify_frames=_get(values, "auth.verify_frames"),
-        reauth_period_frames=_get(values, "auth.reauth_period_frames"),
-        token_expiry_frames=_get(values, "auth.token_expiry_frames"),
-        usage_tolerance=_get(values, "auth.usage_tolerance"),
-        secret_seed=secret_seed,
-    )
-    if auth.verification_budget_prbs < 1:
-        raise ScenarioError("auth.verification_budget_prbs: must be >= 1")
-    if auth.verify_frames < 0:
-        raise ScenarioError("auth.verify_frames: must be >= 0")
+    auth = configs["auth"]
     # A token that expires before its verification completes denies every UE,
     # and the token packs its lifetime into 64 bits.
     if not auth.verify_frames < auth.token_expiry_frames < 2**64:
@@ -269,10 +291,10 @@ def _build(values: dict, ue_values: dict[int, dict], name: str) -> Scenario:
             f"auth.token_expiry_frames: must be > auth.verify_frames "
             f"({auth.verify_frames}) and < 2**64, got {auth.token_expiry_frames}"
         )
-
-    fpr_lo = values.get("fpr.benign_rate_lo_mbps", detection.rate_lo_mbps)
-    fpr_hi = values.get("fpr.benign_rate_hi_mbps", detection.rate_hi_mbps)
-    if fpr_lo > fpr_hi:
+    detection = configs["detection"]
+    own.setdefault("fpr_benign_rate_lo_mbps", detection.rate_lo_mbps)  # the detection band
+    own.setdefault("fpr_benign_rate_hi_mbps", detection.rate_hi_mbps)
+    if own["fpr_benign_rate_lo_mbps"] > own["fpr_benign_rate_hi_mbps"]:
         raise ScenarioError("fpr.benign_rate_lo_mbps: benign range needs lo <= hi")
 
     if not ue_values:
@@ -281,150 +303,64 @@ def _build(values: dict, ue_values: dict[int, dict], name: str) -> Scenario:
     for ue_id in sorted(ue_values):
         if ue_id < 1:
             raise ScenarioError(f"ue.{ue_id}: UE ids start at 1 (0 is reserved)")
-        ues.append(_build_ue(ue_id, ue_values[ue_id], detection, secret_seed))
-
-    return Scenario(
-        name=name,
-        duration_frames=duration,
-        seed=seed,
-        zero_trust=_get(values, "scenario.zero_trust"),
-        latency_threshold_ms=_get(values, "scenario.latency_threshold_ms"),
-        cell=cell,
-        report_period_ms=period,
-        detection=detection,
-        restricted=restricted,
-        auth=auth,
-        fpr_benign_range=(fpr_lo, fpr_hi),
-        ues=tuple(ues),
-    )
+        ues.append(_build_ue(ue_id, ue_values[ue_id], duration, detection, auth.secret_seed))
+    return Scenario(name=name, ues=tuple(ues), **own, **configs)
 
 
-def _build_ue(ue_id: int, vals: dict, detection: DetectionConfig, secret_seed: str) -> UeSpec:
-    prefix = f"ue.{ue_id}"
-    if "traffic" not in vals:
-        raise ScenarioError(f"{prefix}.traffic: required key missing")
-    kind = vals["traffic"]
-    if kind in _KIND_KEYS:  # an unknown kind fails in TrafficModel below
-        for key in ("rate_mbps", "rate_lo_mbps", "rate_hi_mbps", "onset_frame"):
-            if key in vals and key not in _KIND_KEYS[kind]:
-                raise ScenarioError(f"{prefix}.{key}: traffic {kind} does not use this key")
-    try:
-        traffic = TrafficModel(
-            kind=kind,
-            rate_mbps=vals.get("rate_mbps", 0.0),
-            lo_mbps=vals.get("rate_lo_mbps", 0.0),
-            hi_mbps=vals.get("rate_hi_mbps", 0.0),
-            onset_frame=vals.get("onset_frame", 0),
-            packet_size_bytes=vals.get("packet_size_bytes", 1500),
+def _build_ue(
+    ue_id: int, vals: dict, duration: int, detection: DetectionConfig, secret_seed: str
+) -> UeSpec:
+    prefix = f"ue.{ue_id}."
+    kind = vals.get("traffic")
+    for key in _UNREAD.get(kind, ()):
+        if key in vals:
+            raise ScenarioError(f"{prefix}{key}: traffic {kind} does not use this key")
+    vals.setdefault("profile_rate_lo_mbps", detection.rate_lo_mbps)  # the detection band
+    vals.setdefault("profile_rate_hi_mbps", detection.rate_hi_mbps)
+    vals.setdefault("credential", _derive_credential(ue_id, secret_seed))
+    own, configs = _sections(vals, _UE_KEYS, _UE_SECTIONS, _UE_REQUIRED, prefix)
+    ue = UeSpec(ue=ue_id, **own, **configs)
+
+    if ue.attach_frame >= duration:
+        raise ScenarioError(
+            f"{prefix}attach_frame: must be < scenario.duration_frames ({duration}), "
+            f"got {ue.attach_frame}"
         )
-    except ValueError as err:
-        raise ScenarioError(f"{prefix}.traffic: {err}")
-
-    credentials = vals.get("credentials", "valid")
-    if credentials == "invalid":
-        credentials = "wrong_token"  # the shipped invalid-credential UE presents a bad token
-    if credentials not in ("valid", "wrong_token", "wrong_credential"):
-        raise ScenarioError(f"{prefix}.credentials: unknown mode {credentials!r}")
-
-    priority_word = vals.get("priority", "commercial")
-    if priority_word not in ("commercial", "mission_critical"):
-        raise ScenarioError(f"{prefix}.priority: unknown priority {priority_word!r}")
-    priority = (
-        SlicePriority.MISSION_CRITICAL
-        if priority_word == "mission_critical"
-        else SlicePriority.COMMERCIAL
-    )
-    reserved = vals.get("reserved_prbs", 0)
-    if priority is SlicePriority.MISSION_CRITICAL and reserved < 1:
-        raise ScenarioError(f"{prefix}.reserved_prbs: mission_critical UEs need >= 1 PRB")
-
-    radio = RadioProfile(
-        snr_mean_db=vals.get("snr_mean_db", 25.0),
-        snr_std_db=vals.get("snr_std_db", 2.0),
-        cqi_mean=vals.get("cqi_mean", 12.0),
-        cqi_std=vals.get("cqi_std", 1.5),
-        tx_power_mean_dbm=vals.get("tx_power_mean_dbm", 20.0),
-        tx_power_std_dbm=vals.get("tx_power_std_dbm", 1.0),
-    )
-    lo = vals.get("profile_rate_lo_mbps", detection.rate_lo_mbps)
-    hi = vals.get("profile_rate_hi_mbps", detection.rate_hi_mbps)
+    if ue.priority is SlicePriority.MISSION_CRITICAL and ue.reserved_prbs < 1:
+        raise ScenarioError(f"{prefix}reserved_prbs: mission_critical UEs need >= 1 PRB")
+    lo, hi = ue.profile_rate_lo_mbps, ue.profile_rate_hi_mbps
     if not 0 <= lo <= hi:
         key = "profile_rate_lo_mbps" if not 0 <= lo else "profile_rate_hi_mbps"
-        raise ScenarioError(f"{prefix}.{key}: profile rate band needs 0 <= lo <= hi, got {lo}, {hi}")
-    return UeSpec(
-        ue=ue_id,
-        traffic=traffic,
-        radio=radio,
-        credentials=credentials,
-        credential=vals.get("credential") or _derive_credential(ue_id, secret_seed),
-        attach_frame=vals.get("attach_frame", 0),
-        priority=priority,
-        reserved_prbs=reserved,
-        profile_rate_lo_mbps=lo,
-        profile_rate_hi_mbps=hi,
-    )
+        raise ScenarioError(f"{prefix}{key}: profile rate band needs 0 <= lo <= hi, got {lo}, {hi}")
+    return ue
+
+
+def _fmt(value, typ) -> str:
+    if typ is bool:
+        return "on" if value else "off"
+    if typ is bytes:
+        return value.hex()
+    if type(typ) is tuple:
+        return next(word for word, named in typ[1].items() if named == value)
+    return str(value)  # a float's str is its repr, which parses back exactly
 
 
 def resolved_lines(sc: Scenario) -> list[str]:
     """Every effective key = value, defaults included, for the run log."""
-
-    def fmt(v) -> str:
-        if isinstance(v, bool):
-            return "on" if v else "off"
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
-    lines = {
-        "scenario.duration_frames": sc.duration_frames,
-        "scenario.seed": sc.seed,
-        "scenario.zero_trust": sc.zero_trust,
-        "scenario.latency_threshold_ms": sc.latency_threshold_ms,
-        "cell.total_prbs": sc.cell.total_prbs,
-        "cell.per_prb_rate_mbps": sc.cell.per_prb_rate_mbps,
-        "cell.id": sc.cell.cell_id,
-        "cell.e2_id": sc.cell.e2_id,
-        "report.period_ms": sc.report_period_ms,
-        "detection.window_n": sc.detection.window_n,
-        "detection.rate_lo_mbps": sc.detection.rate_lo_mbps,
-        "detection.rate_hi_mbps": sc.detection.rate_hi_mbps,
-        "detection.z_sigma": sc.detection.z_sigma,
-        "detection.min_reports": sc.detection.min_reports_before_decision,
-        "detection.warmup_reports": sc.detection.warmup_reports,
-        "restricted.budget_prbs": sc.restricted.budget_prbs,
-        "auth.verification_budget_prbs": sc.auth.verification_budget_prbs,
-        "auth.verify_frames": sc.auth.verify_frames,
-        "auth.reauth_period_frames": sc.auth.reauth_period_frames,
-        "auth.token_expiry_frames": sc.auth.token_expiry_frames,
-        "auth.usage_tolerance": sc.auth.usage_tolerance,
-        "auth.secret_seed": sc.auth.secret_seed,
-        "fpr.benign_rate_lo_mbps": sc.fpr_benign_range[0],
-        "fpr.benign_rate_hi_mbps": sc.fpr_benign_range[1],
-    }
+    lines = [
+        f"{key} = {_fmt(getattr(sc if section is None else getattr(sc, section), name), typ)}"
+        for key, (section, name, typ, _) in _TOP_KEYS.items()
+    ]
     for ue in sc.ues:
-        p = f"ue.{ue.ue}"
-        t = ue.traffic
-        lines[f"{p}.traffic"] = t.kind
-        values = {"rate_mbps": t.rate_mbps, "rate_lo_mbps": t.lo_mbps, "rate_hi_mbps": t.hi_mbps,
-                  "onset_frame": t.onset_frame}
-        for key in _KIND_KEYS[t.kind]:
-            lines[f"{p}.{key}"] = values[key]
-        lines[f"{p}.packet_size_bytes"] = t.packet_size_bytes
-        lines[f"{p}.credentials"] = ue.credentials
-        if ue.credential != _derive_credential(ue.ue, sc.auth.secret_seed):
-            lines[f"{p}.credential"] = ue.credential.hex()
-        lines[f"{p}.attach_frame"] = ue.attach_frame
-        lines[f"{p}.priority"] = (
-            "mission_critical" if ue.priority is SlicePriority.MISSION_CRITICAL else "commercial"
-        )
-        if ue.reserved_prbs:
-            lines[f"{p}.reserved_prbs"] = ue.reserved_prbs
-        lines[f"{p}.snr_mean_db"] = ue.radio.snr_mean_db
-        lines[f"{p}.snr_std_db"] = ue.radio.snr_std_db
-        lines[f"{p}.cqi_mean"] = ue.radio.cqi_mean
-        lines[f"{p}.cqi_std"] = ue.radio.cqi_std
-        lines[f"{p}.tx_power_mean_dbm"] = ue.radio.tx_power_mean_dbm
-        lines[f"{p}.tx_power_std_dbm"] = ue.radio.tx_power_std_dbm
-        lines[f"{p}.profile_rate_lo_mbps"] = ue.profile_rate_lo_mbps
-        lines[f"{p}.profile_rate_hi_mbps"] = ue.profile_rate_hi_mbps
-    return [f"{k} = {fmt(v)}" for k, v in lines.items()]
+        unread = _UNREAD[ue.traffic.kind]
+        derived = _derive_credential(ue.ue, sc.auth.secret_seed)
+        for key, (section, name, typ, _) in _UE_KEYS.items():
+            value = getattr(ue if section is None else getattr(ue, section), name)
+            # Left out: rate keys the kind does not read, a derived
+            # credential, and no reservation.
+            if key in unread or (key == "credential" and value == derived) or (
+                key == "reserved_prbs" and not value
+            ):
+                continue
+            lines.append(f"ue.{ue.ue}.{key} = {_fmt(value, typ)}")
+    return lines

@@ -213,7 +213,7 @@ def mixed_scenarios(draw):
             lo, hi = sorted((draw(rate), draw(rate)))
             lines += [f"ue.{ue}.rate_lo_mbps = {lo}", f"ue.{ue}.rate_hi_mbps = {hi}"]
         lines.append(f"ue.{ue}.packet_size_bytes = {draw(st.sampled_from([200, 1500]))}")
-        lines.append(f"ue.{ue}.attach_frame = {draw(st.integers(0, frames))}")
+        lines.append(f"ue.{ue}.attach_frame = {draw(st.integers(0, frames - 1))}")
         lines.append(f"ue.{ue}.credentials = {draw(st.sampled_from(['valid', 'valid', 'invalid']))}")
     return "\n".join(lines) + "\n", draw(st.booleans())
 
@@ -281,6 +281,29 @@ class TestCli:
         scn.write_text((SCENARIOS / "flood_isolation.scn").read_text() + extra + "\n")
         assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
         assert f"config error: detection.*: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("detection.z_sigma = inf", "line {n}: expected a finite float for detection.z_sigma"),
+            ("auth.usage_tolerance = nan", "line {n}: expected a finite float for auth.usage_tolerance"),
+            ("ue.2.profile_rate_hi_mbps = 1e308",
+             "line {n}: expected a finite float for ue.2.profile_rate_hi_mbps"),
+            ("cell.per_prb_rate_mbps = inf", "line {n}: expected a finite float for cell.per_prb_rate_mbps"),
+            ("ue.5.traffic = cbr\nue.5.rate_mbps = 1e308",
+             "line {m}: expected a finite float for ue.5.rate_mbps"),
+            ("ue.2.attach_frame = 5000", "ue.2.attach_frame: must be < scenario.duration_frames (1000)"),
+            ("auth.reauth_period_frames = -1", "auth.reauth_period_frames: must be >= 0"),
+        ],
+    )
+    def test_value_outside_its_domain_is_config_error(self, extra, message, tmp_path, capsys):
+        text = (SCENARIOS / "flood_isolation.scn").read_text()
+        n = len(text.splitlines()) + 1
+        scn = tmp_path / "bad.scn"
+        scn.write_text(text + extra + "\n")
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {message.format(n=n, m=n + 1)}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_bad_windows_rejected(self, capsys):

@@ -1,9 +1,13 @@
 """Scenario format: parsing, defaults, rejection with line/key diagnostics."""
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ztcell import scenario
 from ztcell.scenario import ScenarioError, load_scenario, parse_scenario, resolved_lines
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -40,6 +44,14 @@ class TestShippedScenarios:
         sc = load_scenario(SCENARIOS / "fpr_leaky.scn")
         assert sc.fpr_benign_range == (8.0, 22.0)
         assert (sc.detection.rate_lo_mbps, sc.detection.rate_hi_mbps) == (10.0, 20.0)
+
+    def test_annotated_example_states_every_table_key(self):
+        keys = set()
+        for line in (SCENARIOS / "example_annotated.scn").read_text().splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line:
+                keys.add(re.sub(r"^ue\.\d+\.", "ue.N.", line.partition("=")[0].strip()))
+        assert keys == set(scenario._TOP_KEYS) | {f"ue.N.{key}" for key in scenario._UE_KEYS}
 
     def test_annotated_example_parses_with_every_key(self):
         sc = load_scenario(SCENARIOS / "example_annotated.scn")
@@ -151,7 +163,7 @@ class TestRejection:
 
     @pytest.mark.parametrize(("lo", "hi", "key"), [
         (-20, -10, "profile_rate_lo_mbps"), (-1, 5, "profile_rate_lo_mbps"),
-        (20, 10, "profile_rate_hi_mbps"), ("nan", 10, "profile_rate_lo_mbps"),
+        (20, 10, "profile_rate_hi_mbps"),
     ])
     def test_profile_rate_band_outside_domain_names_the_key(self, lo, hi, key):
         # A negative band profiles tx_packets at [0, 0], so an honest UE is
@@ -203,6 +215,54 @@ class TestRejection:
         with pytest.raises(ScenarioError, match=rf"ue\.1\.{key}: traffic {kind} does not use"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("extra", [
+        "detection.z_sigma = inf", "auth.usage_tolerance = nan", "ue.1.profile_rate_lo_mbps = nan",
+        "ue.1.profile_rate_hi_mbps = inf", "ue.1.profile_rate_hi_mbps = 1e308",
+        "cell.per_prb_rate_mbps = inf", "cell.per_prb_rate_mbps = 1e308",
+        "ue.1.snr_mean_db = -inf", "fpr.benign_rate_hi_mbps = 1e305",
+    ])
+    def test_non_finite_float_names_line_and_key(self, extra):
+        key, _, raw = extra.partition(" = ")
+        with pytest.raises(ScenarioError, match=rf"^line 5: expected a finite float for {key}, got '{raw}'$"):
+            parse_scenario(MINIMAL + extra + "\n")
+
+    @pytest.mark.parametrize("raw", ["inf", "1e308", "NaN"])
+    def test_non_finite_traffic_rate_names_line_and_key(self, raw):
+        text = MINIMAL + f"ue.2.traffic = cbr\nue.2.rate_mbps = {raw}\n"
+        with pytest.raises(ScenarioError, match=rf"^line 6: expected a finite float for ue\.2\.rate_mbps"):
+            parse_scenario(text)
+
+    def test_largest_rate_finite_in_bits_per_frame_accepted(self):
+        sc = parse_scenario(MINIMAL + "cell.per_prb_rate_mbps = 1e304\n")
+        assert sc.cell.per_prb_rate_mbps == 1e304
+
+    @pytest.mark.parametrize("extra", [
+        "auth.usage_tolerance = -0.1", "auth.reauth_period_frames = -1", "ue.1.snr_std_db = -1",
+        "ue.1.cqi_std = -0.5", "ue.1.tx_power_std_dbm = -2", "scenario.latency_threshold_ms = -1",
+        "ue.1.attach_frame = -1",
+    ])
+    def test_below_least_value_names_the_key(self, extra):
+        key = extra.partition(" = ")[0]
+        with pytest.raises(ScenarioError, match=rf"^{key}: must be >= 0$"):
+            parse_scenario(MINIMAL + extra + "\n")
+
+    @pytest.mark.parametrize("frame", [100, 5000])
+    def test_attach_frame_at_or_past_the_run_end_names_the_key(self, frame):
+        """A UE attaching at or after the last frame never attaches."""
+        message = r"^ue\.1\.attach_frame: must be < scenario\.duration_frames \(100\), got"
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(MINIMAL + f"ue.1.attach_frame = {frame}\n")
+
+    @pytest.mark.parametrize("extra", [
+        "auth.usage_tolerance = 0", "auth.reauth_period_frames = 0", "ue.1.snr_std_db = 0",
+        "ue.1.cqi_std = 0", "ue.1.tx_power_std_dbm = 0", "scenario.latency_threshold_ms = 0",
+        "ue.1.attach_frame = 0", "ue.1.attach_frame = 99",
+    ])
+    def test_domain_edges_accepted(self, extra):
+        key, _, raw = extra.partition(" = ")
+        echo = dict(line.split(" = ") for line in resolved_lines(parse_scenario(MINIMAL + extra + "\n")))
+        assert float(echo[key]) == float(raw)
+
 
 class TestEcho:
     def test_resolved_lines_cover_every_section(self):
@@ -233,3 +293,93 @@ class TestEcho:
         overridden scenario parses back to it, all but the name."""
         sc = replace(load_scenario(path), seed=99, zero_trust=False)
         assert parse_scenario("\n".join(resolved_lines(sc)), name=sc.name) == sc
+
+
+def _floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+# Each strategy stays inside its key's domain whatever the other keys hold or
+# default to: bands draw lo below 10 and hi above 10, where the defaults meet.
+TOP_VALUES = {
+    "scenario.seed": st.integers(-10**6, 10**6),
+    "scenario.zero_trust": st.sampled_from(["on", "off", "true", "false", "yes", "no"]),
+    "scenario.latency_threshold_ms": st.integers(0, 10**4),
+    "cell.total_prbs": st.integers(1, 500),
+    "cell.per_prb_rate_mbps": _floats(1e-3, 1e3),
+    "cell.id": st.integers(0, 2**16),
+    "cell.e2_id": st.integers(0, 2**16),
+    "report.period_ms": st.integers(1, 100).map(lambda n: 10 * n),
+    "detection.window_n": st.integers(10, 50),
+    "detection.rate_lo_mbps": _floats(0, 9.5),
+    "detection.rate_hi_mbps": _floats(10.5, 100),
+    "detection.z_sigma": _floats(0.01, 10),
+    "detection.min_reports": st.integers(1, 10),
+    "detection.warmup_reports": st.integers(2, 500),
+    "restricted.budget_prbs": st.integers(1, 5),
+    "auth.verification_budget_prbs": st.integers(1, 10),
+    "auth.verify_frames": st.integers(0, 999),
+    "auth.reauth_period_frames": st.integers(0, 5000),
+    "auth.token_expiry_frames": st.integers(1000, 2**64 - 1),
+    "auth.usage_tolerance": _floats(0, 1),
+    "auth.secret_seed": st.text(alphabet="abcxyz0129-_", min_size=1, max_size=12),
+    "fpr.benign_rate_lo_mbps": _floats(0, 9.5),
+    "fpr.benign_rate_hi_mbps": _floats(10.5, 100),
+}
+# The rate keys each traffic kind needs, and the optional ones it reads.
+KIND_RATES = {
+    "cbr": ({"rate_mbps": _floats(0.01, 100)}, {}),
+    "uniform_rate": ({"rate_lo_mbps": _floats(0.01, 5), "rate_hi_mbps": _floats(5, 100)}, {}),
+    "flood": ({"rate_mbps": _floats(0.01, 100)}, {"onset_frame": st.integers(0, 10**4)}),
+    "idle": ({}, {}),
+}
+UE_VALUES = {
+    "packet_size_bytes": st.integers(1, 9000),
+    "credentials": st.sampled_from(["valid", "invalid", "wrong_token", "wrong_credential"]),
+    "credential": st.binary(min_size=1, max_size=16).map(bytes.hex),
+    "priority": st.just("commercial"),
+    "reserved_prbs": st.integers(0, 20),
+    "snr_mean_db": _floats(-50, 50),
+    "snr_std_db": _floats(0, 10),
+    "cqi_mean": _floats(0, 15),
+    "cqi_std": _floats(0, 5),
+    "tx_power_mean_dbm": _floats(-10, 30),
+    "tx_power_std_dbm": _floats(0, 5),
+    "profile_rate_lo_mbps": _floats(0, 9.5),
+    "profile_rate_hi_mbps": _floats(10.5, 100),
+}
+
+
+@st.composite
+def scenario_texts(draw):
+    """A scenario of 1-6 UEs of every traffic kind, stating a random subset of
+    the keys with in-domain values, in a random line order."""
+    duration = draw(st.integers(1, 5000))
+    pairs = {"scenario.duration_frames": duration}
+    for key in draw(st.sets(st.sampled_from(sorted(TOP_VALUES)))):
+        pairs[key] = draw(TOP_VALUES[key])
+    per_ue = dict(UE_VALUES, attach_frame=st.integers(0, duration - 1))
+    for ue in range(1, draw(st.integers(1, 6)) + 1):
+        kind = draw(st.sampled_from(sorted(KIND_RATES)))
+        needed, optional = KIND_RATES[kind]
+        values = dict(per_ue, **optional)
+        stated = {"traffic": kind, **{key: draw(s) for key, s in needed.items()}}
+        for key in draw(st.sets(st.sampled_from(sorted(values)))):
+            stated[key] = draw(values[key])
+        if draw(st.booleans()):
+            stated.update(priority="mission_critical", reserved_prbs=draw(st.integers(1, 20)))
+        pairs.update((f"ue.{ue}.{key}", value) for key, value in stated.items())
+    return "\n".join(draw(st.permutations([f"{key} = {value}" for key, value in pairs.items()])))
+
+
+class TestEchoProperty:
+    @given(scenario_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_echo_parses_back_to_the_scenario(self, text):
+        """run.log states the whole scenario: its echo parses back to it, and
+        echoing that gives the same lines."""
+        sc = parse_scenario(text, "generated")
+        echo = resolved_lines(sc)
+        again = parse_scenario("\n".join(echo), name=sc.name)
+        assert again == sc
+        assert resolved_lines(again) == echo
