@@ -5,7 +5,9 @@ scheduler drains queues. With zero-trust slicing active each UE is visited
 once per frame: it enqueues, drains up to its own slice capacity in FIFO
 order and reports its stats. Every UE has its own RNG stream and its own
 slice, so the visiting order is unobservable. In legacy mode one shared FIFO
-across all UEs' packets is served from the whole PRB pool, ordered by arrival.
+across all UEs' packets is served from the whole PRB pool, ordered by arrival;
+while the frame's whole backlog fits the pool, every packet completes in that
+frame whatever the order, so each UE's queue is drained whole instead.
 The auth and binding invariants are checked at the start of a frame only
 when `attach`, an AUTH_RESPONSE or a SLICE_CONTROL changed state since the
 last check, so a quiet frame scans nothing. At each report boundary every
@@ -20,9 +22,9 @@ enqueues in one frame share their size and arrival frame, so a batch is the
 run-length form `(arrival_frame, n, left, head_bits_left, seq0)`. Each UE
 also keeps a running count of its queued bits, so per-frame work does not
 grow with the backlog: a zero-trust drain completes the whole packets of a
-batch in O(1), and the legacy FIFO merges the UEs' head batches in runs: the
-UE with the smallest head key serves, in one step, every packet of its head
-batch that comes before the next UE's head, so a frame costs O(runs).
+batch in O(1), and a congested legacy FIFO merges the UEs' head batches in
+runs: the UE with the smallest head key serves, in one step, every packet of
+its head batch that comes before the next UE's head, so a frame costs O(runs).
 
 Packet latency is quantized to whole frames: a packet enqueued in frame a and
 fully served in frame f took (f - a + 1) frames. Latency is accumulated as an
@@ -77,6 +79,10 @@ class CellConfig:
             raise ValueError("total_prbs must be >= 1")
         if self.per_prb_rate_mbps <= 0:
             raise ValueError("per_prb_rate_mbps must be > 0")
+        for name in ("cell_id", "e2_id"):  # each travels as a u32 on E2
+            value = getattr(self, name)
+            if not 0 <= value < 2**32:
+                raise ValueError(f"{name} must be in [0, 2**32), got {value}")
 
     @property
     def prb_bits_per_frame(self) -> int:
@@ -202,8 +208,7 @@ class RanCell:
         self.conn = e2.Connection(config.cell_id, config.e2_id)
         self.outbox: list[bytes] = []
         self.frame_index = 0
-        self.ues: dict[UeId, UeState] = {}
-        self.ue_order: list[UeId] = []
+        self.ues: dict[UeId, UeState] = {}  # in attach order
         self.slice_masks: dict[SliceId, PRBMask] = {}
         self.slice_kinds: dict[SliceId, SliceKind] = {}
         self.slice_bits: dict[SliceId, int] = {}  # capacity per frame, per table
@@ -248,7 +253,6 @@ class RanCell:
             cred_mode=cred_mode,
         )
         self.ues[ue] = state
-        self.ue_order.append(ue)
         self.state_changed = True
         if not self.zero_trust:
             return  # legacy cell: no authentication traffic, shared scheduling
@@ -271,8 +275,7 @@ class RanCell:
         """Re-present credentials for granted UEs on the configured period."""
         if not self.zero_trust or self.reauth_period_frames <= 0:
             return
-        for ue_id in self.ue_order:
-            ue = self.ues[ue_id]
+        for ue in self.ues.values():
             if ue.auth_state is not AuthState.GRANTED or ue.granted_frame is None:
                 continue
             age = frame - ue.granted_frame
@@ -400,8 +403,7 @@ class RanCell:
             if self.state_changed:
                 self._check_invariants()  # a breach keeps the flag set, so it raises again
                 self.state_changed = False
-            for ue_id in self.ue_order:
-                ue = self.ues[ue_id]
+            for ue_id, ue in self.ues.items():
                 self._enqueue_traffic(ue)
                 cap = self.slice_bits.get(ue.slice_id, 0)  # an unbound UE is not served
                 served, lat_sum, lat_n = self._drain(ue, cap)
@@ -409,26 +411,41 @@ class RanCell:
                     raise InvariantError(f, f"UE {ue_id} served over slice capacity")
                 per_ue[ue_id] = self._frame_stats(ue, served, lat_sum, lat_n)
         else:
-            ues = [self.ues[u] for u in self.ue_order]
-            for ue in ues:
+            backlog = 0
+            for ue in self.ues.values():
                 self._enqueue_traffic(ue)
+                backlog += ue.queued_bits
             cap = self.cfg.cell_bits_per_frame
-            served, lat_sum, lat_n = self._serve_shared(ues, cap)
-            if sum(served) > cap:
+            if backlog <= cap:
+                # Every queued packet completes in this frame, and its latency
+                # depends only on its arrival frame, so FIFO order changes
+                # nothing: drain each UE whole, with no merge.
+                total = 0
+                for ue_id, ue in self.ues.items():
+                    served, lat_sum, lat_n = self._drain(ue, ue.queued_bits)
+                    total += served
+                    per_ue[ue_id] = self._frame_stats(ue, served, lat_sum, lat_n)
+            else:
+                ues = list(self.ues.values())
+                served, lat_sum, lat_n = self._serve_shared(ues, cap)
+                total = sum(served)
+                for ue_id, ue, s, ls, ln in zip(self.ues, ues, served, lat_sum, lat_n):
+                    per_ue[ue_id] = self._frame_stats(ue, s, ls, ln)
+            if total > cap:
                 raise InvariantError(f, "cell served over shared capacity")
-            for u, ue, s, ls, ln in zip(self.ue_order, ues, served, lat_sum, lat_n):
-                per_ue[u] = self._frame_stats(ue, s, ls, ln)
         self.frame_index += 1
         return FrameReport(frame_index=f, per_ue=per_ue)
 
     def _serve_shared(self, ues: list[UeState], cap: int) -> tuple[list[int], list[int], list[int]]:
         """Serve the legacy shared FIFO up to `cap` bits, one run of packets at a time.
 
-        The UE whose head packet has the smallest `(key, idx)` serves, in one
-        step, every packet of its head batch that comes before the next UE's
-        head. `idx` differs per UE, so it settles every tie of the float key.
-        Returns per-UE lists, in `ues` order, of bits served, latency sum in
-        ms and packets completed.
+        `step_frame` calls it only when the UEs' backlog exceeds `cap`, so
+        that the order decides which packets complete. The UE whose head
+        packet has the smallest `(key, idx)` serves, in one step, every packet
+        of its head batch that comes before the next UE's head. `idx` differs
+        per UE, so it settles every tie of the float key. Returns per-UE
+        lists, in `ues` order, of bits served, latency sum in ms and packets
+        completed.
         """
         fm = FRAME_MS
         done_at = (self.frame_index + 1) * fm  # latency = done_at - arrival_frame * fm
@@ -536,7 +553,7 @@ class RanCell:
         if self.frame_index % self.report_period_frames:
             return
         period_ms = self.report_period_frames * FRAME_MS
-        for ue_id in self.ue_order:
-            if self.ues[ue_id].auth_state is not AuthState.DENIED:  # terminal: nothing to decide
+        for ue_id, ue in self.ues.items():
+            if ue.auth_state is not AuthState.DENIED:  # terminal: nothing to decide
                 report = self.collect_kpm(ue_id, period_ms)
                 self._send(e2.MsgKind.KPM_INDICATION, e2.KpmIndicationBody(report))

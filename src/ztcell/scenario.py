@@ -154,7 +154,7 @@ _UE_KEYS: dict[str, tuple[str | None, str, object, int | None]] = {
     "rate_mbps": ("traffic", "rate_mbps", float, None),
     "rate_lo_mbps": ("traffic", "lo_mbps", float, None),
     "rate_hi_mbps": ("traffic", "hi_mbps", float, None),
-    "onset_frame": ("traffic", "onset_frame", int, None),
+    "onset_frame": ("traffic", "onset_frame", int, 0),
     "packet_size_bytes": ("traffic", "packet_size_bytes", int, None),
     "credentials": (None, "credentials", _CREDENTIALS, None),
     "credential": (None, "credential", bytes, None),  # hex

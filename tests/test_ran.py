@@ -1,5 +1,6 @@
 """Cell model: capacity arithmetic, queue growth, FIFO, determinism."""
 from dataclasses import replace
+from heapq import heapify
 from pathlib import Path
 from random import Random
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ztcell import e2
+from ztcell import e2, ran
 from ztcell.core import FRAME_MS, PRBMask, SliceKind, SliceSpec
 from ztcell.e2 import MsgKind, SliceControlBody
 from ztcell.ran import (
@@ -290,13 +291,12 @@ class ReferenceCell(RanCell):
         if self.zero_trust:
             self._check_invariants()
         f = self.frame_index
-        for u in self.ue_order:
-            self._enqueue_traffic(self.ues[u])
-        served = {u: 0 for u in self.ue_order}
-        latencies: dict[int, list[int]] = {u: [] for u in self.ue_order}
+        for ue in self.ues.values():
+            self._enqueue_traffic(ue)
+        served = {u: 0 for u in self.ues}
+        latencies: dict[int, list[int]] = {u: [] for u in self.ues}
         if self.zero_trust:
-            for ue_id in self.ue_order:
-                ue = self.ues[ue_id]
+            for ue_id, ue in self.ues.items():
                 if ue.slice_id is None:
                     continue
                 cap = self.slice_masks[ue.slice_id].popcount() * self.cfg.prb_bits_per_frame
@@ -306,8 +306,8 @@ class ReferenceCell(RanCell):
             while cap_left > 0:
                 head_ue = None
                 head_key = None
-                for idx, ue_id in enumerate(self.ue_order):
-                    q = self.ues[ue_id].queue
+                for idx, (ue_id, ue) in enumerate(self.ues.items()):
+                    q = ue.queue
                     if not q:
                         continue
                     key = (q[0].order_key, idx, q[0].seq)
@@ -326,8 +326,7 @@ class ReferenceCell(RanCell):
                     ue.queue.popleft()
                     latencies[head_ue].append((f - head.arrival_frame + 1) * FRAME_MS)
         per_ue = {}
-        for ue_id in self.ue_order:
-            ue = self.ues[ue_id]
+        for ue_id, ue in self.ues.items():
             ue.window_served_bits += served[ue_id]
             lat = latencies[ue_id]
             per_ue[ue_id] = UeFrameStats(
@@ -366,8 +365,7 @@ def traffic_models(draw) -> TrafficModel:
 def bind_widths(cell: RanCell, widths: list[int]) -> None:
     """UE i gets its own slice of widths[i] PRBs, or stays verifying and unbound at 0."""
     slices, bindings, start = [], [], 0
-    for ue, width in zip(cell.ue_order, widths):
-        state = cell.ues[ue]
+    for (ue, state), width in zip(cell.ues.items(), widths):
         if width:
             mask = PRBMask.from_range(start, width, cell.cfg.total_prbs)
             slices.append(SliceSpec(ue, mask, kind=SliceKind.NORMAL))
@@ -415,6 +413,15 @@ class TestBatchedQueueOracle:
         [TrafficModel(kind="cbr", rate_mbps=120.0, packet_size_bytes=1250),
          TrafficModel(kind="cbr", rate_mbps=24.0, packet_size_bytes=1250)],
         False, [[0, 0], [0, 0]], 40, 0,
+    ))
+    @example((  # the backlog is exactly the cell's 240 000 bits every frame
+        [TrafficModel(kind="cbr", rate_mbps=8.0, packet_size_bytes=1000)] * 3,
+        False, [[0, 0, 0], [0, 0, 0]], 120, 0,
+    ))
+    @example((  # one packet over the cell at frame 100, and congested from then on
+        [TrafficModel(kind="cbr", rate_mbps=8.008, packet_size_bytes=1000)]
+        + [TrafficModel(kind="cbr", rate_mbps=8.0, packet_size_bytes=1000)] * 2,
+        False, [[0, 0, 0], [0, 0, 0]], 120, 0,
     ))
     @settings(max_examples=200, deadline=None)
     def test_frames_equal_per_packet_reference(self, run):
@@ -662,6 +669,33 @@ class TestAsymptoticGate:
         assert len(denied) > 15_000
         assert all(later <= earlier for earlier, later in zip(denied, denied[1:]))
         assert len(result.cell.ues[4].queue) <= 3
+
+    def test_uncongested_legacy_frames_skip_the_merge(self, monkeypatch):
+        """latency_flood in legacy mode: before the flood's onset the whole
+        backlog fits every frame, so the shared FIFO's heap merge never runs;
+        from the onset on the flooder saturates the cell and it does."""
+        sc = load_scenario(SCENARIOS / "latency_flood.scn")
+        onset = next(u.traffic.onset_frame for u in sc.ues if u.traffic.kind == "flood")
+        heapified = [0]
+        per_frame: list[int] = []  # heapify calls in each frame
+        step = RanCell.step_frame
+
+        def counting_heapify(heap):
+            heapified[0] += 1
+            heapify(heap)
+
+        def recording_step(cell):
+            before = heapified[0]
+            report = step(cell)
+            per_frame.append(heapified[0] - before)
+            return report
+
+        monkeypatch.setattr(ran, "heapify", counting_heapify)
+        monkeypatch.setattr(RanCell, "step_frame", recording_step)
+        run(sc, legacy=True)
+        assert onset == 1500 and len(per_frame) == sc.duration_frames
+        assert sum(per_frame[:onset]) == 0
+        assert sum(per_frame[onset:]) > 0
 
     def test_invariant_scans_follow_state_changes(self, monkeypatch):
         """A 4000-frame run with staggered attaches, re-auth, a flooder and a

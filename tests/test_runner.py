@@ -295,6 +295,12 @@ class TestCli:
              "line {m}: expected a finite float for ue.5.rate_mbps"),
             ("ue.2.attach_frame = 5000", "ue.2.attach_frame: must be < scenario.duration_frames (1000)"),
             ("auth.reauth_period_frames = -1", "auth.reauth_period_frames: must be >= 0"),
+            ("cell.id = -1", "cell.*: cell_id must be in [0, 2**32), got -1"),
+            ("cell.id = 4294967296", "cell.*: cell_id must be in [0, 2**32), got 4294967296"),
+            ("cell.e2_id = -1", "cell.*: e2_id must be in [0, 2**32), got -1"),
+            ("cell.e2_id = 4294967296", "cell.*: e2_id must be in [0, 2**32), got 4294967296"),
+            ("ue.5.traffic = flood\nue.5.rate_mbps = 40\nue.5.onset_frame = -1",
+             "ue.5.onset_frame: must be >= 0"),
         ],
     )
     def test_value_outside_its_domain_is_config_error(self, extra, message, tmp_path, capsys):

@@ -257,6 +257,7 @@ class TestRejection:
         "auth.usage_tolerance = 0", "auth.reauth_period_frames = 0", "ue.1.snr_std_db = 0",
         "ue.1.cqi_std = 0", "ue.1.tx_power_std_dbm = 0", "scenario.latency_threshold_ms = 0",
         "ue.1.attach_frame = 0", "ue.1.attach_frame = 99",
+        "cell.id = 0", f"cell.id = {2**32 - 1}", "cell.e2_id = 0", f"cell.e2_id = {2**32 - 1}",
     ])
     def test_domain_edges_accepted(self, extra):
         key, _, raw = extra.partition(" = ")
@@ -307,8 +308,8 @@ TOP_VALUES = {
     "scenario.latency_threshold_ms": st.integers(0, 10**4),
     "cell.total_prbs": st.integers(1, 500),
     "cell.per_prb_rate_mbps": _floats(1e-3, 1e3),
-    "cell.id": st.integers(0, 2**16),
-    "cell.e2_id": st.integers(0, 2**16),
+    "cell.id": st.integers(0, 2**32 - 1),
+    "cell.e2_id": st.integers(0, 2**32 - 1),
     "report.period_ms": st.integers(1, 100).map(lambda n: 10 * n),
     "detection.window_n": st.integers(10, 50),
     "detection.rate_lo_mbps": _floats(0, 9.5),
