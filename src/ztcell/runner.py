@@ -30,7 +30,7 @@ from pathlib import Path
 from random import Random
 
 from . import e2
-from .core import FRAME_MS
+from .core import FRAME_MS, SlicePriority
 from .ran import FrameReport, InvariantError, RanCell, UeFrameStats
 from .ric import AuditLog, Router, Sdl, XappContext, XappRegistry
 from .scenario import Scenario, parse_scenario, resolved_lines
@@ -144,7 +144,6 @@ def run(
                 cell_id=sc.cell.cell_id,
                 e2_id=sc.cell.e2_id,
                 rng_tokens=Random(f"{sc.seed}/auth/tokens"),
-                verification_budget_prbs=sc.auth.verification_budget_prbs,
                 verify_frames=sc.auth.verify_frames,
                 reauth_period_frames=sc.auth.reauth_period_frames,
                 token_expiry_frames=sc.auth.token_expiry_frames,
@@ -166,7 +165,10 @@ def run(
                 total_prbs=sc.cell.total_prbs,
                 restricted=sc.restricted,
                 verification_budget_prbs=sc.auth.verification_budget_prbs,
-                ue_policies=sc.ue_policies(),
+                reserved_prbs={
+                    u.ue: u.reserved_prbs for u in sc.ues
+                    if u.priority is SlicePriority.MISSION_CRITICAL
+                },
             )
         )
         registry.register(auth_x, ctx)

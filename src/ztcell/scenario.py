@@ -25,7 +25,7 @@ from pathlib import Path
 from .core import FRAME_MS, SlicePriority, UeId
 from .ran import CellConfig, RadioProfile, TrafficModel
 from .xapps.intrusion import DetectionConfig
-from .xapps.slicing import RestrictedPolicy, UePolicy
+from .xapps.slicing import RestrictedPolicy
 
 
 class ScenarioError(ValueError):
@@ -85,11 +85,6 @@ class Scenario:
 
     def ran_credential(self) -> bytes:
         return hashlib.sha256(f"rancred/{self.auth.secret_seed}".encode()).digest()[:16]
-
-    def ue_policies(self) -> dict[UeId, UePolicy]:
-        return {
-            u.ue: UePolicy(priority=u.priority, reserved_prbs=u.reserved_prbs) for u in self.ues
-        }
 
 
 def _derive_credential(ue: UeId, secret_seed: str) -> bytes:
@@ -283,7 +278,12 @@ def _build(values: dict, ue_values: dict[int, dict], name: str) -> Scenario:
         raise ScenarioError(
             f"report.period_ms: must be a positive multiple of {FRAME_MS}, got {period}"
         )
-    auth = configs["auth"]
+    auth, cell = configs["auth"], configs["cell"]
+    if auth.verification_budget_prbs > cell.total_prbs:
+        raise ScenarioError(
+            f"auth.verification_budget_prbs: must be <= cell.total_prbs ({cell.total_prbs}), "
+            f"got {auth.verification_budget_prbs}"
+        )
     # A token that expires before its verification completes denies every UE,
     # and the token packs its lifetime into 64 bits.
     if not auth.verify_frames < auth.token_expiry_frames < 2**64:
@@ -300,15 +300,24 @@ def _build(values: dict, ue_values: dict[int, dict], name: str) -> Scenario:
     if not ue_values:
         raise ScenarioError("ue.*: at least one UE is required")
     ues = []
+    reserved = 0
     for ue_id in sorted(ue_values):
         if ue_id < 1:
             raise ScenarioError(f"ue.{ue_id}: UE ids start at 1 (0 is reserved)")
-        ues.append(_build_ue(ue_id, ue_values[ue_id], duration, detection, auth.secret_seed))
+        ue = _build_ue(ue_id, ue_values[ue_id], duration, period, detection, auth.secret_seed)
+        reserved += ue.reserved_prbs
+        if reserved > cell.total_prbs:
+            raise ScenarioError(
+                f"ue.{ue_id}.reserved_prbs: mission-critical reservations total {reserved} PRBs, "
+                f"more than cell.total_prbs ({cell.total_prbs})"
+            )
+        ues.append(ue)
     return Scenario(name=name, ues=tuple(ues), **own, **configs)
 
 
 def _build_ue(
-    ue_id: int, vals: dict, duration: int, detection: DetectionConfig, secret_seed: str
+    ue_id: int, vals: dict, duration: int, period: int, detection: DetectionConfig,
+    secret_seed: str,
 ) -> UeSpec:
     prefix = f"ue.{ue_id}."
     kind = vals.get("traffic")
@@ -328,10 +337,29 @@ def _build_ue(
         )
     if ue.priority is SlicePriority.MISSION_CRITICAL and ue.reserved_prbs < 1:
         raise ScenarioError(f"{prefix}reserved_prbs: mission_critical UEs need >= 1 PRB")
+    if ue.priority is SlicePriority.COMMERCIAL and ue.reserved_prbs:
+        raise ScenarioError(
+            f"{prefix}reserved_prbs: only mission_critical UEs reserve PRBs, got {ue.reserved_prbs}"
+        )
     lo, hi = ue.profile_rate_lo_mbps, ue.profile_rate_hi_mbps
     if not 0 <= lo <= hi:
         key = "profile_rate_lo_mbps" if not 0 <= lo else "profile_rate_hi_mbps"
         raise ScenarioError(f"{prefix}{key}: profile rate band needs 0 <= lo <= hi, got {lo}, {hi}")
+    # A KPM report packs its packet count in a u32. At a UE's peak rate, the
+    # packets one report period carries, rounded up, plus one that a carried
+    # fraction of a packet can add, must fit it: at most 2**32 - 2 packets of
+    # rate * period * 1000 bits, compared in integers, exactly and without
+    # overflow. A rate the kind does not read is 0.
+    size = ue.traffic.packet_size_bytes
+    cap, scale = (2**32 - 2) * 8 * size, period * 1000
+    for key, rate in (("rate_mbps", ue.traffic.rate_mbps), ("rate_hi_mbps", ue.traffic.hi_mbps),
+                      ("profile_rate_hi_mbps", hi)):
+        num, den = rate.as_integer_ratio()
+        if num * scale > cap * den:
+            raise ScenarioError(
+                f"{prefix}{key}: must be <= {cap / scale} Mbps, so that a report.period_ms "
+                f"({period}) of {size}-byte packets counts below 2**32, got {rate}"
+            )
     return ue
 
 

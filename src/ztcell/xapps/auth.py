@@ -120,7 +120,6 @@ class AuthConfig:
     cell_id: CellId
     e2_id: E2Id
     rng_tokens: Random
-    verification_budget_prbs: int = 2
     verify_frames: int = 2
     reauth_period_frames: int = 500
     token_expiry_frames: int = 1000
@@ -135,7 +134,6 @@ class AuthXapp(Xapp):
     def __init__(self, config: AuthConfig) -> None:
         super().__init__()
         self.cfg = config
-        self.verify_ops = 0  # running count of factor-check steps
         # pending verifications: ue -> (blob, due_frame); all durable state in SDL
         self._pending: dict[UeId, tuple[bytes, int]] = {}
         self._usage: SdlWindow | None = None
@@ -235,43 +233,27 @@ class AuthXapp(Xapp):
 
     def _verify_factors(self, ue: UeId, blob: bytes, expect_slice: SliceId | None) -> AuthReason:
         """Run the factor checks in order; first failure names the reason."""
-        ops = 0
         try:
             token, blob_ue, cell, e2_id, slice_id, tag = parse_blob(blob)
         except ValueError:
-            self.verify_ops += 1
             return AuthReason.BAD_TAG
-        ops += 1
         # Possession: the token must be the one currently issued, and fresh.
         stored = self._stored_token(blob_ue)
-        ops += 1
         if stored is None or not hmac.compare_digest(token, stored[0]):
-            self.verify_ops += ops
             return AuthReason.UNKNOWN_TOKEN
         _, issued, expiry = stored
         if self.frame - issued >= expiry:
-            self.verify_ops += ops
             return AuthReason.EXPIRED
         # Knowledge + inherence: rebuild the key chain from registered factors.
-        chain = self.cfg.credentials.get(blob_ue, ())
-        key = blob_key(self.cfg.secret, chain)
-        ops += len(chain)  # one step per factor folded into the key
+        key = blob_key(self.cfg.secret, self.cfg.credentials.get(blob_ue, ()))
         expected_tag = hmac.new(key, blob[: BLOB_LEN - TAG_LEN], hashlib.sha256).digest()
-        ops += 1
         if not hmac.compare_digest(tag, expected_tag):
-            self.verify_ops += ops
             return AuthReason.BAD_TAG
         # Identifier binding: tag-covered, but reject explicitly on mismatch.
-        ops += 1
         if blob_ue != ue or cell != self.cfg.cell_id or e2_id != self.cfg.e2_id:
-            self.verify_ops += ops
             return AuthReason.BAD_TAG
-        if expect_slice is not None:
-            ops += 1
-            if slice_id != expect_slice:
-                self.verify_ops += ops
-                return AuthReason.SLICE_MISMATCH
-        self.verify_ops += ops
+        if expect_slice is not None and slice_id != expect_slice:
+            return AuthReason.SLICE_MISMATCH
         return AuthReason.OK
 
     def verify_ue(self, ue: UeId, blob: bytes, expect_slice: SliceId | None = 0) -> AuthDecision:

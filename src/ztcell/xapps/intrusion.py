@@ -105,14 +105,6 @@ class Verdict:
             raise ValueError("flagged iff offending fields nonempty")
 
 
-class OpsCounter:
-    def __init__(self) -> None:
-        self.count = 0
-
-    def add(self, n: int = 1) -> None:
-        self.count += n
-
-
 def _sample_stats(values: Sequence[float]) -> tuple[float, float]:
     n = len(values)
     mean = ordered_sum(values) / n
@@ -147,12 +139,7 @@ def build_profile(ue: UeId, history: list[KPMReport], config: DetectionConfig) -
 _FIELD_INDEX = {name: i for i, name in enumerate(KPMReport._fields)}
 
 
-def assess(
-    profile: BehaviorProfile,
-    reports: list[KPMReport],
-    config: DetectionConfig,
-    ops: OpsCounter | None = None,
-) -> Verdict:
+def assess(profile: BehaviorProfile, reports: list[KPMReport], config: DetectionConfig) -> Verdict:
     """Flag iff any field's window mean falls strictly outside its range.
 
     Each mean adds the window's values left to right from 0.0, reading the
@@ -170,8 +157,6 @@ def assess(
         mean = total / len(window)
         if mean > stats.hi or (stats.flag_low and mean < stats.lo):
             offending.append((name, mean, (stats.lo, stats.hi)))
-    if ops is not None:
-        ops.add(len(profile.fields) * (len(window) + 1))  # one per value read, one per mean
     return Verdict(
         ue=profile.ue,
         flagged=bool(offending),
@@ -390,7 +375,6 @@ class IntrusionXapp(Xapp):
         super().__init__()
         self.cfg = config
         self.profiles: dict[UeId, BehaviorProfile] = {}
-        self.ops = OpsCounter()
         self.flagged: set[UeId] = set()  # UEs whose latest verdict flagged
         self._windows: SdlWindow | None = None
 
@@ -431,7 +415,7 @@ class IntrusionXapp(Xapp):
         window = self._windows.append(f"window:{report.ue}", report)
         if len(window) < self.cfg.detection.min_reports_before_decision:
             return
-        verdict = assess(profile, window, self.cfg.detection, self.ops)
+        verdict = assess(profile, window, self.cfg.detection)
         if not verdict.flagged:
             self.flagged.discard(report.ue)
         elif report.ue not in self.flagged:

@@ -48,18 +48,13 @@ class RestrictedPolicy:
             raise ValueError("restricted budget must be 1..5 PRBs")
 
 
-@dataclass(frozen=True)
-class UePolicy:
-    priority: SlicePriority = SlicePriority.COMMERCIAL
-    reserved_prbs: int = 0  # mission-critical budget, allocated before the split
-
-
 @dataclass
 class SlicingConfig:
     total_prbs: int = 100
     restricted: RestrictedPolicy = field(default_factory=RestrictedPolicy)
     verification_budget_prbs: int = 2
-    ue_policies: dict[UeId, UePolicy] = field(default_factory=dict)
+    # mission-critical UE -> its budget, allocated off the bottom before the split
+    reserved_prbs: dict[UeId, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,6 @@ class SlicingXapp(Xapp):
         self.bindings: dict[UeId, SliceId] = {}
         self.changes: list[SliceChange] = []
         self.emitted: list[tuple[int, e2.SliceControlBody]] = []
-        self.alloc_ops = 0  # running count of table-building steps
 
     def on_init(self, ctx: XappContext) -> None:
         super().on_init(ctx)
@@ -148,7 +142,6 @@ class SlicingXapp(Xapp):
 
     def _recompute(self, cause_ue: UeId, cause: str) -> None:
         total = self.cfg.total_prbs
-        ops = 0
         verifying = [u for u, k in self._occupancy.items() if k == "verification"]
         normal = [u for u, k in self._occupancy.items() if k == "normal"]
         isolated = [u for u, k in self._occupancy.items() if k == "restricted"]
@@ -164,7 +157,6 @@ class SlicingXapp(Xapp):
             slices.append(
                 SliceSpec(rid, PRBMask.from_range(top, budget, total), kind=SliceKind.RESTRICTED)
             )
-            ops += 1
             for u in isolated:
                 new_bindings[u] = rid
         for u in verifying:
@@ -178,16 +170,13 @@ class SlicingXapp(Xapp):
                 )
             )
             new_bindings[u] = sid
-            ops += 1
 
         cursor = 0
-        critical = [
-            u for u in normal
-            if self.cfg.ue_policies.get(u, UePolicy()).priority is SlicePriority.MISSION_CRITICAL
-        ]
-        commercial = [u for u in normal if u not in critical]
+        reserved = self.cfg.reserved_prbs
+        critical = [u for u in normal if u in reserved]
+        commercial = [u for u in normal if u not in reserved]
         for u in critical:
-            budget = self.cfg.ue_policies[u].reserved_prbs
+            budget = reserved[u]
             sid = self._slice_id(u, "normal")
             slices.append(
                 SliceSpec(
@@ -198,16 +187,13 @@ class SlicingXapp(Xapp):
             )
             new_bindings[u] = sid
             cursor += budget
-            ops += 1
         if commercial:
             budgets = equal_split(top - cursor, len(commercial))
-            ops += len(budgets)
             for u, budget in zip(commercial, budgets):
                 sid = self._slice_id(u, "normal")
                 slices.append(SliceSpec(sid, PRBMask.from_range(cursor, budget, total)))
                 new_bindings[u] = sid
                 cursor += budget
-                ops += 1
 
         violations = validate_slice_table(slices, total)
         if violations:  # never expected: every emission must be a valid table
@@ -220,7 +206,6 @@ class SlicingXapp(Xapp):
                 self.changes.append(SliceChange(self.frame, u, old, new, cause))
 
         self.bindings = new_bindings
-        self.alloc_ops += ops
 
         body = e2.SliceControlBody(
             bindings=tuple(sorted(new_bindings.items())), slices=tuple(slices)

@@ -417,59 +417,29 @@ class TestCriterion5PropertySuites:
 
 class TestCriterion6ComplexityCounters:
     def test_auth_work_linear_in_factors(self, flood_run):
-        from test_auth import Harness  # reuse the unit harness
+        from test_auth import hmac_calls_to_grant
 
-        ops = {}
-        for length in (1, 3, 8):
-            chain = tuple(bytes([i]) * 4 for i in range(length))
-            h = Harness(credentials={1: chain})
-            h.verify_ran()
-            token = h.xapp.provision(1)
-            blob = build_blob(token, 1, 1, 1, 0, blob_key(h.xapp.cfg.secret, chain))
-            before = h.xapp.verify_ops
-            h.xapp.verify_ue(1, blob)
-            ops[length] = h.xapp.verify_ops - before
-        slopes = {
-            (ops[b] - ops[a]) / (b - a) for a, b in ((1, 3), (3, 8))
-        }
+        calls = {length: hmac_calls_to_grant(length) for length in (1, 3, 8)}
         report(
-            "criterion 6 auth factor linearity", slopes == {1.0},
-            f"verify ops {ops}, one extra op per extra factor",
+            "criterion 6 auth factor linearity", all(calls[n] == n + 1 for n in calls),
+            f"hmac.new calls by factor count {calls}, one per factor plus the tag",
         )
 
     def test_detection_work_linear_in_fields(self):
-        from ztcell.core import BehaviorProfile
-        from ztcell.xapps.intrusion import DetectionConfig, OpsCounter, assess
-        from test_intrusion import nominal_profile, report as kpm_report
+        from test_intrusion import values_read
 
-        window = [kpm_report(15.0, seq=s) for s in range(1, 11)]
-        counts = {}
-        for k in range(1, 6):
-            fields = dict(list(nominal_profile().fields.items())[:k])
-            ops = OpsCounter()
-            assess(BehaviorProfile(ue=1, fields=fields), window, DetectionConfig(), ops)
-            counts[k] = ops.count
-        linear = all(counts[k] == k * counts[1] for k in counts)
+        reads = {k: values_read(k, 10) for k in range(1, 6)}
         report(
-            "criterion 6 detection field linearity", linear,
-            f"assess ops by field count {counts}",
+            "criterion 6 detection field linearity", all(reads[k] == 10 * k for k in reads),
+            f"values read by field count over a 10-report window {reads}",
         )
 
     def test_isolation_work_independent_of_intruders(self):
-        from test_slicing import Board, verdict
+        from test_slicing import slices_sent_isolating
 
-        ops = {}
-        for m in (1, 5, 25):
-            board = Board()
-            for ue in range(1, m + 5):
-                board.grant(ue)
-            for ue in range(1, m + 1):
-                board.xapp.isolate(verdict(ue))
-            before = board.xapp.alloc_ops
-            board.xapp.isolate(verdict(m + 1))
-            ops[m] = board.xapp.alloc_ops - before
-        constant = ops[1] == ops[5] == ops[25] > 0
+        slices = {m: slices_sent_isolating(m) for m in (1, 5, 25)}
+        constant = slices[1] == slices[5] == slices[25] == 4
         report(
             "criterion 6 isolation constant work", constant,
-            f"alloc ops with 1/5/25 prior intruders: {ops}",
+            f"slices sent with 1/5/25 prior intruders: {slices}",
         )

@@ -1,6 +1,8 @@
 """Authentication xApp: token laws, RAN-first ordering, factor soundness."""
+import hmac
 import json
 from random import Random
+from unittest import mock
 
 from ztcell import e2
 from ztcell.e2 import AuthOutcome, AuthReason, AuthRequestBody, MsgKind
@@ -268,25 +270,25 @@ class TestReauth:
         assert h.responses()[-1].outcome is AuthOutcome.GRANTED
 
 
-class TestFactorLinearity:
-    def ops_for_chain(self, length: int) -> int:
-        chain = tuple(bytes([i]) * 4 for i in range(length))
-        h = Harness(credentials={1: chain})
-        h.verify_ran()
-        token = h.xapp.provision(1)
-        blob = build_blob(token, 1, 1, 1, 0, blob_key(SECRET, chain))
-        before = h.xapp.verify_ops
+def hmac_calls_to_grant(length: int) -> int:
+    """The `hmac.new` calls of one `verify_ue` that grants a UE holding
+    `length` credential factors."""
+    chain = tuple(bytes([i]) * 4 for i in range(length))
+    h = Harness(credentials={1: chain})
+    h.verify_ran()
+    token = h.xapp.provision(1)
+    blob = build_blob(token, 1, 1, 1, 0, blob_key(SECRET, chain))
+    with mock.patch.object(hmac, "new", wraps=hmac.new) as new:
         decision = h.xapp.verify_ue(1, blob)
-        assert decision.outcome is AuthOutcome.GRANTED
-        return h.xapp.verify_ops - before
+    assert decision.outcome is AuthOutcome.GRANTED
+    return new.call_count
 
+
+class TestFactorLinearity:
     def test_work_is_affine_in_factor_count(self):
-        lengths = [1, 3, 8, 15]
-        ops = [self.ops_for_chain(n) for n in lengths]
-        slopes = {
-            (ops[i + 1] - ops[i]) / (lengths[i + 1] - lengths[i]) for i in range(len(ops) - 1)
-        }
-        assert slopes == {1.0}  # exactly one extra check per extra factor
+        # One HMAC per factor folded into the key chain, and one for the tag.
+        for length in (1, 3, 8, 15):
+            assert hmac_calls_to_grant(length) == length + 1
 
 
 class TestBlobPrimitives:

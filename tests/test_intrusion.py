@@ -15,7 +15,6 @@ from ztcell.xapps.intrusion import (
     FprEstimate,
     InsufficientDataError,
     NoVerdictError,
-    OpsCounter,
     ProfileModel,
     Verdict,
     _benign_windows,
@@ -140,7 +139,7 @@ class TestAssess:
         assert assess(nominal_profile(), window, cfg).flagged
 
 
-def reference_assess(profile, reports, config, ops=None) -> Verdict:
+def reference_assess(profile, reports, config) -> Verdict:
     """`assess` reading each value by name and converting it with float()."""
     if not reports:
         raise NoVerdictError("no reports to assess")
@@ -153,8 +152,6 @@ def reference_assess(profile, reports, config, ops=None) -> Verdict:
         mean = total / len(window)
         if mean > stats.hi or (stats.flag_low and mean < stats.lo):
             offending.append((name, mean, (stats.lo, stats.hi)))
-    if ops is not None:
-        ops.add(len(profile.fields) * (len(window) + 1))
     return Verdict(profile.ue, bool(offending), tuple(offending), len(window))
 
 
@@ -191,24 +188,35 @@ class TestAssessOracle:
     @settings(max_examples=300, deadline=None)
     def test_assess_matches_reference(self, profile, window_n, reports):
         cfg = DetectionConfig(window_n=window_n)
-        ops, ref_ops = OpsCounter(), OpsCounter()
-        assert assess(profile, reports, cfg, ops) == reference_assess(profile, reports, cfg, ref_ops)
-        assert ops.count == ref_ops.count
+        assert assess(profile, reports, cfg) == reference_assess(profile, reports, cfg)
+
+
+def values_read(field_count: int, window_n: int) -> int:
+    """The report values one `assess` reads over the first `field_count`
+    fields of the nominal profile and a full window of `window_n` reports,
+    counted through each report's `__getitem__`."""
+    reads = 0
+
+    class CountingReport(KPMReport):
+        __slots__ = ()
+
+        def __getitem__(self, i):
+            nonlocal reads
+            reads += 1
+            return super().__getitem__(i)
+
+    fields = dict(list(nominal_profile().fields.items())[:field_count])
+    window = [CountingReport(*report(15.0, seq=s)) for s in range(1, window_n + 1)]
+    assess(BehaviorProfile(ue=1, fields=fields), window, DetectionConfig(window_n=window_n))
+    return reads
 
 
 class TestComplexity:
-    def test_work_linear_in_field_count(self):
-        window = [report(15.0, seq=s) for s in range(1, 11)]
-        counts = {}
-        for k in range(1, 6):
-            fields = dict(list(nominal_profile().fields.items())[:k])
-            profile = BehaviorProfile(ue=1, fields=fields)
-            ops = OpsCounter()
-            assess(profile, window, CFG, ops)
-            counts[k] = ops.count
-        # Exactly (window + 1) operations per field: linear in k, slope constant.
-        assert all(counts[k] == k * 11 for k in counts)
-        assert all(counts[k] <= 11 * k for k in counts)
+    @pytest.mark.parametrize("window_n", [1, 10])
+    def test_work_linear_in_field_count(self, window_n):
+        # Each field's mean reads each report in the window once.
+        for k in range(1, len(KPM_FIELDS) + 1):
+            assert values_read(k, window_n) == k * window_n
 
 
 def synth_benign_report(

@@ -240,6 +240,13 @@ class TestFramesCsv:
         assert len(distinct) * 10 < len(stats)  # light UEs repeat their stats
 
 
+# The rate limit at 1500-byte packets and 100 ms reports: (2**32 - 2) * 12000 / 100000 Mbps.
+_KPM_LIMIT = (
+    "must be <= 515396075.28 Mbps, so that a report.period_ms (100) of 1500-byte packets "
+    "counts below 2**32, got "
+)
+
+
 class TestCli:
     def test_run_summarize_fpr_sweep(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -301,6 +308,16 @@ class TestCli:
             ("cell.e2_id = 4294967296", "cell.*: e2_id must be in [0, 2**32), got 4294967296"),
             ("ue.5.traffic = flood\nue.5.rate_mbps = 40\nue.5.onset_frame = -1",
              "ue.5.onset_frame: must be >= 0"),
+            ("ue.2.reserved_prbs = -5", "ue.2.reserved_prbs: only mission_critical UEs reserve PRBs, got -5"),
+            ("ue.2.priority = mission_critical\nue.2.reserved_prbs = 200",
+             "ue.2.reserved_prbs: mission-critical reservations total 200 PRBs, "
+             "more than cell.total_prbs (100)"),
+            ("cell.total_prbs = 1", "auth.verification_budget_prbs: must be <= cell.total_prbs (1), got 2"),
+            ("ue.5.traffic = cbr\nue.5.rate_mbps = 1e200", "ue.5.rate_mbps: " + _KPM_LIMIT + "1e+200"),
+            ("ue.5.traffic = flood\nue.5.rate_mbps = 6e8", "ue.5.rate_mbps: " + _KPM_LIMIT + "600000000.0"),
+            ("ue.5.traffic = uniform_rate\nue.5.rate_lo_mbps = 1\nue.5.rate_hi_mbps = 6e8",
+             "ue.5.rate_hi_mbps: " + _KPM_LIMIT + "600000000.0"),
+            ("ue.2.profile_rate_hi_mbps = 1e304", "ue.2.profile_rate_hi_mbps: " + _KPM_LIMIT + "1e+304"),
         ],
     )
     def test_value_outside_its_domain_is_config_error(self, extra, message, tmp_path, capsys):
@@ -311,6 +328,18 @@ class TestCli:
         assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
         assert f"config error: {message.format(n=n, m=n + 1)}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_largest_rates_the_kpm_codec_holds_run(self, tmp_path):
+        """At 12500-byte packets a report of 100 ms carries one packet per Mbps:
+        2**32 - 2 Mbps, and one packet a carried fraction adds, fit the u32."""
+        scn = tmp_path / "fast.scn"
+        scn.write_text((SCENARIOS / "flood_isolation.scn").read_text() + (
+            "ue.5.traffic = uniform_rate\nue.5.packet_size_bytes = 12500\n"
+            "ue.5.rate_lo_mbps = 4294967293\nue.5.rate_hi_mbps = 4294967294\n"
+            "ue.5.profile_rate_hi_mbps = 4294967294\n"
+        ))
+        for legacy in ([], ["--legacy"]):
+            assert main(["run", str(scn), "--out", str(tmp_path / "out"), *legacy]) == 0
 
     def test_bad_windows_rejected(self, capsys):
         code = main(["fpr-sweep", str(SCENARIOS / "fpr_leaky.scn"), "--windows", "0,5"])

@@ -1,4 +1,5 @@
 """Scenario format: parsing, defaults, rejection with line/key diagnostics."""
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -236,6 +237,72 @@ class TestRejection:
         sc = parse_scenario(MINIMAL + "cell.per_prb_rate_mbps = 1e304\n")
         assert sc.cell.per_prb_rate_mbps == 1e304
 
+    @pytest.mark.parametrize("prbs", [-5, 5])
+    def test_commercial_reservation_names_the_key(self, prbs):
+        with pytest.raises(ScenarioError, match=rf"^ue\.1\.reserved_prbs: only mission_critical UEs reserve PRBs, got {prbs}$"):
+            parse_scenario(MINIMAL + f"ue.1.reserved_prbs = {prbs}\n")
+
+    @staticmethod
+    def with_reservations(total: int, prbs: tuple[int, ...]) -> str:
+        """MINIMAL in a cell of `total` PRBs, plus mission-critical UEs 2, 3, ...
+        reserving `prbs`."""
+        text = MINIMAL + f"cell.total_prbs = {total}\nauth.verification_budget_prbs = 1\n"
+        for ue, n in enumerate(prbs, start=2):
+            text += f"ue.{ue}.traffic = idle\nue.{ue}.priority = mission_critical\nue.{ue}.reserved_prbs = {n}\n"
+        return text
+
+    @pytest.mark.parametrize(("total", "prbs"), [(100, (60, 40)), (10, (9, 1)), (1, (1,))])
+    def test_reservations_filling_the_cell_accepted(self, total, prbs):
+        sc = parse_scenario(self.with_reservations(total, prbs))
+        assert sum(ue.reserved_prbs for ue in sc.ues) == total
+
+    @pytest.mark.parametrize(("total", "prbs"), [(100, (60, 41)), (100, (200,)), (1, (2,))])
+    def test_reservations_beyond_the_cell_name_the_key(self, total, prbs):
+        message = (rf"^ue\.{1 + len(prbs)}\.reserved_prbs: mission-critical reservations total "
+                   rf"{sum(prbs)} PRBs, more than cell\.total_prbs \({total}\)$")
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(self.with_reservations(total, prbs))
+
+    @pytest.mark.parametrize(("total", "budget"), [(1, 2), (1, 10), (9, 10)])
+    def test_verification_slice_beyond_the_cell_names_the_key(self, total, budget):
+        text = MINIMAL + f"cell.total_prbs = {total}\nauth.verification_budget_prbs = {budget}\n"
+        message = (rf"^auth\.verification_budget_prbs: must be <= cell\.total_prbs \({total}\), "
+                   rf"got {budget}$")
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize(("total", "budget"), [(1, 1), (2, 2), (100, 2)])
+    def test_verification_slice_filling_the_cell_accepted(self, total, budget):
+        text = MINIMAL + f"cell.total_prbs = {total}\nauth.verification_budget_prbs = {budget}\n"
+        assert parse_scenario(text).auth.verification_budget_prbs == budget
+
+    # At 12500-byte packets (100 kbit) and 100 ms reports, a rate in Mbps is
+    # the packets of one report: the largest accepted rate is 2**32 - 2, which
+    # leaves one packet of room for a carried fraction.
+    RATE_TEXT = {
+        "rate_mbps": "ue.2.traffic = cbr\nue.2.rate_mbps = {rate}\n",
+        "flood rate_mbps": "ue.2.traffic = flood\nue.2.rate_mbps = {rate}\n",
+        "rate_hi_mbps": "ue.2.traffic = uniform_rate\nue.2.rate_lo_mbps = 1\nue.2.rate_hi_mbps = {rate}\n",
+        "profile_rate_hi_mbps": "ue.2.traffic = idle\nue.2.profile_rate_hi_mbps = {rate}\n",
+    }
+    LARGEST_RATE = float(2**32 - 2)
+
+    @pytest.mark.parametrize("case", sorted(RATE_TEXT))
+    def test_largest_rate_the_kpm_packet_count_holds_accepted(self, case):
+        text = MINIMAL + "ue.2.packet_size_bytes = 12500\n" + self.RATE_TEXT[case].format(rate=self.LARGEST_RATE)
+        key = case.split()[-1]
+        assert f"ue.2.{key} = {self.LARGEST_RATE}" in resolved_lines(parse_scenario(text))
+
+    @pytest.mark.parametrize("case", sorted(RATE_TEXT))
+    def test_rate_past_the_kpm_packet_count_names_the_key(self, case):
+        rate = math.nextafter(self.LARGEST_RATE, math.inf)
+        text = MINIMAL + "ue.2.packet_size_bytes = 12500\n" + self.RATE_TEXT[case].format(rate=rate)
+        key = case.split()[-1]
+        message = (rf"^ue\.2\.{key}: must be <= 4294967294\.0 Mbps, so that a report\.period_ms "
+                   rf"\(100\) of 12500-byte packets counts below 2\*\*32, got {rate}$")
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(text)
+
     @pytest.mark.parametrize("extra", [
         "auth.usage_tolerance = -0.1", "auth.reauth_period_frames = -1", "ue.1.snr_std_db = -1",
         "ue.1.cqi_std = -0.5", "ue.1.tx_power_std_dbm = -2", "scenario.latency_threshold_ms = -1",
@@ -302,6 +369,8 @@ def _floats(lo, hi):
 
 # Each strategy stays inside its key's domain whatever the other keys hold or
 # default to: bands draw lo below 10 and hi above 10, where the defaults meet.
+# The PRB keys bounded by the cell, auth.verification_budget_prbs and the
+# mission-critical reservations, are drawn in `scenario_texts`.
 TOP_VALUES = {
     "scenario.seed": st.integers(-10**6, 10**6),
     "scenario.zero_trust": st.sampled_from(["on", "off", "true", "false", "yes", "no"]),
@@ -318,7 +387,6 @@ TOP_VALUES = {
     "detection.min_reports": st.integers(1, 10),
     "detection.warmup_reports": st.integers(2, 500),
     "restricted.budget_prbs": st.integers(1, 5),
-    "auth.verification_budget_prbs": st.integers(1, 10),
     "auth.verify_frames": st.integers(0, 999),
     "auth.reauth_period_frames": st.integers(0, 5000),
     "auth.token_expiry_frames": st.integers(1000, 2**64 - 1),
@@ -339,7 +407,7 @@ UE_VALUES = {
     "credentials": st.sampled_from(["valid", "invalid", "wrong_token", "wrong_credential"]),
     "credential": st.binary(min_size=1, max_size=16).map(bytes.hex),
     "priority": st.just("commercial"),
-    "reserved_prbs": st.integers(0, 20),
+    "reserved_prbs": st.just(0),  # only a mission-critical UE reserves PRBs
     "snr_mean_db": _floats(-50, 50),
     "snr_std_db": _floats(0, 10),
     "cqi_mean": _floats(0, 15),
@@ -359,6 +427,10 @@ def scenario_texts(draw):
     pairs = {"scenario.duration_frames": duration}
     for key in draw(st.sets(st.sampled_from(sorted(TOP_VALUES)))):
         pairs[key] = draw(TOP_VALUES[key])
+    free = pairs.get("cell.total_prbs", 100)  # PRBs no reservation holds yet
+    # A cell smaller than the default verification slice must state its own.
+    if free < scenario.AuthParams.verification_budget_prbs or draw(st.booleans()):
+        pairs["auth.verification_budget_prbs"] = draw(st.integers(1, min(10, free)))
     per_ue = dict(UE_VALUES, attach_frame=st.integers(0, duration - 1))
     for ue in range(1, draw(st.integers(1, 6)) + 1):
         kind = draw(st.sampled_from(sorted(KIND_RATES)))
@@ -367,8 +439,10 @@ def scenario_texts(draw):
         stated = {"traffic": kind, **{key: draw(s) for key, s in needed.items()}}
         for key in draw(st.sets(st.sampled_from(sorted(values)))):
             stated[key] = draw(values[key])
-        if draw(st.booleans()):
-            stated.update(priority="mission_critical", reserved_prbs=draw(st.integers(1, 20)))
+        if free and draw(st.booleans()):
+            reserved = draw(st.integers(1, min(20, free)))
+            stated.update(priority="mission_critical", reserved_prbs=reserved)
+            free -= reserved
         pairs.update((f"ue.{ue}.{key}", value) for key, value in stated.items())
     return "\n".join(draw(st.permutations([f"{key} = {value}" for key, value in pairs.items()])))
 

@@ -21,7 +21,6 @@ from ztcell.xapps.slicing import (
     SliceChange,
     SlicingConfig,
     SlicingXapp,
-    UePolicy,
 )
 
 
@@ -243,7 +242,7 @@ class TestRelease:
 
 class TestPriorities:
     def test_mission_critical_reserved_before_split(self):
-        board = Board(ue_policies={9: UePolicy(SlicePriority.MISSION_CRITICAL, 40)})
+        board = Board(reserved_prbs={9: 40})
         for ue in (1, 2, 9):
             board.grant(ue)
         budgets = board.budgets()
@@ -254,23 +253,24 @@ class TestPriorities:
         assert critical.mask.bits & 1  # allocated off the bottom
 
 
-class TestComplexity:
-    def build_with_isolated(self, m: int) -> SlicingXapp:
-        board = Board(restricted=RestrictedPolicy(budget_prbs=1))
-        for ue in range(1, m + 5):  # m future intruders + 4 that stay granted
-            board.grant(ue)
-        for ue in range(1, m + 1):
-            board.xapp.isolate(verdict(ue))
-        return board.xapp
+def slices_sent_isolating(prior: int) -> int:
+    """The slices in the SLICE_CONTROL table sent when one more UE is
+    isolated after `prior` intruders, with 3 UEs left granted."""
+    board = Board(restricted=RestrictedPolicy(budget_prbs=1))
+    for ue in range(1, prior + 5):  # prior + 1 future intruders, 3 that stay granted
+        board.grant(ue)
+    for ue in range(1, prior + 1):
+        board.xapp.isolate(verdict(ue))
+    board.xapp.isolate(verdict(prior + 1))
+    kind, body = board.sent[-1]
+    assert kind is MsgKind.SLICE_CONTROL
+    return len(body.slices)
 
+
+class TestComplexity:
     def test_isolation_work_independent_of_intruder_count(self):
-        ops = {}
-        for m in (1, 5, 25):
-            xapp = self.build_with_isolated(m)
-            before = xapp.alloc_ops
-            xapp.isolate(verdict(m + 1))  # the next victim; 3 UEs stay granted
-            ops[m] = xapp.alloc_ops - before
-        assert ops[1] == ops[5] == ops[25] > 0
+        # 3 normal slices and the one restricted slice, however many are isolated.
+        assert [slices_sent_isolating(m) for m in (1, 5, 25)] == [4, 4, 4]
 
 
 class TestChangeLog:
