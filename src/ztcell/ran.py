@@ -1,13 +1,16 @@
 """Discrete-event cell model advancing in `core.FRAME_MS` (10 ms) radio frames.
 
-Per frame: new traffic is enqueued per each UE's traffic model, then the MAC
-scheduler drains queues. With zero-trust slicing active each UE is visited
-once per frame: it enqueues, drains up to its own slice capacity in FIFO
-order and reports its stats. Every UE has its own RNG stream and its own
-slice, so the visiting order is unobservable. In legacy mode one shared FIFO
-across all UEs' packets is served from the whole PRB pool, ordered by arrival;
-while the frame's whole backlog fits the pool, every packet completes in that
-frame whatever the order, so each UE's queue is drained whole instead.
+Per frame: one loop enqueues every UE's new traffic per its traffic model, in
+both modes, and sums the backlog; then the MAC scheduler drains queues. Every
+UE has its own RNG stream and its own slice, so the visiting order is
+unobservable. With zero-trust slicing active each UE then drains up to its
+own slice capacity in FIFO order and reports its stats; a UE whose queue is
+empty serves nothing and has no latency, so it takes the stats it last had
+while idle, rebuilt only when its auth state or slice changed. In legacy mode
+one shared FIFO across all UEs' packets is served from the whole PRB pool,
+ordered by arrival; while the frame's whole backlog fits the pool, every
+packet completes in that frame whatever the order, so each UE's queue is
+drained whole instead.
 The auth and binding invariants are checked at the start of a frame only
 when `attach`, an AUTH_RESPONSE or a SLICE_CONTROL changed state since the
 last check, so a quiet frame scans nothing. At each report boundary every
@@ -114,17 +117,6 @@ class TrafficModel:
         if self.packet_size_bytes < 1:
             raise ValueError("packet_size_bytes must be >= 1")
 
-    def bits_in_frame(self, frame: int, rng: Random) -> float:
-        if self.kind == "idle":
-            return 0.0
-        if self.kind == "cbr":
-            rate = self.rate_mbps
-        elif self.kind == "uniform_rate":
-            rate = rng.uniform(self.lo_mbps, self.hi_mbps)
-        else:  # flood
-            rate = self.rate_mbps if frame >= self.onset_frame else 0.0
-        return rate * FRAME_MS * 1000.0
-
 
 @dataclass(frozen=True)
 class RadioProfile:
@@ -179,6 +171,7 @@ class UeState:
     kpm_seq: int = 0
     window_arrived_pkts: int = 0
     window_served_bits: int = 0
+    idle_stats: UeFrameStats | None = None  # its stats the last frame its queue was empty
 
     def queue_bits(self) -> int:
         return self.queued_bits
@@ -345,25 +338,6 @@ class RanCell:
                 if kind is not SliceKind.RESTRICTED:
                     raise InvariantError(f, f"UE {ue_id} is isolated but bound to a {kind.name.lower()} slice")
 
-    def _enqueue_traffic(self, ue: UeState) -> None:
-        f = self.frame_index
-        bits = ue.traffic.bits_in_frame(f, ue.rng_traffic)
-        ue.bits_accum += bits
-        pkt_bits = ue.traffic.packet_size_bytes * 8
-        n = int(ue.bits_accum // pkt_bits)
-        if n <= 0:
-            return
-        ue.bits_accum -= n * pkt_bits
-        if ue.auth_state is AuthState.DENIED and ue.queue:
-            # Never served again, so only the count matters: grow the tail batch.
-            ue.queue[-1].n += n
-            ue.queue[-1].left += n
-        else:
-            ue.queue.append(Batch(f, n, pkt_bits, ue.pkt_seq))
-        ue.pkt_seq += n
-        ue.queued_bits += n * pkt_bits
-        ue.window_arrived_pkts += n
-
     def _drain(self, ue: UeState, capacity: int) -> tuple[int, int, int]:
         """Serve `ue`'s FIFO up to `capacity` bits, one batch at a time.
 
@@ -398,38 +372,76 @@ class RanCell:
 
     def step_frame(self) -> FrameReport:
         f = self.frame_index
+        zero_trust = self.zero_trust
+        if zero_trust and self.state_changed:
+            self._check_invariants()  # a breach keeps the flag set, so it raises again
+            self.state_changed = False
+        ues = self.ues
+        backlog = 0
+        for ue in ues.values():
+            t = ue.traffic
+            kind = t.kind
+            if kind == "uniform_rate":
+                lo = t.lo_mbps  # Random.uniform's own arithmetic, inlined
+                bits = (lo + (t.hi_mbps - lo) * ue.rng_traffic.random()) * FRAME_MS * 1000.0
+            elif kind == "cbr" or (kind == "flood" and f >= t.onset_frame):
+                bits = t.rate_mbps * FRAME_MS * 1000.0
+            else:  # idle, or a flood before its onset: nothing arrives, nothing queued
+                continue
+            accum = ue.bits_accum + bits
+            pkt_bits = t.packet_size_bytes * 8
+            n = int(accum // pkt_bits)
+            if n > 0:
+                accum -= n * pkt_bits
+                q = ue.queue
+                if q and ue.auth_state is AuthState.DENIED:
+                    # Never served again, so only the count matters: grow the tail batch.
+                    q[-1].n += n
+                    q[-1].left += n
+                else:
+                    q.append(Batch(f, n, pkt_bits, ue.pkt_seq))
+                ue.pkt_seq += n
+                ue.queued_bits += n * pkt_bits
+                ue.window_arrived_pkts += n
+            ue.bits_accum = accum
+            backlog += ue.queued_bits
+
         per_ue: dict[UeId, UeFrameStats] = {}
-        if self.zero_trust:
-            if self.state_changed:
-                self._check_invariants()  # a breach keeps the flag set, so it raises again
-                self.state_changed = False
-            for ue_id, ue in self.ues.items():
-                self._enqueue_traffic(ue)
-                cap = self.slice_bits.get(ue.slice_id, 0)  # an unbound UE is not served
+        if zero_trust:
+            slice_bits = self.slice_bits
+            interned = self._stats
+            for ue_id, ue in ues.items():
+                if not ue.queue:
+                    # Nothing to serve and no latency: the stats depend on the
+                    # auth state and slice alone, so reuse the UE's last ones.
+                    stats = ue.idle_stats
+                    state = ue.auth_state._value_
+                    if stats is None or stats[3] != state or stats[4] != ue.slice_id:
+                        stats = UeFrameStats(0, 0, None, state, ue.slice_id)
+                        stats = ue.idle_stats = interned.setdefault(stats, stats)
+                    per_ue[ue_id] = stats
+                    continue
+                cap = slice_bits.get(ue.slice_id, 0)  # an unbound UE is not served
                 served, lat_sum, lat_n = self._drain(ue, cap)
                 if served > cap:
                     raise InvariantError(f, f"UE {ue_id} served over slice capacity")
                 per_ue[ue_id] = self._frame_stats(ue, served, lat_sum, lat_n)
         else:
-            backlog = 0
-            for ue in self.ues.values():
-                self._enqueue_traffic(ue)
-                backlog += ue.queued_bits
             cap = self.cfg.cell_bits_per_frame
             if backlog <= cap:
                 # Every queued packet completes in this frame, and its latency
                 # depends only on its arrival frame, so FIFO order changes
                 # nothing: drain each UE whole, with no merge.
                 total = 0
-                for ue_id, ue in self.ues.items():
+                for ue_id, ue in ues.items():
                     served, lat_sum, lat_n = self._drain(ue, ue.queued_bits)
                     total += served
                     per_ue[ue_id] = self._frame_stats(ue, served, lat_sum, lat_n)
             else:
-                ues = list(self.ues.values())
-                served, lat_sum, lat_n = self._serve_shared(ues, cap)
+                order = list(ues.values())
+                served, lat_sum, lat_n = self._serve_shared(order, cap)
                 total = sum(served)
-                for ue_id, ue, s, ls, ln in zip(self.ues, ues, served, lat_sum, lat_n):
+                for ue_id, ue, s, ls, ln in zip(ues, order, served, lat_sum, lat_n):
                     per_ue[ue_id] = self._frame_stats(ue, s, ls, ln)
             if total > cap:
                 raise InvariantError(f, "cell served over shared capacity")

@@ -11,10 +11,12 @@ traffic streams so arrivals match the zero-trust run frame for frame.
 
 The run keeps one copy of its per-frame data, `RunResult.frames`, whose
 per-UE stats the cell interns, so equal stats are one object. The summary
-walks it through `frames_to_rows`, a generator, so no list of every row is
-built. `frames.csv` is written from the frames directly: each distinct stats
-value is formatted into its row tail once, and each row is the frame index
-and UE id put before that tail.
+walks the frames once, keeping running per-UE totals that it copies at
+detection and at isolation, so each window is a difference of totals;
+`summarize_dir` groups the rows of `frames.csv` back into frames for it.
+`frames.csv` is written from the frames directly: each stats object is
+formatted into its row tail once, and each frame's rows are joined behind
+its index and written in one call.
 
 A run applies its seed and legacy overrides to the scenario once, and
 `run.log` echoes that scenario as run, effective seed and mode included. It is
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
@@ -217,10 +219,7 @@ def run(
     registry.frame_boundary(sc.duration_frames)
     pump(sc.duration_frames)
 
-    ue_order = [u.ue for u in sc.ues]
-    summary = summarize_rows(
-        frames_to_rows(frames, ue_order), audit.entries, sc, sc.latency_threshold_ms
-    )
+    summary = summarize_rows(frames, audit.entries, sc, sc.latency_threshold_ms)
 
     result = RunResult(
         scenario=sc,
@@ -242,7 +241,10 @@ def run(
 
 def frames_to_rows(frames: list[FrameReport], ue_order: list[int]) -> Iterator[tuple]:
     """Yield one `frames.csv` row per UE per frame, in `ue_order` within a frame:
-    (frame, ue, served_bits, queue_bytes, latency_ms, auth_state, slice_id)."""
+    (frame, ue, served_bits, queue_bytes, latency_ms, auth_state, slice_id).
+
+    The run itself never calls it; it is the row-by-row view that the
+    summary and `frames.csv` tests compare against."""
     for report in frames:
         f = report.frame_index
         per_ue = report.per_ue
@@ -253,8 +255,16 @@ def frames_to_rows(frames: list[FrameReport], ue_order: list[int]) -> Iterator[t
 
 
 def summarize_rows(
-    rows: Iterable[tuple], audit_entries: list[dict], sc: Scenario, latency_threshold_ms: int
+    frames: list[FrameReport], audit_entries: list[dict], sc: Scenario, latency_threshold_ms: int
 ) -> RunSummary:
+    """The run summary of `frames`, walked once.
+
+    Each UE keeps running totals of its served bits and of the frames it was
+    attached in. They are copied on entering the first frame at or after
+    detection and after isolation, so the pre-detection window [0, detection)
+    is the first copy and the post-isolation window [isolation, duration) is
+    the final totals less the second.
+    """
     duration = sc.duration_frames
     legit = {u.ue for u in sc.ues if u.legitimate}
 
@@ -270,41 +280,49 @@ def summarize_rows(
     post_start = isolation_frame if isolation_frame is not None else duration
     exceed_frames: set[int] = set()
     peak = 0.0
-    # ue -> [bits, frames] per window, each a contiguous frame range: pre-detection
-    # [0, pre_end), post-isolation [post_start, duration) and the whole run
-    windows: dict[int, list[list[int]]] = {}
-    for f, ue, served_bits, _, latency_ms, _, _ in rows:
-        if ue in legit and latency_ms is not None:
-            # As frames.csv stores it (round() gives the same float as f"{x:.3f}"),
-            # so summarizing a run directory gives back the in-memory summary.
-            latency_ms = round(latency_ms, 3)
-            peak = max(peak, latency_ms)
-            if latency_ms > latency_threshold_ms:
-                exceed_frames.add(f)
-        if ue not in windows:
-            windows[ue] = [[0, 0], [0, 0], [0, 0]]
-        pre, post, whole = windows[ue]
-        if f < pre_end:
-            pre[0] += served_bits
-            pre[1] += 1
-        if f >= post_start:
-            post[0] += served_bits
-            post[1] += 1
-        whole[0] += served_bits
-        whole[1] += 1
+    bits: dict[int, int] = {}  # ue -> served bits so far
+    rows: dict[int, int] = {}  # ue -> frames attached so far
+    pre = post = None  # (bits, rows) as they stood at pre_end and at post_start
+    for report in frames:
+        f = report.frame_index
+        if pre is None and f >= pre_end:
+            pre = (dict(bits), dict(rows))
+        if post is None and f >= post_start:
+            post = (dict(bits), dict(rows))
+        for ue, stats in report.per_ue.items():
+            latency_ms = stats[2]
+            if latency_ms is not None and ue in legit:
+                # As frames.csv stores it (round() gives the same float as f"{x:.3f}"),
+                # so summarizing a run directory gives back the in-memory summary.
+                latency_ms = round(latency_ms, 3)
+                if latency_ms > peak:
+                    peak = latency_ms
+                if latency_ms > latency_threshold_ms:
+                    exceed_frames.add(f)
+            if ue in rows:
+                bits[ue] += stats[0]
+                rows[ue] += 1
+            else:
+                bits[ue] = stats[0]
+                rows[ue] = 1
+    if pre is None:
+        pre = (bits, rows)
+    if post is None:
+        post = (bits, rows)
 
-    def mean_mbps(acc: list[int]) -> float | None:
-        bits, frames = acc
-        return bits / frames / (FRAME_MS * 1000) if frames else None  # bits per frame -> Mbps
+    def mean_mbps(ue_bits: int, ue_rows: int) -> float | None:
+        # bits per frame -> Mbps
+        return ue_bits / ue_rows / (FRAME_MS * 1000) if ue_rows else None
 
     per_ue: dict[int, dict] = {}
-    for ue in sorted(windows):
-        pre, post, whole = windows[ue]
+    for ue in sorted(rows):
         per_ue[ue] = {
             "legitimate": ue in legit,
-            "pre_detection_mbps": mean_mbps(pre),
-            "post_isolation_mbps": mean_mbps(post),
-            "mean_mbps": mean_mbps(whole),
+            "pre_detection_mbps": mean_mbps(pre[0].get(ue, 0), pre[1].get(ue, 0)),
+            "post_isolation_mbps": mean_mbps(
+                bits[ue] - post[0].get(ue, 0), rows[ue] - post[1].get(ue, 0)
+            ),
+            "mean_mbps": mean_mbps(bits[ue], rows[ue]),
         }
 
     return RunSummary(
@@ -329,21 +347,26 @@ def _row_tail(stats: UeFrameStats) -> str:
 def _write_outputs(result: RunResult) -> None:
     out = result.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    ue_order = [u.ue for u in result.scenario.ues]
-    tails: dict[UeFrameStats, str] = {}  # each distinct stats value, formatted once
+    columns = [(u.ue, f"{u.ue},") for u in result.scenario.ues]
+    # The cell interns its stats and `result.frames` keeps every one alive,
+    # so an id names one stats value for the whole write.
+    tails: dict[int, str] = {}
     with open(out / "frames.csv", "w", newline="") as fh:
         write = fh.write
         write(FRAMES_CSV_HEADER + "\n")
         for report in result.frames:
-            f = report.frame_index
             per_ue = report.per_ue
-            for ue in ue_order:
+            cells = []
+            for ue, head in columns:
                 stats = per_ue.get(ue)
                 if stats is not None:
-                    tail = tails.get(stats)
+                    tail = tails.get(id(stats))
                     if tail is None:
-                        tail = tails[stats] = _row_tail(stats)
-                    write(f"{f},{ue},{tail}")
+                        tail = tails[id(stats)] = _row_tail(stats)
+                    cells.append(head + tail)
+            if cells:
+                prefix = f"{report.frame_index},"
+                write(prefix + prefix.join(cells))
     result.audit.dump(str(out / "audit.jsonl"))
     if result.slicing is not None:
         result.slicing.write_changes_csv(str(out / "slice_changes.csv"))
@@ -365,14 +388,17 @@ def summarize_dir(metrics_dir: str | Path, latency_threshold_ms: int | None = No
     out = Path(metrics_dir)
     log = (out / "run.log").read_text()
     sc = parse_scenario(log, name=log.partition("\n")[0].removeprefix("# run: "))
-    rows = []
+    frames: list[FrameReport] = []
     with open(out / "frames.csv", newline="") as fh:
         records = csv.reader(fh)
         next(records, None)  # the header
         for f, ue, bits, queue_bytes, lat, state, sid in records:
-            rows.append(
-                (int(f), int(ue), int(bits), int(queue_bytes), float(lat) if lat else None,
-                 state, int(sid) if sid else None)
+            f = int(f)
+            if not frames or frames[-1].frame_index != f:
+                frames.append(FrameReport(f, {}))
+            frames[-1].per_ue[int(ue)] = UeFrameStats(
+                int(bits), int(queue_bytes), float(lat) if lat else None,
+                state, int(sid) if sid else None,
             )
     audit_entries = []
     audit_path = out / "audit.jsonl"
@@ -380,7 +406,7 @@ def summarize_dir(metrics_dir: str | Path, latency_threshold_ms: int | None = No
         with open(audit_path) as fh:
             audit_entries = [json.loads(line) for line in fh if line.strip()]
     threshold = sc.latency_threshold_ms if latency_threshold_ms is None else latency_threshold_ms
-    summary = summarize_rows(rows, audit_entries, sc, threshold)
+    summary = summarize_rows(frames, audit_entries, sc, threshold)
     fpr_csvs = sorted(out.glob("fpr*.csv"))
     if fpr_csvs:
         summary.fpr_curve = fpr_csvs[0].name

@@ -6,7 +6,9 @@ mission-critical UEs take their configured budgets off the bottom first.
 Isolated intruders all share one restricted slice pinned to the
 highest-index PRBs, so slicing work stays independent of intruder count;
 verification slices sit just below it. Tables change only at frame
-boundaries and every emitted table is validated for disjointness and budget.
+boundaries and every emitted table is validated for disjointness and budget;
+a table whose slices cannot all fit the cell fails, stamped with its frame,
+before any mask is built.
 A table is emitted only when an occupancy changes: a bind to the kind a UE
 already holds emits nothing. Any bound UE can be isolated, a verifying one
 included; a verdict for a UE that is unbound or already restricted leaves
@@ -145,6 +147,23 @@ class SlicingXapp(Xapp):
         verifying = [u for u, k in self._occupancy.items() if k == "verification"]
         normal = [u for u, k in self._occupancy.items() if k == "normal"]
         isolated = [u for u, k in self._occupancy.items() if k == "restricted"]
+        reserved = self.cfg.reserved_prbs
+        critical = [u for u in normal if u in reserved]
+        commercial = [u for u in normal if u not in reserved]
+
+        # Every slice below fits the cell iff their sum does: a commercial UE
+        # needs at least one PRB of the split.
+        restricted_prbs = self.cfg.restricted.budget_prbs if isolated else 0
+        verification = self.cfg.verification_budget_prbs
+        reserved_prbs = sum(reserved[u] for u in critical)
+        need = restricted_prbs + len(verifying) * verification + reserved_prbs + len(commercial)
+        if need > total:
+            raise PolicyError(
+                f"frame {self.frame}: slice table does not fit the cell's {total} PRBs: "
+                f"needs {need} = {len(verifying)} verifying UEs x {verification} "
+                f"+ {restricted_prbs} restricted + {reserved_prbs} reserved "
+                f"+ {len(commercial)} granted UEs x at least 1"
+            )
 
         top = total
         slices: list[SliceSpec] = []
@@ -172,9 +191,6 @@ class SlicingXapp(Xapp):
             new_bindings[u] = sid
 
         cursor = 0
-        reserved = self.cfg.reserved_prbs
-        critical = [u for u in normal if u in reserved]
-        commercial = [u for u in normal if u not in reserved]
         for u in critical:
             budget = reserved[u]
             sid = self._slice_id(u, "normal")

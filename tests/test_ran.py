@@ -253,13 +253,26 @@ class RefPacket:
         self.seq = seq
 
 
+def bits_in_frame(model: TrafficModel, frame: int, rng: Random) -> float:
+    """The bits `model` offers in `frame`, one traffic kind per branch."""
+    if model.kind == "idle":
+        return 0.0
+    if model.kind == "cbr":
+        rate = model.rate_mbps
+    elif model.kind == "uniform_rate":
+        rate = rng.uniform(model.lo_mbps, model.hi_mbps)
+    else:  # flood
+        rate = model.rate_mbps if frame >= model.onset_frame else 0.0
+    return rate * FRAME_MS * 1000.0
+
+
 class ReferenceCell(RanCell):
     """The scheduler with one queue entry per packet and a rescanned queue
     size; the batched cell must report the same frames."""
 
     def _enqueue_traffic(self, ue):
         f = self.frame_index
-        bits = ue.traffic.bits_in_frame(f, ue.rng_traffic)
+        bits = bits_in_frame(ue.traffic, f, ue.rng_traffic)
         ue.bits_accum += bits
         pkt_bits = ue.traffic.packet_size_bytes * 8
         n = int(ue.bits_accum // pkt_bits)
@@ -422,6 +435,10 @@ class TestBatchedQueueOracle:
         [TrafficModel(kind="cbr", rate_mbps=8.008, packet_size_bytes=1000)]
         + [TrafficModel(kind="cbr", rate_mbps=8.0, packet_size_bytes=1000)] * 2,
         False, [[0, 0, 0], [0, 0, 0]], 120, 0,
+    ))
+    @example((  # both queues are empty at frame 30, when both UEs lose their slice and grant
+        [IDLE, TrafficModel(kind="cbr", rate_mbps=0.1, packet_size_bytes=3000)],
+        True, [[5, 5], [0, 0]], 60, 30,
     ))
     @settings(max_examples=200, deadline=None)
     def test_frames_equal_per_packet_reference(self, run):

@@ -9,9 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ztcell.cli import main
+from ztcell.core import FRAME_MS
 from ztcell.e2 import AuthOutcome, DecodeError
-from ztcell.ran import InvariantError, RanCell
-from ztcell.runner import FRAMES_CSV_HEADER, fpr_sweep, frames_to_rows, run, summarize_dir
+from ztcell.ran import FrameReport, InvariantError, RanCell, UeFrameStats
+from ztcell.runner import (
+    FRAMES_CSV_HEADER,
+    RunSummary,
+    fpr_sweep,
+    frames_to_rows,
+    run,
+    summarize_dir,
+    summarize_rows,
+)
 from ztcell.scenario import load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -227,6 +236,150 @@ class TestFramesCsv:
             result = run(parse_scenario(text, "mixed"), out_dir=out, legacy=legacy)
             assert (Path(out) / "frames.csv").read_bytes() == reference_frames_csv(result).encode()
 
+
+def reference_summary(rows, audit_entries, sc, latency_threshold_ms) -> RunSummary:
+    """The summary recomputed row by row from `frames_to_rows` tuples, with
+    one explicit frame-range test per window."""
+    duration = sc.duration_frames
+    legit = {u.ue for u in sc.ues if u.legitimate}
+    detection_frame = next(
+        (e["frame"] for e in audit_entries if e["action"] == "intrusion_flag"), None
+    )
+    isolation_frame = next((e["frame"] for e in audit_entries if e["action"] == "isolate"), None)
+    pre_end = detection_frame if detection_frame is not None else duration
+    post_start = isolation_frame if isolation_frame is not None else duration
+    exceed_frames: set[int] = set()
+    peak = 0.0
+    # ue -> [bits, frames] per window: pre-detection, post-isolation, whole run
+    windows: dict[int, list[list[int]]] = {}
+    for f, ue, served_bits, _, latency_ms, _, _ in rows:
+        if ue in legit and latency_ms is not None:
+            latency_ms = round(latency_ms, 3)  # as frames.csv stores it
+            peak = max(peak, latency_ms)
+            if latency_ms > latency_threshold_ms:
+                exceed_frames.add(f)
+        pre, post, whole = windows.setdefault(ue, [[0, 0], [0, 0], [0, 0]])
+        if f < pre_end:
+            pre[0] += served_bits
+            pre[1] += 1
+        if f >= post_start:
+            post[0] += served_bits
+            post[1] += 1
+        whole[0] += served_bits
+        whole[1] += 1
+
+    def mean_mbps(acc: list[int]) -> float | None:
+        bits, frames = acc
+        return bits / frames / (FRAME_MS * 1000) if frames else None
+
+    return RunSummary(
+        latency_threshold_ms=latency_threshold_ms,
+        latency_exceedance=len(exceed_frames) / duration if duration else 0.0,
+        peak_latency_ms=peak,
+        detection_frame=detection_frame,
+        isolation_frame=isolation_frame,
+        per_ue={
+            ue: {
+                "legitimate": ue in legit,
+                "pre_detection_mbps": mean_mbps(windows[ue][0]),
+                "post_isolation_mbps": mean_mbps(windows[ue][1]),
+                "mean_mbps": mean_mbps(windows[ue][2]),
+            }
+            for ue in sorted(windows)
+        },
+    )
+
+
+# Three UEs over 4 frames; UE 3, a flooder, is not legitimate.
+FOUR_FRAMES = """
+scenario.duration_frames = 4
+scenario.seed = 1
+ue.1.traffic = cbr
+ue.1.rate_mbps = 1
+ue.2.traffic = cbr
+ue.2.rate_mbps = 1
+ue.3.traffic = flood
+ue.3.rate_mbps = 40
+"""
+
+
+def granted_stats(bits: int, latency_ms: float | None = None) -> UeFrameStats:
+    return UeFrameStats(bits, 0, latency_ms, "granted", 1)
+
+
+def hand_frames(last_attach: int, first: int = 0) -> list[FrameReport]:
+    """UEs 1 and 3 from frame `first`, UE 2 from `last_attach`; a frame before
+    `first` has no UE, so like frames.csv the list has no report for it. Only
+    UE 2's packets and the flooder's are late, and only UE 2's count."""
+    frames = []
+    for f in range(first, 4):
+        per_ue = {
+            1: granted_stats(1000 * (f + 1), 20.0 if f == 1 else 10.0),
+            3: granted_stats(5000, 500.0),
+        }
+        if f >= last_attach:
+            per_ue[2] = granted_stats(700, 130.0004)
+        frames.append(FrameReport(f, per_ue))
+    return frames
+
+
+def verdicts(detection: int | None, isolation: int | None) -> list[dict]:
+    entries = []
+    if detection is not None:
+        entries.append({"action": "intrusion_flag", "frame": detection})
+    if isolation is not None:
+        entries.append({"action": "isolate", "frame": isolation})
+    return entries
+
+
+class TestSummary:
+    @given(mixed_scenarios())
+    @settings(max_examples=40, deadline=None)
+    def test_summary_equals_row_reference(self, case):
+        """The in-memory summary and the one summarized back from the run
+        directory both equal the row-by-row reference."""
+        text, legacy = case
+        with tempfile.TemporaryDirectory() as out:
+            result = run(parse_scenario(text, "mixed"), out_dir=out, legacy=legacy)
+            sc = result.scenario
+            rows = frames_to_rows(result.frames, [u.ue for u in sc.ues])
+            expected = reference_summary(
+                rows, result.audit.entries, sc, sc.latency_threshold_ms
+            ).to_dict()
+            assert result.summary.to_dict() == expected
+            assert summarize_dir(out).to_dict() == expected
+
+    @pytest.mark.parametrize(
+        "detection, isolation, last_attach, first",
+        [
+            (0, 1, 0, 0),  # detection at frame 0: every pre-detection window is empty
+            (2, None, 0, 0),  # no isolation: every post-isolation window is empty
+            (1, 3, 0, 0),  # isolation at the last frame
+            (1, 2, 3, 0),  # UE 2 attaches at the last frame
+            (None, None, 3, 0),  # no verdict at all
+            (4, 4, 1, 0),  # verdicts at the boundary after the last frame
+            (1, 1, 3, 2),  # verdicts in a frame with no report
+        ],
+    )
+    def test_hand_built_windows_equal_row_reference(self, detection, isolation, last_attach, first):
+        sc = parse_scenario(FOUR_FRAMES, "four")
+        frames = hand_frames(last_attach, first)
+        audit = verdicts(detection, isolation)
+        summary = summarize_rows(frames, audit, sc, 100)
+        expected = reference_summary(frames_to_rows(frames, [1, 2, 3]), audit, sc, 100)
+        assert summary.to_dict() == expected.to_dict()
+
+    def test_hand_built_windows_read_null_when_empty(self):
+        sc = parse_scenario(FOUR_FRAMES, "four")
+        summary = summarize_rows(hand_frames(3), verdicts(0, 3), sc, 100).to_dict()
+        assert all(ue["pre_detection_mbps"] is None for ue in summary["per_ue"].values())
+        assert summary["per_ue"]["2"]["post_isolation_mbps"] == 0.07  # its one frame, 700 bits
+        assert summary["per_ue"]["1"]["post_isolation_mbps"] == 0.4
+        assert summary["peak_latency_ms"] == 130.0
+        assert summary["latency_exceedance"] == 0.25  # frame 3, where UE 2 attaches
+        no_isolation = summarize_rows(hand_frames(0), verdicts(2, None), sc, 100).to_dict()
+        assert all(ue["post_isolation_mbps"] is None for ue in no_isolation["per_ue"].values())
+
     def test_48_ue_run_holds_one_object_per_distinct_stats(self):
         text = ["scenario.duration_frames = 1000", "scenario.seed = 9",
                 "auth.reauth_period_frames = 300", "detection.min_reports = 3"]
@@ -327,6 +480,29 @@ class TestCli:
         scn.write_text(text + extra + "\n")
         assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
         assert f"config error: {message.format(n=n, m=n + 1)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("cell.total_prbs = 2",
+             "frame 0: slice table does not fit the cell's 2 PRBs: needs 4 = 2 verifying UEs x 2"
+             " + 0 restricted + 0 reserved + 0 granted UEs x at least 1"),
+            ("cell.total_prbs = 3\nauth.verification_budget_prbs = 1",
+             "frame 0: slice table does not fit the cell's 3 PRBs: needs 4 = 4 verifying UEs x 1"
+             " + 0 restricted + 0 reserved + 0 granted UEs x at least 1"),
+            ("ue.2.priority = mission_critical\nue.2.reserved_prbs = 99",
+             "frame 2: slice table does not fit the cell's 100 PRBs: needs 104 = 2 verifying UEs"
+             " x 2 + 0 restricted + 99 reserved + 1 granted UEs x at least 1"),
+        ],
+    )
+    def test_slice_table_that_does_not_fit_is_frame_stamped_runtime_failure(
+        self, extra, message, tmp_path, capsys
+    ):
+        scn = tmp_path / "small.scn"
+        scn.write_text((SCENARIOS / "flood_isolation.scn").read_text() + extra + "\n")
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"runtime failure: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_largest_rates_the_kpm_codec_holds_run(self, tmp_path):
