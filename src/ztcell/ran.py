@@ -46,7 +46,7 @@ from random import Random
 from typing import NamedTuple
 
 from . import e2
-from .core import FRAME_MS, CellId, E2Id, KPMReport, PRBMask, SliceId, SliceKind, UeId
+from .core import FRAME_MS, CellId, E2Id, KPMReport, SliceId, SliceKind, UeId
 from .xapps.auth import blob_key, build_blob, corrupt_chain, ran_identity_blob
 
 
@@ -202,7 +202,6 @@ class RanCell:
         self.outbox: list[bytes] = []
         self.frame_index = 0
         self.ues: dict[UeId, UeState] = {}  # in attach order
-        self.slice_masks: dict[SliceId, PRBMask] = {}
         self.slice_kinds: dict[SliceId, SliceKind] = {}
         self.slice_bits: dict[SliceId, int] = {}  # capacity per frame, per table
         self.report_period_frames: int | None = None
@@ -310,7 +309,6 @@ class RanCell:
     def apply_slice_control(self, body: e2.SliceControlBody) -> None:
         """Install a new slice table; callers only invoke this on frame boundaries."""
         self.state_changed = True  # first, so a table that fails half-way is still checked
-        self.slice_masks = {s.id: s.mask for s in body.slices}
         self.slice_kinds = {s.id: s.kind for s in body.slices}
         self.slice_bits = {s.id: s.budget() * self.cfg.prb_bits_per_frame for s in body.slices}
         bound = dict(body.bindings)
@@ -331,7 +329,7 @@ class RanCell:
                 raise InvariantError(f, f"UE {ue_id} is {ue.auth_state.value} but unbound")
             if ue.auth_state in (AuthState.UNAUTHENTICATED, AuthState.DENIED) and ue.slice_id is not None:
                 raise InvariantError(f, f"UE {ue_id} is {ue.auth_state.value} but bound")
-            if ue.slice_id is not None and ue.slice_id not in self.slice_masks:
+            if ue.slice_id is not None and ue.slice_id not in self.slice_kinds:
                 raise InvariantError(f, f"UE {ue_id} bound to unknown slice {ue.slice_id}")
             if ue.auth_state is AuthState.ISOLATED:
                 kind = self.slice_kinds[ue.slice_id]  # bound to a known slice, checked above

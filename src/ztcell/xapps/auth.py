@@ -94,14 +94,6 @@ def ran_identity_blob(secret: bytes, cell: CellId, e2_id: E2Id, ran_credential: 
 
 
 @dataclass(frozen=True)
-class AuthToken:
-    token: bytes
-    ue: UeId
-    issued_frame: int
-    expiry_frames: int
-
-
-@dataclass(frozen=True)
 class AuthDecision:
     ue: UeId
     outcome: AuthOutcome
@@ -162,22 +154,17 @@ class AuthXapp(Xapp):
 
     # ---- token lifecycle ----------------------------------------------------
 
-    def issue_token(self, ue: UeId) -> AuthToken:
+    def issue_token(self, ue: UeId) -> bytes:
         """Mint and store a fresh transaction token; the previous one dies."""
-        token = AuthToken(
-            token=self.cfg.rng_tokens.randbytes(TOKEN_LEN),
-            ue=ue,
-            issued_frame=self.frame,
-            expiry_frames=self.cfg.token_expiry_frames,
-        )
-        packed = token.token + struct.pack(">QQ", token.issued_frame, token.expiry_frames)
+        token = self.cfg.rng_tokens.randbytes(TOKEN_LEN)
+        packed = token + struct.pack(">QQ", self.frame, self.cfg.token_expiry_frames)
         self.ctx.sdl.put(NS_AUTH, f"token:{ue}", packed)
-        self.record("token_issued", f"ue {ue} token {token.token[:4].hex()}..", ue=ue)
+        self.record("token_issued", f"ue {ue} token {token[:4].hex()}..", ue=ue)
         return token
 
     def provision(self, ue: UeId) -> bytes:
         """Out-of-band token handover to the UE at attach time."""
-        return self.issue_token(ue).token
+        return self.issue_token(ue)
 
     def _stored_token(self, ue: UeId) -> tuple[bytes, int, int] | None:
         entry = self.ctx.sdl.get(NS_AUTH, f"token:{ue}")
@@ -282,7 +269,7 @@ class AuthXapp(Xapp):
         ue = decision.ue
         token = bytes(TOKEN_LEN)
         if decision.outcome is AuthOutcome.GRANTED:
-            token = self.issue_token(ue).token  # rotate for the next transaction
+            token = self.issue_token(ue)  # rotate for the next transaction
             self.ctx.sdl.put(NS_AUTH, f"grant:{ue}", struct.pack(">Q", self.frame))
             self.ctx.router.route(InternalMessage(KIND_GRANT, {"ue": ue}))
         else:

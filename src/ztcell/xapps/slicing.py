@@ -9,8 +9,10 @@ verification slices sit just below it. Tables change only at frame
 boundaries and every emitted table is validated for disjointness and budget;
 a table whose slices cannot all fit the cell fails, stamped with its frame,
 before any mask is built.
-A table is emitted only when an occupancy changes: a bind to the kind a UE
-already holds emits nothing. Any bound UE can be isolated, a verifying one
+Each UE's occupancy, the kind of slice it holds, is held once; its slice id
+follows from it. A table is emitted only when one UE's occupancy changes, so
+it moves that UE alone and logs one change: a bind to the kind a UE already
+holds emits nothing. Any bound UE can be isolated, a verifying one
 included; a verdict for a UE that is unbound or already restricted leaves
 one `isolate_skipped` record. Isolation is sticky: a grant never moves an
 isolated UE out of the restricted slice; only a deny or revoke releases it.
@@ -74,11 +76,10 @@ class SlicingXapp(Xapp):
     def __init__(self, config: SlicingConfig) -> None:
         super().__init__()
         self.cfg = config
-        # ue -> occupancy kind: "verification" | "normal" | "restricted"
-        self._occupancy: dict[UeId, str] = {}
-        # (ue, kind) -> slice id, and (None, "restricted") -> the shared restricted slice
-        self._slice_ids: dict[tuple[UeId | None, str], SliceId] = {}
-        self.bindings: dict[UeId, SliceId] = {}
+        # ue -> the kind of slice it holds: the one record of every UE's binding
+        self._occupancy: dict[UeId, SliceKind] = {}
+        # (ue, kind) -> slice id, and (None, RESTRICTED) -> the shared restricted slice
+        self._slice_ids: dict[tuple[UeId | None, SliceKind], SliceId] = {}
         self.changes: list[SliceChange] = []
         self.emitted: list[tuple[int, e2.SliceControlBody]] = []
 
@@ -92,9 +93,9 @@ class SlicingXapp(Xapp):
 
     def handle(self, msg: InternalMessage) -> None:
         if msg.kind == KIND_VERIFY_START:
-            self.bind_ue(msg.payload["ue"], "verification")
+            self.bind_ue(msg.payload["ue"], SliceKind.VERIFICATION)
         elif msg.kind == KIND_GRANT:
-            self.bind_ue(msg.payload["ue"], "normal")
+            self.bind_ue(msg.payload["ue"], SliceKind.NORMAL)
         elif msg.kind == KIND_DENY:
             self.release(msg.payload["ue"], cause="release")
         elif msg.kind == KIND_REVOKE:
@@ -104,128 +105,110 @@ class SlicingXapp(Xapp):
 
     # ---- operations -----------------------------------------------------------
 
-    def bind_ue(self, ue: UeId, kind: str) -> None:
-        if kind not in ("normal", "verification"):
-            raise PolicyError(f"cannot bind a UE as {kind!r}")
-        if kind == "normal" and self.ctx.sdl.get(NS_AUTH, f"grant:{ue}") is None:
+    def bind_ue(self, ue: UeId, kind: SliceKind) -> None:
+        if kind is SliceKind.RESTRICTED:
+            raise PolicyError(f"cannot bind a UE as {kind.name.lower()!r}")
+        if kind is SliceKind.NORMAL and self.ctx.sdl.get(NS_AUTH, f"grant:{ue}") is None:
             raise PolicyError(f"UE {ue} is not authenticated")
-        if self._occupancy.get(ue) in (kind, "restricted"):
+        if self._occupancy.get(ue) in (kind, SliceKind.RESTRICTED):
             return  # the table would come out the same, and a grant never lifts isolation
-        cause = "grant" if kind == "normal" else "verify"
-        self._occupancy[ue] = kind
-        self._recompute(cause_ue=ue, cause=cause)
+        self._move(ue, kind, "grant" if kind is SliceKind.NORMAL else "verify")
 
     def isolate(self, verdict: Verdict) -> None:
         ue = verdict.ue
         if not verdict.flagged:
             raise PolicyError("isolate requires a flagged verdict")
         held = self._occupancy.get(ue)
-        if held in (None, "restricted"):
+        if held in (None, SliceKind.RESTRICTED):
             reason = "not bound" if held is None else "already isolated"
             self.record("isolate_skipped", f"ue {ue} {reason}", ue=ue)
             return
-        self._occupancy[ue] = "restricted"
         fields = ", ".join(f"{name}={mean:.2f}" for name, mean, _ in verdict.offending)
         self.record("isolate", f"ue {ue} isolated; offending: {fields}", ue=ue)
-        self._recompute(cause_ue=ue, cause="isolate")
+        self._move(ue, SliceKind.RESTRICTED, "isolate")
 
     def release(self, ue: UeId, cause: str = "release") -> None:
         if ue not in self._occupancy:
             self.record("release_noop", f"ue {ue} not bound", ue=ue)
             return
-        del self._occupancy[ue]
-        self._recompute(cause_ue=ue, cause=cause)
+        self._move(ue, None, cause)
 
     # ---- table computation -------------------------------------------------------
 
-    def _slice_id(self, ue: UeId | None, kind: str) -> SliceId:
-        """The id first given to (ue, kind); ids count up from 1 in first-use order."""
-        return self._slice_ids.setdefault((ue, kind), len(self._slice_ids) + 1)
+    def _slice_id(self, ue: UeId | None, kind: SliceKind) -> SliceId:
+        """The id first given to the slice `ue` holds as `kind`; ids count up
+        from 1 in first-use order, and every restricted UE shares one."""
+        key = (None, kind) if kind is SliceKind.RESTRICTED else (ue, kind)
+        return self._slice_ids.setdefault(key, len(self._slice_ids) + 1)
 
-    def _recompute(self, cause_ue: UeId, cause: str) -> None:
+    def _move(self, ue: UeId, kind: SliceKind | None, cause: str) -> None:
+        """Move `ue` into a slice of `kind` (None: out of every slice) and emit
+        the table. No other UE changes kind, so no other UE changes slice id."""
+        held = self._occupancy.get(ue)
+        old = None if held is None else self._slice_id(ue, held)
+        if kind is None:
+            del self._occupancy[ue]
+        else:
+            self._occupancy[ue] = kind  # an existing UE keeps its place in the layout
+        self._recompute()
+        new = None if kind is None else self._slice_id(ue, kind)
+        self.changes.append(SliceChange(self.frame, ue, old, new, cause))
+
+    def _recompute(self) -> None:
         total = self.cfg.total_prbs
-        verifying = [u for u, k in self._occupancy.items() if k == "verification"]
-        normal = [u for u, k in self._occupancy.items() if k == "normal"]
-        isolated = [u for u, k in self._occupancy.items() if k == "restricted"]
-        reserved = self.cfg.reserved_prbs
-        critical = [u for u in normal if u in reserved]
-        commercial = [u for u in normal if u not in reserved]
-
-        # Every slice below fits the cell iff their sum does: a commercial UE
-        # needs at least one PRB of the split.
-        restricted_prbs = self.cfg.restricted.budget_prbs if isolated else 0
         verification = self.cfg.verification_budget_prbs
-        reserved_prbs = sum(reserved[u] for u in critical)
-        need = restricted_prbs + len(verifying) * verification + reserved_prbs + len(commercial)
+        reserved = self.cfg.reserved_prbs
+        occupancy = self._occupancy.items()
+        verifying = [u for u, k in occupancy if k is SliceKind.VERIFICATION]
+        critical = [u for u, k in occupancy if k is SliceKind.NORMAL and u in reserved]
+        commercial = [u for u, k in occupancy if k is SliceKind.NORMAL and u not in reserved]
+        isolated = SliceKind.RESTRICTED in self._occupancy.values()
+        restricted = self.cfg.restricted.budget_prbs if isolated else 0
+
+        # (ue, kind, first PRB, PRBs): the restricted and verification slices
+        # down from the top of the cell, the mission-critical ones up from the
+        # bottom, and the commercial ones splitting what is left equally.
+        top = total - restricted
+        layout = [(None, SliceKind.RESTRICTED, top, restricted)] if isolated else []
+        for u in verifying:
+            top -= verification
+            layout.append((u, SliceKind.VERIFICATION, top, verification))
+        bottom = 0
+        for u in critical:
+            layout.append((u, SliceKind.NORMAL, bottom, reserved[u]))
+            bottom += reserved[u]
+        # Every slice fits the cell iff their sum does: a commercial UE needs
+        # at least one PRB of the split.
+        need = sum(prbs for *_, prbs in layout) + len(commercial)
         if need > total:
             raise PolicyError(
                 f"frame {self.frame}: slice table does not fit the cell's {total} PRBs: "
                 f"needs {need} = {len(verifying)} verifying UEs x {verification} "
-                f"+ {restricted_prbs} restricted + {reserved_prbs} reserved "
+                f"+ {restricted} restricted + {bottom} reserved "
                 f"+ {len(commercial)} granted UEs x at least 1"
             )
-
-        top = total
-        slices: list[SliceSpec] = []
-        new_bindings: dict[UeId, SliceId] = {}
-
-        if isolated:
-            budget = self.cfg.restricted.budget_prbs
-            top -= budget
-            rid = self._slice_id(None, "restricted")
-            slices.append(
-                SliceSpec(rid, PRBMask.from_range(top, budget, total), kind=SliceKind.RESTRICTED)
-            )
-            for u in isolated:
-                new_bindings[u] = rid
-        for u in verifying:
-            top -= self.cfg.verification_budget_prbs
-            sid = self._slice_id(u, "verification")
-            slices.append(
-                SliceSpec(
-                    sid,
-                    PRBMask.from_range(top, self.cfg.verification_budget_prbs, total),
-                    kind=SliceKind.VERIFICATION,
-                )
-            )
-            new_bindings[u] = sid
-
-        cursor = 0
-        for u in critical:
-            budget = reserved[u]
-            sid = self._slice_id(u, "normal")
-            slices.append(
-                SliceSpec(
-                    sid,
-                    PRBMask.from_range(cursor, budget, total),
-                    priority=SlicePriority.MISSION_CRITICAL,
-                )
-            )
-            new_bindings[u] = sid
-            cursor += budget
         if commercial:
-            budgets = equal_split(top - cursor, len(commercial))
-            for u, budget in zip(commercial, budgets):
-                sid = self._slice_id(u, "normal")
-                slices.append(SliceSpec(sid, PRBMask.from_range(cursor, budget, total)))
-                new_bindings[u] = sid
-                cursor += budget
+            for u, prbs in zip(commercial, equal_split(top - bottom, len(commercial))):
+                layout.append((u, SliceKind.NORMAL, bottom, prbs))
+                bottom += prbs
 
+        slices = [
+            SliceSpec(
+                self._slice_id(u, k),
+                PRBMask.from_range(first, prbs, total),
+                SlicePriority.MISSION_CRITICAL
+                if k is SliceKind.NORMAL and u in reserved
+                else SlicePriority.COMMERCIAL,
+                k,
+            )
+            for u, k, first, prbs in layout
+        ]
         violations = validate_slice_table(slices, total)
         if violations:  # never expected: every emission must be a valid table
             raise AssertionError("; ".join(v.detail for v in violations))
 
-        for u in sorted(set(self.bindings) | set(new_bindings)):
-            old = self.bindings.get(u)
-            new = new_bindings.get(u)
-            if old != new:
-                self.changes.append(SliceChange(self.frame, u, old, new, cause))
-
-        self.bindings = new_bindings
-
-        body = e2.SliceControlBody(
-            bindings=tuple(sorted(new_bindings.items())), slices=tuple(slices)
-        )
+        bindings = tuple(sorted((u, self._slice_id(u, k)) for u, k in occupancy))
+        body = e2.SliceControlBody(bindings=bindings, slices=tuple(slices))
         self.emitted.append((self.frame, body))
         self.ctx.sdl.put(
             NS_SLICES,
@@ -237,7 +220,7 @@ class SlicingXapp(Xapp):
                         {"id": s.id, "budget": s.budget(), "kind": s.kind.name.lower()}
                         for s in slices
                     ],
-                    "bindings": {str(u): sid for u, sid in sorted(new_bindings.items())},
+                    "bindings": {str(u): sid for u, sid in bindings},
                 }
             ).encode(),
         )

@@ -268,7 +268,13 @@ def bits_in_frame(model: TrafficModel, frame: int, rng: Random) -> float:
 
 class ReferenceCell(RanCell):
     """The scheduler with one queue entry per packet and a rescanned queue
-    size; the batched cell must report the same frames."""
+    size; the batched cell must report the same frames. It keeps each
+    installed slice's mask, so capacity comes from popcounts rather than the
+    cell's per-slice bit counts."""
+
+    def apply_slice_control(self, body: SliceControlBody) -> None:
+        self.slice_masks = {s.id: s.mask for s in body.slices}
+        super().apply_slice_control(body)
 
     def _enqueue_traffic(self, ue):
         f = self.frame_index
