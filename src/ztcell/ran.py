@@ -194,7 +194,10 @@ class FrameReport:
 class RanCell:
     """One cell plus its E2 connection; the runner drains `outbox` between frames."""
 
-    def __init__(self, config: CellConfig, secret: bytes, zero_trust: bool = True) -> None:
+    def __init__(
+        self, config: CellConfig, secret: bytes, zero_trust: bool = True,
+        reauth_period_frames: int = 0,
+    ) -> None:
         self.cfg = config
         self.secret = secret
         self.zero_trust = zero_trust
@@ -205,7 +208,7 @@ class RanCell:
         self.slice_kinds: dict[SliceId, SliceKind] = {}
         self.slice_bits: dict[SliceId, int] = {}  # capacity per frame, per table
         self.report_period_frames: int | None = None
-        self.reauth_period_frames: int = 0  # 0 disables RAN-driven re-auth
+        self.reauth_period_frames = reauth_period_frames  # 0 disables RAN-driven re-auth
         self.state_changed = True  # UE auth or binding state moved since the last check
         self._stats: dict[UeFrameStats, UeFrameStats] = {}  # every distinct stats value, once
 
@@ -264,7 +267,8 @@ class RanCell:
         self._send(e2.MsgKind.AUTH_REQUEST, e2.AuthRequestBody(blob))
 
     def maybe_reauth(self, frame: int) -> None:
-        """Re-present credentials for granted UEs on the configured period."""
+        """Re-present credentials for granted UEs on the configured period. A
+        legacy cell never re-authenticates."""
         if not self.zero_trust or self.reauth_period_frames <= 0:
             return
         for ue in self.ues.values():

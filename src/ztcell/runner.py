@@ -21,6 +21,8 @@ its index and written in one call.
 A run applies its seed and legacy overrides to the scenario once, and
 `run.log` echoes that scenario as run, effective seed and mode included. It is
 the one statement of a run's configuration: `summarize_dir` parses it back.
+The cell and each xApp are built from that same scenario: an xApp's
+constructor takes the `Scenario` and reads the sections it needs.
 """
 from __future__ import annotations
 
@@ -32,22 +34,20 @@ from pathlib import Path
 from random import Random
 
 from . import e2
-from .core import FRAME_MS, SlicePriority
+from .core import FRAME_MS
 from .ran import FrameReport, InvariantError, RanCell, UeFrameStats
 from .ric import AuditLog, Router, Sdl, XappContext, XappRegistry
 from .scenario import Scenario, parse_scenario, resolved_lines
-from .xapps.auth import AuthConfig, AuthXapp
+from .xapps.auth import AuthXapp
 from .xapps.intrusion import (
     FprEstimate,
-    IntrusionConfig,
     IntrusionXapp,
-    ProfileModel,
     build_profile,
     estimate_fpr,
     warmup_history,
     write_fpr_csv,
 )
-from .xapps.slicing import SlicingConfig, SlicingXapp
+from .xapps.slicing import SlicingXapp
 
 FRAMES_CSV_HEADER = "frame_index,ue,served_bits,queue_bytes,latency_ms,auth_state,slice_id"
 
@@ -97,21 +97,6 @@ class RunResult:
     sdl: Sdl | None = None
 
 
-def _profile_model(spec, report_period_ms: int) -> ProfileModel:
-    return ProfileModel(
-        ue=spec.ue,
-        gauss_fields={
-            "snr_db": (spec.radio.snr_mean_db, spec.radio.snr_std_db),
-            "cqi": (spec.radio.cqi_mean, spec.radio.cqi_std),
-            "tx_power_dbm": (spec.radio.tx_power_mean_dbm, spec.radio.tx_power_std_dbm),
-        },
-        rate_lo_mbps=spec.profile_rate_lo_mbps,
-        rate_hi_mbps=spec.profile_rate_hi_mbps,
-        packet_size_bytes=spec.traffic.packet_size_bytes,
-        report_period_ms=report_period_ms,
-    )
-
-
 def run(
     sc: Scenario,
     out_dir: str | Path | None = None,
@@ -121,11 +106,11 @@ def run(
     sc = replace(
         sc, zero_trust=sc.zero_trust and not legacy, seed=sc.seed if seed is None else seed
     )
-    secret = sc.secret()
-
     audit = AuditLog()
-    cell = RanCell(sc.cell, secret, zero_trust=sc.zero_trust)
-    cell.reauth_period_frames = sc.auth.reauth_period_frames if sc.zero_trust else 0
+    cell = RanCell(
+        sc.cell, sc.secret(), zero_trust=sc.zero_trust,
+        reauth_period_frames=sc.auth.reauth_period_frames,
+    )
 
     router = Router(audit)
     sdl = Sdl()
@@ -138,41 +123,7 @@ def run(
     auth_x = intr_x = slic_x = None
     if sc.zero_trust:
         ctx = XappContext(router=router, sdl=sdl, audit=audit, send_e2=send_e2)
-        auth_x = AuthXapp(
-            AuthConfig(
-                secret=secret,
-                credentials={u.ue: (u.credential,) for u in sc.ues},
-                ran_credential=sc.ran_credential(),
-                cell_id=sc.cell.cell_id,
-                e2_id=sc.cell.e2_id,
-                rng_tokens=Random(f"{sc.seed}/auth/tokens"),
-                verify_frames=sc.auth.verify_frames,
-                reauth_period_frames=sc.auth.reauth_period_frames,
-                token_expiry_frames=sc.auth.token_expiry_frames,
-                usage_tolerance=sc.auth.usage_tolerance,
-                per_prb_rate_mbps=sc.cell.per_prb_rate_mbps,
-                report_period_frames=sc.report_period_ms // FRAME_MS,
-            )
-        )
-        intr_x = IntrusionXapp(
-            IntrusionConfig(
-                detection=sc.detection,
-                models={u.ue: _profile_model(u, sc.report_period_ms) for u in sc.ues},
-                report_period_ms=sc.report_period_ms,
-                seed=sc.seed,
-            )
-        )
-        slic_x = SlicingXapp(
-            SlicingConfig(
-                total_prbs=sc.cell.total_prbs,
-                restricted=sc.restricted,
-                verification_budget_prbs=sc.auth.verification_budget_prbs,
-                reserved_prbs={
-                    u.ue: u.reserved_prbs for u in sc.ues
-                    if u.priority is SlicePriority.MISSION_CRITICAL
-                },
-            )
-        )
+        auth_x, intr_x, slic_x = AuthXapp(sc), IntrusionXapp(sc), SlicingXapp(sc)
         registry.register(auth_x, ctx)
         registry.register(intr_x, ctx)
         registry.register(slic_x, ctx)
@@ -200,7 +151,7 @@ def run(
         registry.frame_boundary(f)
         for spec in sc.ues:
             if spec.attach_frame == f:
-                token = auth_x.provision(spec.ue) if sc.zero_trust else None
+                token = auth_x.issue_token(spec.ue) if sc.zero_trust else None
                 cell.attach(
                     spec.ue,
                     traffic=spec.traffic,
@@ -427,9 +378,9 @@ def fpr_sweep(
         raise ValueError(f"fpr sweep needs trials >= {FPR_MIN_TRIALS}")
     seed = sc.seed if seed is None else seed
     spec = next((u for u in sc.ues if u.legitimate), sc.ues[0])
-    model = _profile_model(spec, sc.report_period_ms)
     rng = Random(f"{seed}/ue{spec.ue}/warmup")
-    profile = build_profile(spec.ue, warmup_history(model, sc.detection, rng), sc.detection)
+    history = warmup_history(spec, sc.report_period_ms, sc.detection, rng)
+    profile = build_profile(spec.ue, history, sc.detection)
     estimates = [
         estimate_fpr(
             profile,

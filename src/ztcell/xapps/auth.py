@@ -16,7 +16,10 @@ each factor stays an individually countable verification step:
 The RAN node itself is verified first via a blob with the reserved ue_id 0;
 UE requests from an unverified (cell, e2) pair are ignored outright and only
 audit-logged. Verification holds the UE in a minimal verification slice for
-`verify_frames` frames before the decision is made.
+`verify_frames` frames before the decision is made. The secret, the RAN's
+credential and each UE's registered credential come from the scenario the
+xApp is built from, and every token is drawn from one stream,
+`Random(f"{seed}/auth/tokens")`.
 
 Re-authentication compares a UE's mean reported throughput with its slice
 budget. The xApp holds each UE's usage window in memory and writes it
@@ -33,11 +36,15 @@ import json
 import struct
 from dataclasses import dataclass
 from random import Random
+from typing import TYPE_CHECKING
 
 from .. import e2
-from ..core import CellId, E2Id, SliceId, UeId, ordered_sum
+from ..core import FRAME_MS, CellId, E2Id, SliceId, UeId, ordered_sum
 from ..e2 import AuthOutcome, AuthReason, MsgKind
 from ..ric import InternalMessage, SdlWindow, Xapp, XappContext
+
+if TYPE_CHECKING:  # scenario.py imports the xApp modules
+    from ..scenario import Scenario
 
 BLOB_LEN = 66
 TOKEN_LEN = e2.TOKEN_LEN  # 16, shared with the wire format
@@ -104,28 +111,17 @@ class AuthDecision:
             raise ValueError("granted decisions must carry reason ok")
 
 
-@dataclass
-class AuthConfig:
-    secret: bytes
-    credentials: dict[UeId, tuple[bytes, ...]]
-    ran_credential: bytes
-    cell_id: CellId
-    e2_id: E2Id
-    rng_tokens: Random
-    verify_frames: int = 2
-    reauth_period_frames: int = 500
-    token_expiry_frames: int = 1000
-    usage_tolerance: float = 0.10
-    per_prb_rate_mbps: float = 0.24
-    report_period_frames: int = 10
-
-
 class AuthXapp(Xapp):
     name = "auth"
 
-    def __init__(self, config: AuthConfig) -> None:
+    def __init__(self, sc: Scenario) -> None:
         super().__init__()
-        self.cfg = config
+        self.sc = sc
+        self.secret = sc.secret()
+        self.ran_credential = sc.ran_credential()
+        # ue -> its credential factors, folded into the key chain in order
+        self.credentials: dict[UeId, tuple[bytes, ...]] = {u.ue: (u.credential,) for u in sc.ues}
+        self.rng_tokens = Random(f"{sc.seed}/auth/tokens")
         # pending verifications: ue -> (blob, due_frame); all durable state in SDL
         self._pending: dict[UeId, tuple[bytes, int]] = {}
         self._usage: SdlWindow | None = None
@@ -135,7 +131,7 @@ class AuthXapp(Xapp):
 
     def on_init(self, ctx: XappContext) -> None:
         super().on_init(ctx)
-        keep = max(1, self.cfg.reauth_period_frames // max(1, self.cfg.report_period_frames))
+        keep = max(1, self.sc.auth.reauth_period_frames // (self.sc.report_period_ms // FRAME_MS))
         self._usage = SdlWindow(ctx.sdl, NS_AUTH, keep)
         ctx.router.subscribe(self.name, [MsgKind.AUTH_REQUEST, MsgKind.KPM_INDICATION], self.handle)
 
@@ -156,15 +152,11 @@ class AuthXapp(Xapp):
 
     def issue_token(self, ue: UeId) -> bytes:
         """Mint and store a fresh transaction token; the previous one dies."""
-        token = self.cfg.rng_tokens.randbytes(TOKEN_LEN)
-        packed = token + struct.pack(">QQ", self.frame, self.cfg.token_expiry_frames)
+        token = self.rng_tokens.randbytes(TOKEN_LEN)
+        packed = token + struct.pack(">QQ", self.frame, self.sc.auth.token_expiry_frames)
         self.ctx.sdl.put(NS_AUTH, f"token:{ue}", packed)
         self.record("token_issued", f"ue {ue} token {token[:4].hex()}..", ue=ue)
         return token
-
-    def provision(self, ue: UeId) -> bytes:
-        """Out-of-band token handover to the UE at attach time."""
-        return self.issue_token(ue)
 
     def _stored_token(self, ue: UeId) -> tuple[bytes, int, int] | None:
         entry = self.ctx.sdl.get(NS_AUTH, f"token:{ue}")
@@ -183,7 +175,7 @@ class AuthXapp(Xapp):
         return self.ctx.sdl.get(NS_AUTH, self._ran_key(cell, e2_id)) is not None
 
     def verify_ran(self, cell: CellId, e2_id: E2Id, blob: bytes) -> bool:
-        expected = ran_identity_blob(self.cfg.secret, cell, e2_id, self.cfg.ran_credential)
+        expected = ran_identity_blob(self.secret, cell, e2_id, self.ran_credential)
         if hmac.compare_digest(blob, expected):
             self.ctx.sdl.put(NS_AUTH, self._ran_key(cell, e2_id), b"\x01")
             self.record("verified_ran", f"cell {cell} e2 {e2_id} verified")
@@ -214,7 +206,7 @@ class AuthXapp(Xapp):
             self._decide_reauth(ue, blob)
             return
         # Fresh transaction: park the UE in a verification slice while checks run.
-        self._pending[ue] = (blob, self.frame + self.cfg.verify_frames)
+        self._pending[ue] = (blob, self.frame + self.sc.auth.verify_frames)
         self.record("auth_pending", f"ue {ue} under verification", ue=ue)
         self.ctx.router.route(InternalMessage(KIND_VERIFY_START, {"ue": ue}))
 
@@ -232,12 +224,12 @@ class AuthXapp(Xapp):
         if self.frame - issued >= expiry:
             return AuthReason.EXPIRED
         # Knowledge + inherence: rebuild the key chain from registered factors.
-        key = blob_key(self.cfg.secret, self.cfg.credentials.get(blob_ue, ()))
+        key = blob_key(self.secret, self.credentials.get(blob_ue, ()))
         expected_tag = hmac.new(key, blob[: BLOB_LEN - TAG_LEN], hashlib.sha256).digest()
         if not hmac.compare_digest(tag, expected_tag):
             return AuthReason.BAD_TAG
         # Identifier binding: tag-covered, but reject explicitly on mismatch.
-        if blob_ue != ue or cell != self.cfg.cell_id or e2_id != self.cfg.e2_id:
+        if blob_ue != ue or cell != self.sc.cell.cell_id or e2_id != self.sc.cell.e2_id:
             return AuthReason.BAD_TAG
         if expect_slice is not None and slice_id != expect_slice:
             return AuthReason.SLICE_MISMATCH
@@ -320,5 +312,5 @@ class AuthXapp(Xapp):
         if not window:
             return True
         mean = ordered_sum(window) / len(window)
-        capacity = self._slice_budget(slice_id) * self.cfg.per_prb_rate_mbps
-        return mean <= capacity * (1.0 + self.cfg.usage_tolerance)
+        capacity = self._slice_budget(slice_id) * self.sc.cell.per_prb_rate_mbps
+        return mean <= capacity * (1.0 + self.sc.auth.usage_tolerance)

@@ -1,11 +1,12 @@
 """Behavior profiling and windowed anomaly detection over KPM reports.
 
 Profiles are built offline from benign warm-up traces and loaded when the
-xApp starts; the accepted range per field is mean +/- z_sigma * std, with
-the throughput range pinned by scenario policy instead. The decision
-statistic is the mean of each field over the last up-to-window_n reports:
-larger windows smooth benign excursions, which is what drives the false
-positive rate down as more reports accumulate.
+xApp starts, one per UE of the scenario, each drawn from that UE's radio,
+profile rate band and packet size. The accepted range per field is
+mean +/- z_sigma * std, with the throughput range pinned by scenario policy
+instead. The decision statistic is the mean of each field over the last
+up-to-window_n reports: larger windows smooth benign excursions, which is
+what drives the false positive rate down as more reports accumulate.
 
 `warmup_history` draws each warm-up report straight from `rng.random()`
 with the arithmetic of `Random.uniform` and `Random.gauss`, in this order:
@@ -43,13 +44,17 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from random import Random
+from typing import TYPE_CHECKING
 
 from .. import e2
 from ..core import FRAME_MS, KPM_FIELDS, BehaviorProfile, FieldStats, KPMReport, UeId, ordered_sum
 from ..e2 import MsgKind
 from ..ric import InternalMessage, SdlWindow, Xapp, XappContext, json_text
+
+if TYPE_CHECKING:  # scenario.py imports this module's DetectionConfig
+    from ..scenario import Scenario, UeSpec
 
 NS_PROFILES = "profiles"
 
@@ -168,33 +173,25 @@ def assess(profile: BehaviorProfile, reports: list[KPMReport], config: Detection
 # ---- benign generative model -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProfileModel:
-    """Generator for benign warm-up traces: radio Gaussians plus a rate band."""
-
-    ue: UeId
-    gauss_fields: dict[str, tuple[float, float]]  # snr_db/cqi/tx_power_dbm -> (mean, std)
-    rate_lo_mbps: float
-    rate_hi_mbps: float
-    packet_size_bytes: int = 1500
-    report_period_ms: int = 100
-
-
-def warmup_history(model: ProfileModel, config: DetectionConfig, rng: Random) -> list[KPMReport]:
-    """`config.warmup_reports` benign reports, seqs 1, 2, ..., drawn from `model`.
+def warmup_history(
+    spec: UeSpec, report_period_ms: int, config: DetectionConfig, rng: Random
+) -> list[KPMReport]:
+    """`config.warmup_reports` benign reports, seqs 1, 2, ..., for the UE of
+    `spec`: its radio Gaussians, its profile rate band, and its packet size.
 
     Leaves every report and `rng`'s state as one `rng.uniform`/`rng.gauss`
     call per draw would; the draw order is in the module docstring.
     """
-    snr_mean, snr_std = model.gauss_fields["snr_db"]
-    cqi_mean, cqi_std = model.gauss_fields["cqi"]
-    pow_mean, pow_std = model.gauss_fields["tx_power_dbm"]
-    ue = model.ue
-    rate_lo = model.rate_lo_mbps
-    rate_span = model.rate_hi_mbps - rate_lo
+    radio = spec.radio
+    snr_mean, snr_std = radio.snr_mean_db, radio.snr_std_db
+    cqi_mean, cqi_std = radio.cqi_mean, radio.cqi_std
+    pow_mean, pow_std = radio.tx_power_mean_dbm, radio.tx_power_std_dbm
+    ue = spec.ue
+    rate_lo = spec.profile_rate_lo_mbps
+    rate_span = spec.profile_rate_hi_mbps - rate_lo
     bits_per_mbps = FRAME_MS * 1000  # bits one frame carries at 1 Mbps
-    frames = range(model.report_period_ms // FRAME_MS)
-    pkt_bits = model.packet_size_bytes * 8
+    frames = range(report_period_ms // FRAME_MS)
+    pkt_bits = spec.traffic.packet_size_bytes * 8
     random, tau, sqrt, log, cos, sin = rng.random, math.tau, math.sqrt, math.log, math.cos, math.sin
     carried = rng.gauss_next
     history = []
@@ -360,37 +357,31 @@ def report_json_text(report: KPMReport) -> str:
     return _REPORT_JSON % tuple(map(json_text, report))
 
 
-@dataclass
-class IntrusionConfig:
-    detection: DetectionConfig
-    models: dict[UeId, ProfileModel]
-    report_period_ms: int = 100
-    seed: int | str = 0
-
-
 class IntrusionXapp(Xapp):
     name = "intrusion"
 
-    def __init__(self, config: IntrusionConfig) -> None:
+    def __init__(self, sc: Scenario) -> None:
         super().__init__()
-        self.cfg = config
+        self.sc = sc
         self.profiles: dict[UeId, BehaviorProfile] = {}
         self.flagged: set[UeId] = set()  # UEs whose latest verdict flagged
         self._windows: SdlWindow | None = None
 
     def on_init(self, ctx: XappContext) -> None:
         super().on_init(ctx)
+        sc = self.sc
         self._windows = SdlWindow(
-            ctx.sdl, NS_PROFILES, self.cfg.detection.window_n,
+            ctx.sdl, NS_PROFILES, sc.detection.window_n,
             load=lambda d: KPMReport(**d), dump=report_json_text,
         )
         ctx.router.subscribe(
             self.name, [MsgKind.KPM_INDICATION, MsgKind.SUBSCRIPTION_ACK], self.handle
         )
-        for ue in sorted(self.cfg.models):
-            model = self.cfg.models[ue]
-            rng = Random(f"{self.cfg.seed}/ue{ue}/warmup")
-            profile = build_profile(ue, warmup_history(model, self.cfg.detection, rng), self.cfg.detection)
+        for spec in sc.ues:  # in id order, as the parser sorts them
+            ue = spec.ue
+            rng = Random(f"{sc.seed}/ue{ue}/warmup")
+            history = warmup_history(spec, sc.report_period_ms, sc.detection, rng)
+            profile = build_profile(ue, history, sc.detection)
             self.profiles[ue] = profile
             ctx.sdl.put(
                 NS_PROFILES,
@@ -402,7 +393,7 @@ class IntrusionXapp(Xapp):
                     }
                 ).encode(),
             )
-        ctx.send_e2(MsgKind.SUBSCRIPTION_REQUEST, e2.SubscriptionRequestBody(self.cfg.report_period_ms))
+        ctx.send_e2(MsgKind.SUBSCRIPTION_REQUEST, e2.SubscriptionRequestBody(sc.report_period_ms))
 
     def handle(self, msg: e2.E2Message) -> None:
         body = msg.body
@@ -413,9 +404,10 @@ class IntrusionXapp(Xapp):
         if profile is None:
             return
         window = self._windows.append(f"window:{report.ue}", report)
-        if len(window) < self.cfg.detection.min_reports_before_decision:
+        detection = self.sc.detection
+        if len(window) < detection.min_reports_before_decision:
             return
-        verdict = assess(profile, window, self.cfg.detection)
+        verdict = assess(profile, window, detection)
         if not verdict.flagged:
             self.flagged.discard(report.ue)
         elif report.ue not in self.flagged:

@@ -3,6 +3,8 @@
 Every UE gets a dedicated slice. Granted commercial UEs share the PRBs left
 after reservations in an equal split (remainder to lowest-index slices);
 mission-critical UEs take their configured budgets off the bottom first.
+The cell size, the verification and restricted budgets and the reservations
+are read from the scenario the xApp is built from.
 Isolated intruders all share one restricted slice pinned to the
 highest-index PRBs, so slicing work stays independent of intruder count;
 verification slices sit just below it. Tables change only at frame
@@ -20,7 +22,8 @@ isolated UE out of the restricted slice; only a deny or revoke releases it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .. import e2
 from ..core import (
@@ -38,6 +41,9 @@ from ..ric import InternalMessage, Xapp, XappContext
 from .auth import KIND_DENY, KIND_GRANT, KIND_REVOKE, KIND_VERIFY_START, NS_AUTH, NS_SLICES
 from .intrusion import KIND_VERDICT, Verdict
 
+if TYPE_CHECKING:  # scenario.py imports this module's RestrictedPolicy
+    from ..scenario import Scenario
+
 
 class PolicyError(ValueError):
     pass
@@ -52,15 +58,6 @@ class RestrictedPolicy:
             raise ValueError("restricted budget must be 1..5 PRBs")
 
 
-@dataclass
-class SlicingConfig:
-    total_prbs: int = 100
-    restricted: RestrictedPolicy = field(default_factory=RestrictedPolicy)
-    verification_budget_prbs: int = 2
-    # mission-critical UE -> its budget, allocated off the bottom before the split
-    reserved_prbs: dict[UeId, int] = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class SliceChange:
     frame: int
@@ -73,9 +70,13 @@ class SliceChange:
 class SlicingXapp(Xapp):
     name = "slicing"
 
-    def __init__(self, config: SlicingConfig) -> None:
+    def __init__(self, sc: Scenario) -> None:
         super().__init__()
-        self.cfg = config
+        self.sc = sc
+        # mission-critical UE -> its budget, allocated off the bottom before the split
+        self.reserved: dict[UeId, int] = {
+            u.ue: u.reserved_prbs for u in sc.ues if u.priority is SlicePriority.MISSION_CRITICAL
+        }
         # ue -> the kind of slice it holds: the one record of every UE's binding
         self._occupancy: dict[UeId, SliceKind] = {}
         # (ue, kind) -> slice id, and (None, RESTRICTED) -> the shared restricted slice
@@ -155,15 +156,15 @@ class SlicingXapp(Xapp):
         self.changes.append(SliceChange(self.frame, ue, old, new, cause))
 
     def _recompute(self) -> None:
-        total = self.cfg.total_prbs
-        verification = self.cfg.verification_budget_prbs
-        reserved = self.cfg.reserved_prbs
+        total = self.sc.cell.total_prbs
+        verification = self.sc.auth.verification_budget_prbs
+        reserved = self.reserved
         occupancy = self._occupancy.items()
         verifying = [u for u, k in occupancy if k is SliceKind.VERIFICATION]
         critical = [u for u, k in occupancy if k is SliceKind.NORMAL and u in reserved]
         commercial = [u for u, k in occupancy if k is SliceKind.NORMAL and u not in reserved]
         isolated = SliceKind.RESTRICTED in self._occupancy.values()
-        restricted = self.cfg.restricted.budget_prbs if isolated else 0
+        restricted = self.sc.restricted.budget_prbs if isolated else 0
 
         # (ue, kind, first PRB, PRBs): the restricted and verification slices
         # down from the top of the cell, the mission-critical ones up from the

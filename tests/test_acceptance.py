@@ -16,7 +16,7 @@ from ztcell import e2, runner
 from ztcell.core import KPMReport, PRBMask, SliceSpec, validate_slice_table
 from ztcell.e2 import AuthOutcome, AuthRequestBody, KpmIndicationBody, MsgKind, SubscriptionAckBody, SubscriptionRequestBody
 from ztcell.runner import fpr_sweep, run
-from ztcell.scenario import load_scenario
+from ztcell.scenario import load_scenario, parse_scenario
 from ztcell.xapps.auth import blob_key, build_blob
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -80,6 +80,15 @@ class TestGoldenRuns:
     def test_fpr_sweep(self, fpr_run):
         _, out_csv, _ = fpr_run
         assert out_csv.read_bytes() == (GOLDEN / "fpr_leaky.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()))
+    def test_run_log_replays(self, name, tmp_path):
+        """A pinned run's `run.log`, parsed under the name on its first line
+        and run as it stands, writes every pinned file again."""
+        log = (GOLDEN / name / "run.log").read_text()
+        sc = parse_scenario(log, name=log.partition("\n")[0].removeprefix("# run: "))
+        run(sc, out_dir=tmp_path / "out")
+        assert_same_files(tmp_path / "out", GOLDEN / name)
 
 
 class TestCriterion1Authentication:
@@ -389,9 +398,9 @@ class TestCriterion5PropertySuites:
     def test_d_any_single_bit_flip_denies(self, flood_run):
         result, _ = flood_run
         auth = result.auth
-        token = auth.provision(2)
-        chain = auth.cfg.credentials[2]
-        blob = build_blob(token, 2, 1, 1, 0, blob_key(auth.cfg.secret, chain))
+        token = auth.issue_token(2)
+        chain = auth.credentials[2]
+        blob = build_blob(token, 2, 1, 1, 0, blob_key(auth.secret, chain))
         assert auth.verify_ue(2, blob).outcome is AuthOutcome.GRANTED
         denied = 0
         for bit in range(528):

@@ -1,17 +1,18 @@
 """Authentication xApp: token laws, RAN-first ordering, factor soundness."""
 import hmac
 import json
+from dataclasses import replace
 from random import Random
 from unittest import mock
 
 from ztcell import e2
 from ztcell.e2 import AuthOutcome, AuthReason, AuthRequestBody, MsgKind
 from ztcell.ric import AuditLog, Router, Sdl, XappContext
+from ztcell.scenario import parse_scenario
 from ztcell.xapps.auth import (
     BLOB_LEN,
     NS_AUTH,
     NS_SLICES,
-    AuthConfig,
     AuthXapp,
     blob_key,
     build_blob,
@@ -20,28 +21,24 @@ from ztcell.xapps.auth import (
     ran_identity_blob,
 )
 
-SECRET = b"\x42" * 32
-RAN_CRED = b"ran-credential!!"
-CHAINS = {ue: (bytes([ue]) * 16,) for ue in range(1, 10)}
+# Nine UEs in cell 1, e2 node 1, decided in the frame they ask.
+BASE = parse_scenario("\n".join(
+    ["scenario.duration_frames = 1000", "auth.verify_frames = 0"]
+    + [f"ue.{ue}.traffic = idle" for ue in range(1, 10)]
+))
+SECRET = BASE.secret()
+RAN_CRED = BASE.ran_credential()
+CHAINS = {u.ue: (u.credential,) for u in BASE.ues}
 
 
 class Harness:
-    def __init__(self, **overrides):
+    def __init__(self, **auth):
+        """The auth xApp on `BASE`, with `auth` replacing its `auth.*` settings."""
         self.audit = AuditLog()
         self.router = Router(self.audit)
         self.sdl = Sdl()
         self.sent = []
-        cfg = dict(
-            secret=SECRET,
-            credentials=dict(CHAINS),
-            ran_credential=RAN_CRED,
-            cell_id=1,
-            e2_id=1,
-            rng_tokens=Random("tokens"),
-            verify_frames=0,
-        )
-        cfg.update(overrides)
-        self.xapp = AuthXapp(AuthConfig(**cfg))
+        self.xapp = AuthXapp(replace(BASE, auth=replace(BASE.auth, **auth)))
         ctx = XappContext(
             router=self.router, sdl=self.sdl, audit=self.audit,
             send_e2=lambda kind, body: self.sent.append((kind, body)),
@@ -74,22 +71,22 @@ class TestTokens:
     def test_second_issue_invalidates_first(self):
         h = Harness()
         h.verify_ran()
-        first = h.xapp.provision(1)
-        second = h.xapp.provision(1)
+        first = h.xapp.issue_token(1)
+        second = h.xapp.issue_token(1)
         assert first != second
         h.request(h.blob_for(1, first))
         h.decide()
         assert h.responses()[-1].reason is AuthReason.UNKNOWN_TOKEN
 
     def test_ten_thousand_tokens_no_collision(self):
-        h = Harness(credentials={}, token_expiry_frames=10**9)
+        h = Harness(token_expiry_frames=10**9)
         tokens = {h.xapp.issue_token(ue) for ue in range(10_000)}
         assert len(tokens) == 10_000
 
     def test_issued_token_verifies_immediately(self):
         h = Harness()
         h.verify_ran()
-        token = h.xapp.provision(1)
+        token = h.xapp.issue_token(1)
         h.request(h.blob_for(1, token))
         h.decide()
         assert h.responses()[-1].outcome is AuthOutcome.GRANTED
@@ -97,7 +94,7 @@ class TestTokens:
     def test_grant_rotates_token(self):
         h = Harness()
         h.verify_ran()
-        token = h.xapp.provision(1)
+        token = h.xapp.issue_token(1)
         h.request(h.blob_for(1, token))
         h.decide()
         fresh = h.responses()[-1].token
@@ -107,7 +104,7 @@ class TestTokens:
 class TestRanOrdering:
     def test_ue_blob_before_ran_verification_is_ignored(self):
         h = Harness()
-        token = h.xapp.provision(1)
+        token = h.xapp.issue_token(1)
         h.request(h.blob_for(1, token))
         h.decide()
         assert h.responses() == []  # no decision emitted at all
@@ -117,7 +114,7 @@ class TestRanOrdering:
     def test_valid_pair_then_ue_blob_proceeds(self):
         h = Harness()
         h.verify_ran()
-        token = h.xapp.provision(2)
+        token = h.xapp.issue_token(2)
         h.request(h.blob_for(2, token))
         h.decide()
         assert h.responses()[-1].outcome is AuthOutcome.GRANTED
@@ -133,7 +130,7 @@ class TestRanOrdering:
     def test_grant_never_precedes_verified_ran_in_audit(self):
         h = Harness()
         h.verify_ran()
-        token = h.xapp.provision(1)
+        token = h.xapp.issue_token(1)
         h.request(h.blob_for(1, token))
         h.decide()
         actions = [e["action"] for e in h.audit.entries]
@@ -142,7 +139,7 @@ class TestRanOrdering:
 
 class TestVerifyUe:
     def grant(self, h: Harness, ue: int) -> bytes:
-        token = h.xapp.provision(ue)
+        token = h.xapp.issue_token(ue)
         h.request(h.blob_for(ue, token))
         h.decide()
         return token
@@ -152,7 +149,7 @@ class TestVerifyUe:
         h.verify_ran()
         for ue in (1, 2, 3):
             self.grant(h, ue)
-        h.xapp.provision(4)
+        h.xapp.issue_token(4)
         wrong = Random("nope").randbytes(16)
         h.request(h.blob_for(4, wrong))
         h.decide()
@@ -163,7 +160,7 @@ class TestVerifyUe:
     def test_wrong_credential_chain_denied_bad_tag(self):
         h = Harness()
         h.verify_ran()
-        token = h.xapp.provision(1)
+        token = h.xapp.issue_token(1)
         bad_key = blob_key(SECRET, corrupt_chain(CHAINS[1]))
         h.request(build_blob(token, 1, 1, 1, 0, bad_key))
         h.decide()
@@ -172,7 +169,7 @@ class TestVerifyUe:
     def test_mismatched_cell_id_denied(self):
         h = Harness()
         h.verify_ran()
-        token = h.xapp.provision(1)
+        token = h.xapp.issue_token(1)
         blob = build_blob(token, 1, 2, 1, 0, blob_key(SECRET, CHAINS[1]))  # cell 2, not 1
         h.request(blob)
         h.decide()
@@ -188,7 +185,7 @@ class TestVerifyUe:
     def test_replay_after_reissue_denied_unknown_token(self):
         h = Harness()
         h.verify_ran()
-        token = h.xapp.provision(1)
+        token = h.xapp.issue_token(1)
         original = h.blob_for(1, token)
         h.request(original)
         h.decide()
@@ -202,7 +199,7 @@ class TestVerifyUe:
     def test_every_single_bit_flip_is_denied(self):
         h = Harness()
         h.verify_ran()
-        token = h.xapp.provision(1)
+        token = h.xapp.issue_token(1)
         blob = h.blob_for(1, token)
         assert h.xapp.verify_ue(1, blob).outcome is AuthOutcome.GRANTED
         for bit in range(0, BLOB_LEN * 8, 37):  # sparse sample; full sweep in acceptance
@@ -214,7 +211,7 @@ class TestVerifyUe:
 class TestReauth:
     def setup_granted(self, h: Harness, ue: int, budget: int = 50) -> bytes:
         h.verify_ran()
-        token = h.xapp.provision(ue)
+        token = h.xapp.issue_token(ue)
         h.request(h.blob_for(ue, token))
         h.decide()
         fresh = h.responses()[-1].token
@@ -263,8 +260,8 @@ class TestReauth:
         h.request(h.blob_for(1, token, slice_id=9))
         assert h.responses()[-1].outcome is AuthOutcome.DENIED
         assert h.responses()[-1].reason is AuthReason.EXPIRED
-        # Fresh attach: provision again and verify within the expiry window.
-        fresh = h.xapp.provision(1)
+        # Fresh attach: issue a token again and verify within the expiry window.
+        fresh = h.xapp.issue_token(1)
         h.request(h.blob_for(1, fresh))
         h.decide()
         assert h.responses()[-1].outcome is AuthOutcome.GRANTED
@@ -274,9 +271,10 @@ def hmac_calls_to_grant(length: int) -> int:
     """The `hmac.new` calls of one `verify_ue` that grants a UE holding
     `length` credential factors."""
     chain = tuple(bytes([i]) * 4 for i in range(length))
-    h = Harness(credentials={1: chain})
+    h = Harness()
+    h.xapp.credentials[1] = chain
     h.verify_ran()
-    token = h.xapp.provision(1)
+    token = h.xapp.issue_token(1)
     blob = build_blob(token, 1, 1, 1, 0, blob_key(SECRET, chain))
     with mock.patch.object(hmac, "new", wraps=hmac.new) as new:
         decision = h.xapp.verify_ue(1, blob)

@@ -1,5 +1,6 @@
 """Profiling and anomaly detection: boundary arithmetic and Monte Carlo laws."""
 import math
+from dataclasses import replace
 from itertools import islice
 from random import Random
 from unittest import mock
@@ -9,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ztcell.core import FRAME_MS, KPM_FIELDS, BehaviorProfile, FieldStats, KPMReport, ordered_sum
+from ztcell.ran import RadioProfile
+from ztcell.scenario import UeSpec, parse_scenario
 from ztcell.xapps import intrusion
 from ztcell.xapps.intrusion import (
     DetectionConfig,
     FprEstimate,
     InsufficientDataError,
     NoVerdictError,
-    ProfileModel,
     Verdict,
     _benign_windows,
     _sample_stats,
@@ -28,6 +30,8 @@ from ztcell.xapps.intrusion import (
 )
 
 CFG = DetectionConfig()
+# One UE with the default radio, packet size, report period and rate band.
+BASE = parse_scenario("scenario.duration_frames = 1\nue.1.traffic = idle")
 
 
 def report(tput: float, seq: int = 1, snr: float = 25.0, cqi: int = 12,
@@ -220,34 +224,35 @@ class TestComplexity:
 
 
 def synth_benign_report(
-    model: ProfileModel, seq: int, rng: Random, throughput_range: tuple[float, float]
+    spec: UeSpec, report_period_ms: int, seq: int, rng: Random,
+    throughput_range: tuple[float, float],
 ) -> KPMReport:
     """One warm-up report, one `rng.uniform`/`rng.gauss` call per draw."""
-    snr_mean, snr_std = model.gauss_fields["snr_db"]
-    cqi_mean, cqi_std = model.gauss_fields["cqi"]
-    pow_mean, pow_std = model.gauss_fields["tx_power_dbm"]
-    frames = model.report_period_ms // FRAME_MS
+    radio = spec.radio
+    frames = report_period_ms // FRAME_MS
     bits_per_mbps = FRAME_MS * 1000  # bits one frame carries at 1 Mbps
     total_bits = ordered_sum(
-        rng.uniform(model.rate_lo_mbps, model.rate_hi_mbps) * bits_per_mbps for _ in range(frames)
+        rng.uniform(spec.profile_rate_lo_mbps, spec.profile_rate_hi_mbps) * bits_per_mbps
+        for _ in range(frames)
     )
-    pkt_bits = model.packet_size_bytes * 8
+    pkt_bits = spec.traffic.packet_size_bytes * 8
     return KPMReport(  # positional, in field order, which is also the draw order
-        model.ue, 0, seq,
-        rng.gauss(snr_mean, snr_std),
-        min(15, max(0, round(rng.gauss(cqi_mean, cqi_std)))),
+        spec.ue, 0, seq,
+        rng.gauss(radio.snr_mean_db, radio.snr_std_db),
+        min(15, max(0, round(rng.gauss(radio.cqi_mean, radio.cqi_std)))),
         max(0, round(total_bits / pkt_bits)),
-        rng.gauss(pow_mean, pow_std),
+        rng.gauss(radio.tx_power_mean_dbm, radio.tx_power_std_dbm),
         rng.uniform(*throughput_range),
     )
 
 
 def reference_warmup_history(
-    model: ProfileModel, config: DetectionConfig, rng: Random
+    spec: UeSpec, report_period_ms: int, config: DetectionConfig, rng: Random
 ) -> list[KPMReport]:
-    span = (model.rate_lo_mbps, model.rate_hi_mbps)
+    span = (spec.profile_rate_lo_mbps, spec.profile_rate_hi_mbps)
     return [
-        synth_benign_report(model, seq, rng, span) for seq in range(1, config.warmup_reports + 1)
+        synth_benign_report(spec, report_period_ms, seq, rng, span)
+        for seq in range(1, config.warmup_reports + 1)
     ]
 
 
@@ -256,23 +261,28 @@ def gauss_field(mean_lo: float, mean_hi: float):
 
 
 @st.composite
-def profile_models(draw):
-    """Models with zero stds, equal rate bounds, cqi means at the clip edges,
-    and negative rates, which reach the tx_packets clip."""
+def warmup_ues(draw):
+    """A UE and a report period: zero stds, equal rate bounds, cqi means at
+    the clip edges, and negative rates, which reach the tx_packets clip. The
+    UE is `BASE`'s with fields replaced, so it reaches rate bands and report
+    periods the parser rejects."""
     rate_lo = draw(st.floats(-50.0, 50.0))
     rate_hi = draw(st.just(rate_lo) | st.floats(rate_lo, rate_lo + 50.0))
-    return ProfileModel(
-        ue=draw(st.integers(1, 64)),
-        gauss_fields={
-            "snr_db": draw(gauss_field(-10.0, 40.0)),
-            "cqi": draw(gauss_field(-2.0, 1.0) | gauss_field(14.0, 17.0) | gauss_field(0.0, 15.0)),
-            "tx_power_dbm": draw(gauss_field(-10.0, 30.0)),
-        },
-        rate_lo_mbps=rate_lo,
-        rate_hi_mbps=rate_hi,
-        packet_size_bytes=draw(st.integers(1, 9000)),
-        report_period_ms=draw(st.integers(10, 1000)),
+    (snr_mean, snr_std), (cqi_mean, cqi_std), (pow_mean, pow_std) = (
+        draw(gauss_field(-10.0, 40.0)),
+        draw(gauss_field(-2.0, 1.0) | gauss_field(14.0, 17.0) | gauss_field(0.0, 15.0)),
+        draw(gauss_field(-10.0, 30.0)),
     )
+    spec = BASE.ues[0]
+    spec = replace(
+        spec,
+        ue=draw(st.integers(1, 64)),
+        radio=RadioProfile(snr_mean, snr_std, cqi_mean, cqi_std, pow_mean, pow_std),
+        traffic=replace(spec.traffic, packet_size_bytes=draw(st.integers(1, 9000))),
+        profile_rate_lo_mbps=rate_lo,
+        profile_rate_hi_mbps=rate_hi,
+    )
+    return spec, draw(st.integers(10, 1000))
 
 
 @st.composite
@@ -289,26 +299,28 @@ class TestWarmupMatchesReference:
     """`warmup_history` draws with `Random.uniform`'s and `Random.gauss`'s
     arithmetic written out; it must equal one call per draw, report for report."""
 
-    @given(profile_models(), st.integers(2, 300), warmup_rngs())
+    @given(warmup_ues(), st.integers(2, 300), warmup_rngs())
     @settings(max_examples=150, deadline=None)
-    def test_reports_and_rng_state_equal_reference(self, model, warmup_reports, rng):
+    def test_reports_and_rng_state_equal_reference(self, ue, warmup_reports, rng):
+        spec, period = ue
         cfg = DetectionConfig(warmup_reports=warmup_reports)
         ref_rng = Random()
         ref_rng.setstate(rng.getstate())
-        history = warmup_history(model, cfg, rng)
-        ref = reference_warmup_history(model, cfg, ref_rng)
+        history = warmup_history(spec, period, cfg, rng)
+        ref = reference_warmup_history(spec, period, cfg, ref_rng)
         assert all(type(r) is KPMReport for r in history)
         # repr tells an int field from an equal float one
         assert [tuple(map(repr, r)) for r in history] == [tuple(map(repr, r)) for r in ref]
         assert rng.getstate() == ref_rng.getstate()
 
-    @given(profile_models(), st.integers(2, 60), warmup_rngs())
+    @given(warmup_ues(), st.integers(2, 60), warmup_rngs())
     @settings(max_examples=60, deadline=None)
-    def test_profile_equals_reference_profile(self, model, warmup_reports, rng):
+    def test_profile_equals_reference_profile(self, ue, warmup_reports, rng):
+        spec, period = ue
         cfg = DetectionConfig(warmup_reports=warmup_reports)
-        history = warmup_history(model, cfg, rng)
-        assert repr(build_profile(model.ue, history, cfg)) == repr(
-            reference_build_profile(model.ue, history, cfg)
+        history = warmup_history(spec, period, cfg, rng)
+        assert repr(build_profile(spec.ue, history, cfg)) == repr(
+            reference_build_profile(spec.ue, history, cfg)
         )
 
 
@@ -328,13 +340,8 @@ def reference_build_profile(ue, history, config) -> BehaviorProfile:
 
 
 def leaky_profile() -> BehaviorProfile:
-    model = ProfileModel(
-        ue=1,
-        gauss_fields={"snr_db": (25.0, 2.0), "cqi": (12.0, 1.5), "tx_power_dbm": (20.0, 1.0)},
-        rate_lo_mbps=10.0,
-        rate_hi_mbps=20.0,
-    )
-    return build_profile(1, warmup_history(model, CFG, Random("warmup")), CFG)
+    history = warmup_history(BASE.ues[0], BASE.report_period_ms, CFG, Random("warmup"))
+    return build_profile(1, history, CFG)
 
 
 class TestEstimateFpr:
@@ -477,24 +484,14 @@ class TestIntrusionXapp:
 
         from ztcell import e2 as e2mod
         from ztcell.ric import AuditLog, Router, Sdl, XappContext
-        from ztcell.xapps.intrusion import NS_PROFILES, IntrusionConfig, IntrusionXapp
+        from ztcell.xapps.intrusion import NS_PROFILES, IntrusionXapp
 
         audit = AuditLog()
         router = Router(audit)
         sdl = Sdl()
         sent = []
-        model = ProfileModel(
-            ue=1,
-            gauss_fields={"snr_db": (25.0, 2.0), "cqi": (12.0, 1.5), "tx_power_dbm": (20.0, 1.0)},
-            rate_lo_mbps=10.0,
-            rate_hi_mbps=20.0,
-        )
-        cfg = IntrusionConfig(
-            detection=DetectionConfig(min_reports_before_decision=min_reports, window_n=window_n),
-            models={1: model},
-            seed="t",
-        )
-        xapp = IntrusionXapp(cfg)
+        detection = DetectionConfig(min_reports_before_decision=min_reports, window_n=window_n)
+        xapp = IntrusionXapp(replace(BASE, detection=detection))
         xapp.on_init(
             XappContext(router=router, sdl=sdl, audit=audit,
                         send_e2=lambda kind, body: sent.append((kind, body)))

@@ -205,6 +205,36 @@ class TestAttach:
         assert cell.ues[1].auth_state is AuthState.UNAUTHENTICATED
 
 
+def reauth_frames(cell: RanCell, frames: range) -> list[int]:
+    """The frames in which `maybe_reauth` sends an AUTH_REQUEST."""
+    sent = []
+    for f in frames:
+        cell.maybe_reauth(f)
+        if cell.outbox:
+            assert [e2.decode(raw).kind for raw in cell.outbox] == [MsgKind.AUTH_REQUEST]
+            sent.append(f)
+            cell.outbox.clear()
+    return sent
+
+
+class TestReauthPeriod:
+    def test_period_given_at_construction_paces_reauth(self):
+        cell = RanCell(CellConfig(), SECRET, zero_trust=True, reauth_period_frames=5)
+        attach_one(cell, 1, IDLE)
+        grant_with_slices(cell, {1: (1, 0, 10, SliceKind.NORMAL)})
+        cell.ues[1].granted_frame = 0
+        cell.outbox.clear()
+        assert reauth_frames(cell, range(16)) == [5, 10, 15]
+
+    def test_legacy_cell_never_reauthenticates(self):
+        cell = RanCell(CellConfig(), SECRET, zero_trust=False, reauth_period_frames=5)
+        attach_one(cell, 1, IDLE)
+        # Even a UE marked granted: the rule is the cell's mode, not the UE's state.
+        cell.ues[1].auth_state = AuthState.GRANTED
+        cell.ues[1].granted_frame = 0
+        assert reauth_frames(cell, range(16)) == []
+
+
 class TestKpm:
     def test_throughput_is_served_bits_over_period(self):
         cell = RanCell(CellConfig(), SECRET, zero_trust=True)

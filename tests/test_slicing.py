@@ -1,5 +1,6 @@
 """Slice lifecycle: equal split, isolation, reallocation, emission validity."""
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from ztcell.core import (
 )
 from ztcell.e2 import MsgKind, SliceControlBody
 from ztcell.ric import AuditLog, InternalMessage, Router, Sdl, Xapp, XappContext
+from ztcell.scenario import Scenario, parse_scenario
 from ztcell.xapps.auth import (
     KIND_DENY,
     KIND_GRANT,
@@ -30,9 +32,34 @@ from ztcell.xapps.slicing import (
     PolicyError,
     RestrictedPolicy,
     SliceChange,
-    SlicingConfig,
     SlicingXapp,
 )
+
+# The slicer binds whichever UEs it is told to; the scenario's UEs matter
+# only as the source of its mission-critical reservations.
+BASE = parse_scenario("scenario.duration_frames = 1\nue.1.traffic = idle")
+
+
+def slicer_scenario(
+    total_prbs: int = 100,
+    verification_budget_prbs: int = 2,
+    restricted: RestrictedPolicy = RestrictedPolicy(),
+    reserved_prbs: dict[UeId, int] | None = None,
+) -> Scenario:
+    """`BASE` with the settings the slicer reads replaced, and one
+    mission-critical UE per `reserved_prbs` entry. Being replaced rather than
+    parsed, it reaches cells and reservations the parser rejects."""
+    critical = tuple(
+        replace(BASE.ues[0], ue=ue, priority=SlicePriority.MISSION_CRITICAL, reserved_prbs=prbs)
+        for ue, prbs in (reserved_prbs or {}).items()
+    )
+    return replace(
+        BASE,
+        cell=replace(BASE.cell, total_prbs=total_prbs),
+        auth=replace(BASE.auth, verification_budget_prbs=verification_budget_prbs),
+        restricted=restricted,
+        ues=critical,
+    )
 
 
 def verdict(ue: UeId) -> Verdict:
@@ -45,8 +72,7 @@ class Board:
         self.router = Router(self.audit)
         self.sdl = Sdl()
         self.sent: list[tuple[MsgKind, SliceControlBody]] = []
-        cfg = SlicingConfig(**overrides)
-        self.xapp = slicer(cfg)
+        self.xapp = slicer(slicer_scenario(**overrides))
         self.xapp.on_init(
             XappContext(
                 router=self.router, sdl=self.sdl, audit=self.audit,
@@ -354,9 +380,9 @@ class ReferenceSlicer(Xapp):
 
     name = "slicing"
 
-    def __init__(self, config: SlicingConfig) -> None:
+    def __init__(self, sc: Scenario) -> None:
         super().__init__()
-        self.cfg = config
+        self.sc = sc
         self._occupancy: dict[UeId, str] = {}
         self._slice_ids: dict[tuple[UeId | None, str], SliceId] = {}
         self.bindings: dict[UeId, SliceId] = {}
@@ -419,16 +445,19 @@ class ReferenceSlicer(Xapp):
         return self._slice_ids.setdefault((ue, kind), len(self._slice_ids) + 1)
 
     def _recompute(self, cause: str) -> None:
-        total = self.cfg.total_prbs
+        total = self.sc.cell.total_prbs
         verifying = [u for u, k in self._occupancy.items() if k == "verification"]
         normal = [u for u, k in self._occupancy.items() if k == "normal"]
         isolated = [u for u, k in self._occupancy.items() if k == "restricted"]
-        reserved = self.cfg.reserved_prbs
+        reserved = {
+            u.ue: u.reserved_prbs for u in self.sc.ues
+            if u.priority is SlicePriority.MISSION_CRITICAL
+        }
         critical = [u for u in normal if u in reserved]
         commercial = [u for u in normal if u not in reserved]
 
-        restricted_prbs = self.cfg.restricted.budget_prbs if isolated else 0
-        verification = self.cfg.verification_budget_prbs
+        restricted_prbs = self.sc.restricted.budget_prbs if isolated else 0
+        verification = self.sc.auth.verification_budget_prbs
         reserved_prbs = sum(reserved[u] for u in critical)
         need = restricted_prbs + len(verifying) * verification + reserved_prbs + len(commercial)
         if need > total:
@@ -443,7 +472,7 @@ class ReferenceSlicer(Xapp):
         slices: list[SliceSpec] = []
         new_bindings: dict[UeId, SliceId] = {}
         if isolated:
-            budget = self.cfg.restricted.budget_prbs
+            budget = self.sc.restricted.budget_prbs
             top -= budget
             rid = self._slice_id(None, "restricted")
             slices.append(

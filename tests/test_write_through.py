@@ -9,7 +9,6 @@ read gives, and flags and re-auth decisions must equal those of the xApps
 as they were before the caches: decode and re-encode on every call.
 """
 import json
-from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,19 +17,17 @@ from ztcell import e2
 from ztcell.core import KPMReport, SliceKind, ordered_sum
 from ztcell.e2 import MsgKind
 from ztcell.ric import AuditLog, Router, Sdl, XappContext, json_text
-from ztcell.xapps.auth import NS_AUTH, NS_SLICES, AuthConfig, AuthXapp, blob_key, build_blob
-from ztcell.xapps.intrusion import (
-    NS_PROFILES,
-    DetectionConfig,
-    IntrusionConfig,
-    IntrusionXapp,
-    ProfileModel,
-    report_json_text,
-)
+from ztcell.scenario import parse_scenario
+from ztcell.xapps.auth import NS_AUTH, NS_SLICES, AuthXapp, blob_key, build_blob
+from ztcell.xapps.intrusion import NS_PROFILES, IntrusionXapp, report_json_text
 
-SECRET = b"\x42" * 32
-CHAINS = {ue: (bytes([ue]) * 16,) for ue in (1, 2)}
-WINDOW_N = 3
+SC = parse_scenario("\n".join([
+    "scenario.duration_frames = 1000", "detection.window_n = 3", "auth.reauth_period_frames = 40",
+    "ue.1.traffic = idle", "ue.2.traffic = idle",
+]))
+SECRET = SC.secret()
+CHAINS = {u.ue: (u.credential,) for u in SC.ues}
+WINDOW_N = SC.detection.window_n
 USAGE_KEEP = 4  # reauth period 40 frames / report period 10 frames
 
 
@@ -53,7 +50,7 @@ class UncachedIntrusion(IntrusionXapp):
 
     def on_init(self, ctx: XappContext) -> None:
         super().on_init(ctx)
-        self._windows = UncachedWindows(ctx.sdl, self.cfg.detection.window_n)
+        self._windows = UncachedWindows(ctx.sdl, self.sc.detection.window_n)
 
 
 class UncachedAuth(AuthXapp):
@@ -86,8 +83,8 @@ class UncachedAuth(AuthXapp):
         window = json.loads(entry[0]) if entry else []
         if not window:
             return True
-        capacity = self._slice_budget(slice_id) * self.cfg.per_prb_rate_mbps
-        return ordered_sum(window) / len(window) <= capacity * (1.0 + self.cfg.usage_tolerance)
+        capacity = self._slice_budget(slice_id) * self.sc.cell.per_prb_rate_mbps
+        return ordered_sum(window) / len(window) <= capacity * (1.0 + self.sc.auth.usage_tolerance)
 
 
 class World:
@@ -99,32 +96,14 @@ class World:
             send_e2=lambda kind, body: self.sent.append((kind, body)),
         )
         self.sent = []
-        model = ProfileModel(
-            ue=0,
-            gauss_fields={"snr_db": (25.0, 2.0), "cqi": (12.0, 1.5), "tx_power_dbm": (20.0, 1.0)},
-            rate_lo_mbps=10.0,
-            rate_hi_mbps=20.0,
-        )
-        intrusion = (IntrusionXapp if cached else UncachedIntrusion)(
-            IntrusionConfig(
-                detection=DetectionConfig(window_n=WINDOW_N),
-                models={ue: model for ue in CHAINS},
-                seed="wt",
-            )
-        )
-        auth = (AuthXapp if cached else UncachedAuth)(
-            AuthConfig(
-                secret=SECRET, credentials=dict(CHAINS), ran_credential=b"ran", cell_id=1,
-                e2_id=1, rng_tokens=Random("tokens"), reauth_period_frames=40,
-                report_period_frames=10,
-            )
-        )
+        intrusion = (IntrusionXapp if cached else UncachedIntrusion)(SC)
+        auth = (AuthXapp if cached else UncachedAuth)(SC)
         self.intrusion, self.auth = intrusion, auth
         for xapp in (intrusion, auth):
             xapp.on_init(ctx)
             xapp.on_frame_boundary(0)
         for ue in CHAINS:
-            auth.provision(ue)
+            auth.issue_token(ue)
 
     def deliver(self, report: KPMReport) -> None:
         msg = e2.E2Message(MsgKind.KPM_INDICATION, 1, 1, report.seq, e2.KpmIndicationBody(report))
