@@ -1,4 +1,12 @@
-"""Shared domain types and pure PRB arithmetic used by every other module."""
+"""Shared domain types and pure PRB arithmetic used by every other module.
+
+The records that cross E2, `PRBMask`, `SliceSpec` and `KPMReport`, are
+`NamedTuple`s, which build faster than frozen dataclasses. `PRBMask` and
+`SliceSpec` check their fields once, in `__new__`; `from_range`,
+`from_bytes`, `_make` and `_replace` all build through it. A field read on a
+tuple subclass costs more than on a dataclass, so `validate_slice_table`
+unpacks each slice instead.
+"""
 from __future__ import annotations
 
 from collections.abc import Iterable
@@ -33,8 +41,12 @@ class SplitError(ValueError):
     """Raised for an impossible equal split (n = 0 or n > total PRBs)."""
 
 
-@dataclass(frozen=True)
-class PRBMask:
+class _PRBMaskFields(NamedTuple):
+    size: int
+    bits: int = 0
+
+
+class PRBMask(_PRBMaskFields):
     """Fixed-length bit vector over the cell's PRBs; bit i set = PRB i owned.
 
     Serialized form is a big-endian bit string with PRB 0 in the most
@@ -42,20 +54,24 @@ class PRBMask:
     100-PRB cell). The slice-control message embeds exactly this layout.
     """
 
-    size: int
-    bits: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
+    def __new__(cls, size: int, bits: int = 0) -> PRBMask:
+        if size < 1:
             raise ValueError("mask size must be >= 1")
-        if self.bits < 0 or self.bits >> self.size:
+        if bits < 0 or bits >> size:
             raise ValueError("mask bits outside PRB range")
+        return tuple.__new__(cls, (size, bits))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> PRBMask:
+        return cls(*iterable)  # through the checks; `_replace` comes here too
 
     @classmethod
     def from_range(cls, start: int, count: int, size: int) -> PRBMask:
         if start < 0 or count < 0 or start + count > size:
             raise ValueError(f"PRB range [{start}, {start + count}) outside cell of {size}")
-        return cls(size=size, bits=((1 << count) - 1) << start)
+        return cls(size, ((1 << count) - 1) << start)
 
     def popcount(self) -> int:
         return self.bits.bit_count()
@@ -72,26 +88,40 @@ class PRBMask:
         bits = int.from_bytes(data.translate(_REVERSED_BYTE), "little")
         if bits >> size:
             raise ValueError("padding bits beyond the last PRB must be zero")
-        return cls(size=size, bits=bits)
+        return cls(size, bits)
 
 
 # Byte value -> the same byte with its bit order mirrored (bit i -> bit 7 - i).
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-@dataclass(frozen=True)
-class SliceSpec:
+class _SliceSpecFields(NamedTuple):
     id: SliceId
     mask: PRBMask
     priority: SlicePriority = SlicePriority.COMMERCIAL
     kind: SliceKind = SliceKind.NORMAL
 
-    def __post_init__(self) -> None:
-        if not 0 < self.id <= 0xFFFF:
-            raise ValueError(f"slice id {self.id} outside 1..65535")
-        if self.mask.popcount() == 0:
+
+class SliceSpec(_SliceSpecFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: SliceId,
+        mask: PRBMask,
+        priority: SlicePriority = SlicePriority.COMMERCIAL,
+        kind: SliceKind = SliceKind.NORMAL,
+    ) -> SliceSpec:
+        if not 0 < id <= 0xFFFF:
+            raise ValueError(f"slice id {id} outside 1..65535")
+        if not mask.bits:
             # Applies to restricted slices too: isolation still grants >= 1 PRB.
-            raise ValueError(f"slice {self.id} has an empty mask")
+            raise ValueError(f"slice {id} has an empty mask")
+        return tuple.__new__(cls, (id, mask, priority, kind))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> SliceSpec:
+        return cls(*iterable)  # through the checks; `_replace` comes here too
 
     def budget(self) -> int:
         return self.mask.popcount()
@@ -196,28 +226,29 @@ def validate_slice_table(slices: list[SliceSpec], total_prbs: int) -> list[Slice
     violations: list[SliceTableViolation] = []
     seen_ids: set[SliceId] = set()
     owned = 0
-    for i, spec in enumerate(slices):
-        if spec.id in seen_ids:
+    for i, (sid, mask, _, _) in enumerate(slices):
+        if sid in seen_ids:
             violations.append(
-                SliceTableViolation("duplicate_id", (spec.id,), f"slice id {spec.id} repeats")
+                SliceTableViolation("duplicate_id", (sid,), f"slice id {sid} repeats")
             )
-        seen_ids.add(spec.id)
-        if spec.mask.size != total_prbs:
+        seen_ids.add(sid)
+        if mask.size != total_prbs:
             violations.append(
                 SliceTableViolation(
                     "size_mismatch",
-                    (spec.id,),
-                    f"mask sized for {spec.mask.size} PRBs in a {total_prbs}-PRB cell",
+                    (sid,),
+                    f"mask sized for {mask.size} PRBs in a {total_prbs}-PRB cell",
                 )
             )
-        shared = owned & spec.mask.bits
+        bits = mask.bits
+        shared = owned & bits
         if shared:
             first = (shared & -shared).bit_length() - 1
             owner = next(s.id for s in slices[:i] if s.mask.bits >> first & 1)
             violations.append(
                 SliceTableViolation(
-                    "overlap", (owner, spec.id), f"slices {owner} and {spec.id} share PRB {first}"
+                    "overlap", (owner, sid), f"slices {owner} and {sid} share PRB {first}"
                 )
             )
-        owned |= spec.mask.bits
+        owned |= bits
     return violations

@@ -29,6 +29,14 @@ checks every field before packing it, and decode checks only what the
 fixed-width layouts leave open (enum tags, KPM values, mask padding, and the
 slice-table and report-period rules, which encode applies too). Golden
 frames live in tests/data/golden_frames.txt.
+
+Both directions take the fixed-width parts whole. Encode packs a
+KPM_INDICATION frame, header and report, in one pack. Decode reads the
+header with one unpack, a SLICE_CONTROL's bindings with one bounds check and
+one `iter_unpack`, and each slice with bounds checks on the frame itself.
+Every malformed frame still fails at the offset, and with the text, of a
+decoder that reads one field group at a time: a frame shorter than the
+header is read that way.
 """
 from __future__ import annotations
 
@@ -36,6 +44,7 @@ from math import isfinite
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import starmap
 from typing import NamedTuple
 
 from .core import (
@@ -56,8 +65,9 @@ AUTH_BLOB_LEN = 66
 TOKEN_LEN = 16
 
 # One precompiled layout per fixed-width field group. Encode packs the header
-# whole; decode reads it as length, tag and ids, so a truncation names the
-# group it fell in.
+# whole, and a KPM_INDICATION frame in one pack; decode reads the header whole
+# too, but a frame shorter than it as length, tag and ids, so the truncation
+# names the group it fell in.
 _HEADER = struct.Struct(">IBIIQ")
 _LENGTH = struct.Struct(">I")
 _TAG = struct.Struct(">B")
@@ -69,6 +79,7 @@ _BINDING = struct.Struct(">QH")
 _SLICE_HEAD = struct.Struct(">HH")
 _SLICE_ATTRS = struct.Struct(">BB")
 _PERIOD = struct.Struct(">I")
+_KPM_FRAME = struct.Struct(_HEADER.format + _KPM.format[1:])  # a whole KPM_INDICATION frame
 
 HEADER_LEN = _HEADER.size
 
@@ -205,25 +216,33 @@ def _slice_table_error(body: SliceControlBody) -> str | None:
     return None
 
 
-def _pack_body(body: Body) -> bytes:
-    """Check every field of `body` once, then pack it."""
-    if isinstance(body, KpmIndicationBody):
-        r = body.report
-        try:
-            r.validate()
-        except ValueError as e:
-            raise EncodeError(str(e)) from e
-        ue, cell, seq, snr, cqi, pkts, power, tput = r
+def _check_report(r: KPMReport) -> None:
+    """Check every field of a KPM report once.
+
+    The ranges and the finiteness are one chained test each; only a report
+    that fails one runs the per-field checks, which name the first bad field.
+    """
+    try:
+        r.validate()
+    except ValueError as e:
+        raise EncodeError(str(e)) from e
+    ue, cell, seq, snr, _, pkts, power, tput = r
+    if not (
+        0 <= ue < 1 << 64 and 0 <= cell < 1 << 32 and 0 <= seq < 1 << 64 and 0 <= pkts < 1 << 32
+    ):
         _check_uint(ue, 64, "ue id")
         _check_uint(cell, 32, "cell id")
         _check_uint(seq, 64, "report seq")
         _check_uint(pkts, 32, "tx_packets")
-        if not (isfinite(snr) and isfinite(power) and isfinite(tput)):
-            for name in ("snr_db", "tx_power_dbm", "throughput_mbps"):
-                value = getattr(r, name)
-                if not isfinite(value):
-                    raise EncodeError(f"{name} must be finite, got {value}")
-        return _KPM.pack(ue, cell, seq, snr, cqi, pkts, power, tput)
+    if not (isfinite(snr) and isfinite(power) and isfinite(tput)):
+        for name in ("snr_db", "tx_power_dbm", "throughput_mbps"):
+            value = getattr(r, name)
+            if not isfinite(value):
+                raise EncodeError(f"{name} must be finite, got {value}")
+
+
+def _pack_body(body: Body) -> bytes:
+    """Check every field of a body other than a KPM report's once, then pack it."""
     if isinstance(body, AuthRequestBody):
         if len(body.blob) != AUTH_BLOB_LEN:
             raise EncodeError(f"auth blob must be {AUTH_BLOB_LEN} bytes, got {len(body.blob)}")
@@ -239,18 +258,19 @@ def _pack_body(body: Body) -> bytes:
         if len(body.slices) > 0xFFFF or len(body.bindings) > 0xFFFF:
             raise EncodeError("slice control lists exceed u16 count")
         for ue, sl in body.bindings:
-            _check_uint(ue, 64, "ue id")
-            _check_uint(sl, 16, "slice id")
+            if not (0 <= ue < 1 << 64 and 0 <= sl < 1 << 16):
+                _check_uint(ue, 64, "ue id")
+                _check_uint(sl, 16, "slice id")
         error = _slice_table_error(body)
         if error:
             raise EncodeError(error)
         out = [_COUNT.pack(len(body.bindings))]
-        out.extend(_BINDING.pack(ue, sl) for ue, sl in body.bindings)
+        out.extend(starmap(_BINDING.pack, body.bindings))
         out.append(_COUNT.pack(len(body.slices)))
-        for s in body.slices:
-            out.append(_SLICE_HEAD.pack(s.id, s.mask.size))
-            out.append(s.mask.to_bytes())
-            out.append(_SLICE_ATTRS.pack(s.priority, s.kind))
+        for sid, mask, priority, kind in body.slices:
+            out += (
+                _SLICE_HEAD.pack(sid, mask.size), mask.to_bytes(), _SLICE_ATTRS.pack(priority, kind)
+            )
         return b"".join(out)
     _check_uint(body.report_period_ms, 32, "report period")
     if isinstance(body, SubscriptionRequestBody):
@@ -264,9 +284,13 @@ def encode(msg: E2Message) -> bytes:
     kind, cell, e2, seq, body = msg
     if not isinstance(body, _BODY_TYPES[kind]):
         raise EncodeError(f"{kind.name} carries {type(body).__name__}")
-    _check_uint(cell, 32, "cell id")
-    _check_uint(e2, 32, "e2 id")
-    _check_uint(seq, 64, "seq")
+    if not (0 <= cell < 1 << 32 and 0 <= e2 < 1 << 32 and 0 <= seq < 1 << 64):
+        _check_uint(cell, 32, "cell id")
+        _check_uint(e2, 32, "e2 id")
+        _check_uint(seq, 64, "seq")
+    if kind is MsgKind.KPM_INDICATION:
+        _check_report(body.report)
+        return _KPM_FRAME.pack(_KPM_FRAME.size, kind, cell, e2, seq, *body.report)
     payload = _pack_body(body)
     return _HEADER.pack(HEADER_LEN + len(payload), kind, cell, e2, seq) + payload
 
@@ -318,33 +342,62 @@ def _read_body(kind: MsgKind, rd: _Reader) -> Body:
             raise DecodeError(rd.offset - TOKEN_LEN - 1, f"unknown reason {reason}")
         return AuthResponseBody(ue, _OUTCOMES[outcome], _REASONS[reason], token)
     if kind is MsgKind.SLICE_CONTROL:
-        (n_bind,) = rd.unpack(_COUNT, "binding count")
-        bindings = tuple(rd.unpack(_BINDING, "binding") for _ in range(n_bind))
-        (n_slices,) = rd.unpack(_COUNT, "slice count")
-        slices = []
-        for _ in range(n_slices):
-            sid, size = rd.unpack(_SLICE_HEAD, "slice header")
-            at = rd.offset
-            if size == 0:
-                raise DecodeError(at, "slice mask sized for 0 PRBs")
-            raw = rd.take((size + 7) // 8, "slice mask")
-            try:
-                mask = PRBMask.from_bytes(raw, size)
-            except ValueError as e:
-                raise DecodeError(at, str(e)) from e
-            prio, skind = rd.unpack(_SLICE_ATTRS, "slice attrs")
-            if prio not in _PRIORITIES:
-                raise DecodeError(rd.offset - 2, f"unknown priority {prio}")
-            if skind not in _SLICE_KINDS:
-                raise DecodeError(rd.offset - 1, f"unknown slice kind {skind}")
-            try:
-                slices.append(SliceSpec(sid, mask, _PRIORITIES[prio], _SLICE_KINDS[skind]))
-            except ValueError as e:
-                raise DecodeError(at, str(e)) from e
-        return SliceControlBody(bindings=bindings, slices=tuple(slices))
+        return _read_slice_control(rd)
     if kind is MsgKind.SUBSCRIPTION_REQUEST:
         return SubscriptionRequestBody(*rd.unpack(_PERIOD, "subscription"))
     return SubscriptionAckBody(*rd.unpack(_PERIOD, "subscription ack"))
+
+
+def _read_slice_control(rd: _Reader) -> SliceControlBody:
+    """Parse a SLICE_CONTROL body, failing at the offsets and with the texts of
+    one `_Reader` call per field group.
+
+    The bindings take one bounds check and one `iter_unpack`; each slice
+    checks its bounds on the frame itself, so the loop makes no `_Reader` call.
+    """
+    data = rd.data
+    end = len(data)
+    (n_bind,) = rd.unpack(_COUNT, "binding count")
+    at = rd.offset
+    stop = at + n_bind * _BINDING.size
+    if stop > end:  # fails at the first binding that does not fit
+        raise DecodeError(
+            at + (end - at) // _BINDING.size * _BINDING.size, "truncated while reading binding"
+        )
+    bindings = tuple(_BINDING.iter_unpack(data[at:stop]))
+    rd.offset = stop
+    (n_slices,) = rd.unpack(_COUNT, "slice count")
+    at = rd.offset
+    slices = []
+    for _ in range(n_slices):
+        if at + _SLICE_HEAD.size > end:
+            raise DecodeError(at, "truncated while reading slice header")
+        sid, size = _SLICE_HEAD.unpack_from(data, at)
+        mask_at = at + _SLICE_HEAD.size
+        if size == 0:
+            raise DecodeError(mask_at, "slice mask sized for 0 PRBs")
+        at = mask_at + (size + 7) // 8
+        if at > end:
+            raise DecodeError(mask_at, "truncated while reading slice mask")
+        try:
+            mask = PRBMask.from_bytes(data[mask_at:at], size)
+        except ValueError as e:
+            raise DecodeError(mask_at, str(e)) from e
+        if at + 2 > end:
+            raise DecodeError(at, "truncated while reading slice attrs")
+        prio = _PRIORITIES.get(data[at])
+        if prio is None:
+            raise DecodeError(at, f"unknown priority {data[at]}")
+        skind = _SLICE_KINDS.get(data[at + 1])
+        if skind is None:
+            raise DecodeError(at + 1, f"unknown slice kind {data[at + 1]}")
+        at += 2
+        try:
+            slices.append(SliceSpec(sid, mask, prio, skind))
+        except ValueError as e:
+            raise DecodeError(mask_at, str(e)) from e
+    rd.offset = at
+    return SliceControlBody(bindings=bindings, slices=tuple(slices))
 
 
 def decode(data: bytes) -> E2Message:
@@ -355,14 +408,20 @@ def decode(data: bytes) -> E2Message:
     checked here.
     """
     rd = _Reader(data)
-    (total,) = rd.unpack(_LENGTH, "length prefix")
+    if len(data) >= HEADER_LEN:
+        total, tag, cell, e2, seq = _HEADER.unpack_from(data)
+        rd.offset = HEADER_LEN
+    else:  # read piecewise, so the truncation names the field group it fell in
+        (total,) = rd.unpack(_LENGTH, "length prefix")
     if total != len(data):
         raise DecodeError(0, f"length prefix {total} but frame has {len(data)} bytes")
-    (tag,) = rd.unpack(_TAG, "kind tag")
+    if rd.offset < HEADER_LEN:
+        (tag,) = rd.unpack(_TAG, "kind tag")
     kind = _KINDS.get(tag)
     if kind is None:
         raise DecodeError(4, f"unknown kind tag {tag}")
-    cell, e2, seq = rd.unpack(_IDS, "header")
+    if rd.offset < HEADER_LEN:
+        rd.unpack(_IDS, "header")  # raises: the frame ends inside the header
     body = _read_body(kind, rd)
     if rd.offset != len(data):
         raise DecodeError(rd.offset, f"{len(data) - rd.offset} trailing bytes")

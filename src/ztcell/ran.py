@@ -15,10 +15,15 @@ The auth and binding invariants are checked at the start of a frame only
 when `attach`, an AUTH_RESPONSE or a SLICE_CONTROL changed state since the
 last check, so a quiet frame scans nothing. At each report boundary every
 attached UE sends one KPM indication, except a denied one: DENIED is
-terminal, so the RIC has nothing left to decide about it. A UE's stats for
-a frame are interned in one dict per cell: an equal value seen before is
-handed back as the stored object, so an idle, steady or repeating UE adds no
-new record per frame.
+terminal, so the RIC has nothing left to decide about it. A report draws
+its snr, cqi and tx_power normals, in that order, from the UE's radio RNG
+with `Random.gauss`'s arithmetic written out over `rng.random()`: three
+normals a report split every other Box-Muller pair across two reports, so
+`collect_kpm` takes `gauss`'s cached normal from `rng.gauss_next` and writes
+the one it leaves back. Its reference, three `rng.gauss` calls, lives in the
+tests. A UE's stats for a frame are interned in one dict per cell: an equal
+value seen before is handed back as the stored object, so an idle, steady or
+repeating UE adds no new record per frame.
 
 A UE's queue holds one `Batch` per frame that had arrivals: all packets a UE
 enqueues in one frame share their size and arrival frame, so a batch is the
@@ -42,6 +47,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heapify, heappop, heapreplace
+from math import cos, log, sin, sqrt, tau
 from random import Random
 from typing import NamedTuple
 
@@ -546,14 +552,37 @@ class RanCell:
     # ---- KPM reporting ----------------------------------------------------
 
     def collect_kpm(self, ue_id: UeId, period_ms: int) -> KPMReport:
-        """Build one report for the window that just ended and reset counters."""
+        """Build one report for the window that just ended and reset counters.
+
+        Draws the snr, cqi and tx_power normals as three `rng_radio.gauss`
+        calls would, with its arithmetic inlined (see the module docstring).
+        """
         ue = self.ues[ue_id]
-        snr = ue.rng_radio.gauss(ue.radio.snr_mean_db, ue.radio.snr_std_db)
-        cqi = min(15, max(0, round(ue.rng_radio.gauss(ue.radio.cqi_mean, ue.radio.cqi_std))))
-        power = ue.rng_radio.gauss(ue.radio.tx_power_mean_dbm, ue.radio.tx_power_std_dbm)
+        rng = ue.rng_radio
+        random = rng.random
+        carried = rng.gauss_next
+        if carried is None:  # snr and cqi share a pair; tx_power opens the next
+            x = random() * tau
+            g = sqrt(-2.0 * log(1.0 - random()))
+            snr_z, cqi_z = cos(x) * g, sin(x) * g
+            x = random() * tau
+            g = sqrt(-2.0 * log(1.0 - random()))
+            pow_z, carried = cos(x) * g, sin(x) * g
+        else:  # snr takes the carried normal; cqi and tx_power share a pair
+            x = random() * tau
+            g = sqrt(-2.0 * log(1.0 - random()))
+            snr_z, cqi_z, pow_z, carried = carried, cos(x) * g, sin(x) * g, None
+        rng.gauss_next = carried
+        radio = ue.radio
+        cqi = round(radio.cqi_mean + cqi_z * radio.cqi_std)
+        if cqi < 0:
+            cqi = 0
+        elif cqi > 15:
+            cqi = 15
         ue.kpm_seq += 1
         report = KPMReport(
-            ue_id, self.cfg.cell_id, ue.kpm_seq, snr, cqi, ue.window_arrived_pkts, power,
+            ue_id, self.cfg.cell_id, ue.kpm_seq, radio.snr_mean_db + snr_z * radio.snr_std_db,
+            cqi, ue.window_arrived_pkts, radio.tx_power_mean_dbm + pow_z * radio.tx_power_std_dbm,
             ue.window_served_bits / (period_ms * 1000.0),
         )
         ue.window_arrived_pkts = 0

@@ -37,7 +37,7 @@ from . import e2
 from .core import FRAME_MS
 from .ran import FrameReport, InvariantError, RanCell, UeFrameStats
 from .ric import AuditLog, Router, Sdl, XappContext, XappRegistry
-from .scenario import Scenario, parse_scenario, resolved_lines
+from .scenario import Scenario, UeSpec, parse_scenario, resolved_lines
 from .xapps.auth import AuthXapp
 from .xapps.intrusion import (
     FprEstimate,
@@ -145,23 +145,26 @@ def run(
             frame, f"E2 traffic still pending after {PUMP_ROUND_LIMIT} exchange rounds"
         )
 
+    attaching: dict[int, list[UeSpec]] = {}  # frame -> the UEs that attach in it
+    for spec in sc.ues:  # in id order, as the parser sorts them
+        attaching.setdefault(spec.attach_frame, []).append(spec)
+
     frames: list[FrameReport] = []
     for f in range(sc.duration_frames):
         router.frame = f
         registry.frame_boundary(f)
-        for spec in sc.ues:
-            if spec.attach_frame == f:
-                token = auth_x.issue_token(spec.ue) if sc.zero_trust else None
-                cell.attach(
-                    spec.ue,
-                    traffic=spec.traffic,
-                    radio=spec.radio,
-                    rng_traffic=Random(f"{sc.seed}/ue{spec.ue}/traffic"),
-                    rng_radio=Random(f"{sc.seed}/ue{spec.ue}/radio"),
-                    credential_chain=(spec.credential,),
-                    token=token,
-                    cred_mode=spec.credentials,
-                )
+        for spec in attaching.get(f, ()):
+            token = auth_x.issue_token(spec.ue) if sc.zero_trust else None
+            cell.attach(
+                spec.ue,
+                traffic=spec.traffic,
+                radio=spec.radio,
+                rng_traffic=Random(f"{sc.seed}/ue{spec.ue}/traffic"),
+                rng_radio=Random(f"{sc.seed}/ue{spec.ue}/radio"),
+                credential_chain=(spec.credential,),
+                token=token,
+                cred_mode=spec.credentials,
+            )
         cell.maybe_reauth(f)
         pump(f)
         frames.append(cell.step_frame())

@@ -35,7 +35,8 @@ the UE, so a later onset is routed again.
 
 The xApp holds each UE's window in memory and writes it through to the SDL
 as a JSON list on every report. A report's text is one format over its
-fields, each written by `ric.json_text`, and equals
+fields, `%d` and `%r` when they are plain ints and finite floats and each
+written by `ric.json_text` otherwise, and equals
 `json.dumps(report._asdict())`. The xApp decodes the stored window again
 only when the SDL holds bytes the xApp did not write (`ric.SdlWindow`).
 """
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+from math import isfinite
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from random import Random
@@ -350,10 +352,22 @@ def write_fpr_csv(estimates: list[FprEstimate], path: str) -> None:
 
 # A report's JSON object: its fields in order, each value's text left open.
 _REPORT_JSON = "{" + ", ".join(f'"{name}": %s' for name in KPMReport._fields) + "}"
+# The same object for a report whose fields have exactly the types below: an
+# int's JSON text is `%d` and a finite float's is its repr, `%r`.
+_REPORT_TYPES = (int, int, int, float, int, int, float, float)
+_PLAIN_REPORT_JSON = _REPORT_JSON % ("%d", "%d", "%d", "%r", "%d", "%d", "%r", "%r")
 
 
 def report_json_text(report: KPMReport) -> str:
-    """`json.dumps(report._asdict())`, byte for byte, as one format over `json_text`s."""
+    """`json.dumps(report._asdict())`, byte for byte, as one format.
+
+    A report of plain ints and finite floats takes one typed format; any
+    other, such as one holding NaN or a bool, formats each field by `json_text`.
+    """
+    # The floats sum to a finite value only if each is finite; an overflow
+    # takes the general path, which is exact too.
+    if tuple(map(type, report)) == _REPORT_TYPES and isfinite(report[3] + report[6] + report[7]):
+        return _PLAIN_REPORT_JSON % report
     return _REPORT_JSON % tuple(map(json_text, report))
 
 

@@ -1,4 +1,5 @@
 """PRB arithmetic: split/mask oracles and invariant property tests."""
+import copy
 from itertools import accumulate
 
 import pytest
@@ -169,3 +170,84 @@ class TestPRBMaskPadding:
         raw[12] |= 0x01  # a pad bit beyond PRB 99
         with pytest.raises(ValueError, match="padding"):
             PRBMask.from_bytes(bytes(raw), 100)
+
+
+# Every way to build a PRBMask or a SliceSpec, each bound to the arguments
+# it needs. `_make` and `_replace` are the tuple-side ways; `copy` rebuilds
+# through `__reduce__`.
+_MASK = PRBMask.from_range(0, 4, 8)
+_SPEC = SliceSpec(1, _MASK)
+
+MASK_WAYS = {
+    "constructor": lambda size, bits: PRBMask(size, bits),
+    "keywords": lambda size, bits: PRBMask(size=size, bits=bits),
+    "_make": lambda size, bits: PRBMask._make((size, bits)),
+    "_replace": lambda size, bits: _MASK._replace(size=size, bits=bits),
+    "copy": lambda size, bits: copy.copy(tuple.__new__(PRBMask, (size, bits))),
+}
+SPEC_WAYS = {
+    "constructor": lambda sid, mask: SliceSpec(sid, mask),
+    "keywords": lambda sid, mask: SliceSpec(id=sid, mask=mask),
+    "_make": lambda sid, mask: SliceSpec._make((sid, mask, _SPEC.priority, _SPEC.kind)),
+    "_replace": lambda sid, mask: _SPEC._replace(id=sid, mask=mask),
+    "copy": lambda sid, mask: copy.copy(tuple.__new__(SliceSpec, (sid, mask, 0, 0))),
+}
+
+
+class TestEveryConstructorChecks:
+    """The checks live in `__new__`, and every way to build either type runs them."""
+
+    @pytest.mark.parametrize("way", MASK_WAYS)
+    @pytest.mark.parametrize(
+        ("size", "bits", "error"),
+        [
+            (8, 1 << 8, "mask bits outside PRB range"),
+            (8, -1, "mask bits outside PRB range"),
+            (2, 0b100, "mask bits outside PRB range"),
+            (0, 0, "mask size must be >= 1"),
+        ],
+    )
+    def test_mask_rejects_bits_outside_the_prb_range(self, way, size, bits, error):
+        with pytest.raises(ValueError, match=error):
+            MASK_WAYS[way](size, bits)
+
+    @pytest.mark.parametrize("way", MASK_WAYS)
+    def test_mask_ways_build_the_same_checked_mask(self, way):
+        mask = MASK_WAYS[way](8, 0b1010)
+        assert type(mask) is PRBMask and mask == PRBMask(8, 0b1010)
+
+    def test_from_range_rejects_a_range_outside_the_cell(self):
+        for start, count in [(6, 4), (-1, 2), (0, -1)]:
+            with pytest.raises(ValueError, match="outside cell of 8"):
+                PRBMask.from_range(start, count, 8)
+
+    def test_from_bytes_rejects_bits_past_the_last_prb(self):
+        with pytest.raises(ValueError, match="padding bits"):
+            PRBMask.from_bytes(b"\x01", 7)
+        with pytest.raises(ValueError, match="mask size must be >= 1"):
+            PRBMask.from_bytes(b"", 0)
+
+    @pytest.mark.parametrize("way", SPEC_WAYS)
+    @pytest.mark.parametrize(
+        ("mask", "error"),
+        [
+            (PRBMask(8, 0), "has an empty mask"),
+            (PRBMask.from_range(3, 0, 8), "has an empty mask"),
+            (PRBMask.from_bytes(b"\x00", 8), "has an empty mask"),
+        ],
+    )
+    def test_spec_rejects_an_empty_mask(self, way, mask, error):
+        with pytest.raises(ValueError, match=error):
+            SPEC_WAYS[way](1, mask)
+
+    @pytest.mark.parametrize("way", SPEC_WAYS)
+    @pytest.mark.parametrize("sid", [0, -1, 0x10000])
+    def test_spec_rejects_an_id_outside_1_to_65535(self, way, sid):
+        with pytest.raises(ValueError, match=f"slice id {sid} outside 1..65535"):
+            SPEC_WAYS[way](sid, _MASK)
+
+    @pytest.mark.parametrize("way", SPEC_WAYS)
+    @pytest.mark.parametrize("sid", [1, 0xFFFF])
+    def test_spec_ways_build_the_same_checked_spec(self, way, sid):
+        spec = SPEC_WAYS[way](sid, _MASK)
+        assert type(spec) is SliceSpec and spec == SliceSpec(sid, _MASK)

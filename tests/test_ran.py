@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ztcell import e2, ran
-from ztcell.core import FRAME_MS, PRBMask, SliceKind, SliceSpec
+from ztcell.core import FRAME_MS, KPMReport, PRBMask, SliceKind, SliceSpec
 from ztcell.e2 import MsgKind, SliceControlBody
 from ztcell.ran import (
     AttachError,
@@ -268,6 +268,71 @@ class TestKpm:
         attach_one(cell, 1, IDLE)
         seqs = [cell.collect_kpm(1, 100).seq for _ in range(5)]
         assert seqs == [1, 2, 3, 4, 5]
+
+
+def reference_collect_kpm(cell: RanCell, ue_id: int, period_ms: int) -> KPMReport:
+    """`RanCell.collect_kpm` with one `rng_radio.gauss` call per normal."""
+    ue = cell.ues[ue_id]
+    snr = ue.rng_radio.gauss(ue.radio.snr_mean_db, ue.radio.snr_std_db)
+    cqi = min(15, max(0, round(ue.rng_radio.gauss(ue.radio.cqi_mean, ue.radio.cqi_std))))
+    power = ue.rng_radio.gauss(ue.radio.tx_power_mean_dbm, ue.radio.tx_power_std_dbm)
+    ue.kpm_seq += 1
+    report = KPMReport(
+        ue_id, cell.cfg.cell_id, ue.kpm_seq, snr, cqi, ue.window_arrived_pkts, power,
+        ue.window_served_bits / (period_ms * 1000.0),
+    )
+    ue.window_arrived_pkts = 0
+    ue.window_served_bits = 0
+    return report
+
+
+def normal_field(mean_lo: float, mean_hi: float):
+    return st.tuples(st.floats(mean_lo, mean_hi), st.just(0.0) | st.floats(0.0, 5.0))
+
+
+@st.composite
+def radio_profiles(draw) -> RadioProfile:
+    """Zero and wide stds, and cqi means at and beyond both clip edges."""
+    (snr_mean, snr_std), (cqi_mean, cqi_std), (pow_mean, pow_std) = (
+        draw(normal_field(-10.0, 40.0)),
+        draw(normal_field(-2.0, 1.0) | normal_field(14.0, 17.0) | normal_field(0.0, 15.0)),
+        draw(normal_field(-10.0, 30.0)),
+    )
+    return RadioProfile(snr_mean, snr_std, cqi_mean, cqi_std, pow_mean, pow_std)
+
+
+class TestKpmDrawMatchesReference:
+    """`collect_kpm` draws its snr, cqi and tx_power normals with `Random.gauss`'s
+    arithmetic written out; it must equal three `gauss` calls, report for report."""
+
+    @given(
+        radio_profiles(),
+        st.integers(0, 2**32) | st.text(max_size=4),
+        st.booleans(),
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**9)), min_size=1, max_size=12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_reports_and_rng_state_equal_reference(self, radio, seed, carried, windows):
+        cells = []
+        for _ in range(2):
+            cell = RanCell(CellConfig(), SECRET, zero_trust=True)
+            rng = Random(seed)
+            if carried:  # the first report starts on `gauss`'s cached normal
+                rng.gauss()
+                assert rng.gauss_next is not None
+            cell.attach(7, IDLE, radio, rng_traffic=Random(0), rng_radio=rng)
+            cells.append(cell)
+        cell, ref_cell = cells
+        for arrived, served in windows:
+            for c in cells:
+                c.ues[7].window_arrived_pkts = arrived
+                c.ues[7].window_served_bits = served
+            report = cell.collect_kpm(7, period_ms=100)
+            ref = reference_collect_kpm(ref_cell, 7, period_ms=100)
+            assert type(report) is KPMReport
+            assert tuple(map(repr, report)) == tuple(map(repr, ref))  # tells 1 from 1.0
+            assert cell.ues[7].rng_radio.getstate() == ref_cell.ues[7].rng_radio.getstate()
+            assert (cell.ues[7].window_arrived_pkts, cell.ues[7].window_served_bits) == (0, 0)
 
 
 # ---- reference model: one object per packet --------------------------------
