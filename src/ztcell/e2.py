@@ -108,6 +108,14 @@ class AuthReason(IntEnum):
     SLICE_MISMATCH = 5
 
 
+# Members tested on every frame, as module constants: a global read is
+# cheaper than a class attribute read.
+_AUTH_REQUEST_KIND = MsgKind.AUTH_REQUEST
+_AUTH_RESPONSE_KIND = MsgKind.AUTH_RESPONSE
+_KPM_INDICATION_KIND = MsgKind.KPM_INDICATION
+_SLICE_CONTROL_KIND = MsgKind.SLICE_CONTROL
+_SUBSCRIPTION_REQUEST_KIND = MsgKind.SUBSCRIPTION_REQUEST
+
 # Wire tag -> member: the membership test and the conversion in one lookup.
 _KINDS = {m.value: m for m in MsgKind}
 _OUTCOMES = {m.value: m for m in AuthOutcome}
@@ -288,7 +296,7 @@ def encode(msg: E2Message) -> bytes:
         _check_uint(cell, 32, "cell id")
         _check_uint(e2, 32, "e2 id")
         _check_uint(seq, 64, "seq")
-    if kind is MsgKind.KPM_INDICATION:
+    if kind is _KPM_INDICATION_KIND:
         _check_report(body.report)
         return _KPM_FRAME.pack(_KPM_FRAME.size, kind, cell, e2, seq, *body.report)
     payload = _pack_body(body)
@@ -319,7 +327,7 @@ class _Reader:
 
 def _read_body(kind: MsgKind, rd: _Reader) -> Body:
     """Parse one body; the struct widths bound every integer, so check only the rest."""
-    if kind is MsgKind.KPM_INDICATION:
+    if kind is _KPM_INDICATION_KIND:
         ue, cell, seq, snr, cqi, pkts, power, tput = rd.unpack(_KPM, "kpm report")
         report = KPMReport(ue, cell, seq, snr, cqi, pkts, power, tput)
         try:
@@ -331,9 +339,9 @@ def _read_body(kind: MsgKind, rd: _Reader) -> Body:
                 if not isfinite(getattr(report, name)):
                     raise DecodeError(rd.offset, f"non-finite {name}")
         return KpmIndicationBody(report)
-    if kind is MsgKind.AUTH_REQUEST:
+    if kind is _AUTH_REQUEST_KIND:
         return AuthRequestBody(blob=rd.take(AUTH_BLOB_LEN, "auth blob"))
-    if kind is MsgKind.AUTH_RESPONSE:
+    if kind is _AUTH_RESPONSE_KIND:
         ue, outcome, reason = rd.unpack(_AUTH_RESPONSE, "auth response")
         token = rd.take(TOKEN_LEN, "token")
         if outcome not in _OUTCOMES:
@@ -341,9 +349,9 @@ def _read_body(kind: MsgKind, rd: _Reader) -> Body:
         if reason not in _REASONS:
             raise DecodeError(rd.offset - TOKEN_LEN - 1, f"unknown reason {reason}")
         return AuthResponseBody(ue, _OUTCOMES[outcome], _REASONS[reason], token)
-    if kind is MsgKind.SLICE_CONTROL:
+    if kind is _SLICE_CONTROL_KIND:
         return _read_slice_control(rd)
-    if kind is MsgKind.SUBSCRIPTION_REQUEST:
+    if kind is _SUBSCRIPTION_REQUEST_KIND:
         return SubscriptionRequestBody(*rd.unpack(_PERIOD, "subscription"))
     return SubscriptionAckBody(*rd.unpack(_PERIOD, "subscription ack"))
 
@@ -426,9 +434,9 @@ def decode(data: bytes) -> E2Message:
     if rd.offset != len(data):
         raise DecodeError(rd.offset, f"{len(data) - rd.offset} trailing bytes")
     error = None
-    if kind is MsgKind.SLICE_CONTROL:
+    if kind is _SLICE_CONTROL_KIND:
         error = _slice_table_error(body)
-    elif kind is MsgKind.SUBSCRIPTION_REQUEST:
+    elif kind is _SUBSCRIPTION_REQUEST_KIND:
         error = _period_error(body.report_period_ms)
     if error:
         raise DecodeError(HEADER_LEN, error)

@@ -76,6 +76,13 @@ class AuthState(Enum):
     ISOLATED = "isolated"
 
 
+# Members read in per-frame loops, as module constants: a global read is
+# cheaper than a class attribute read.
+_DENIED = AuthState.DENIED
+_GRANTED = AuthState.GRANTED
+_KPM_INDICATION_KIND = e2.MsgKind.KPM_INDICATION
+
+
 @dataclass(frozen=True)
 class CellConfig:
     total_prbs: int = 100
@@ -215,6 +222,9 @@ class RanCell:
         self.slice_bits: dict[SliceId, int] = {}  # capacity per frame, per table
         self.report_period_frames: int | None = None
         self.reauth_period_frames = reauth_period_frames  # 0 disables RAN-driven re-auth
+        # granted_frame % reauth_period_frames -> the UEs granted in a frame of
+        # that residue, in attach order: the UEs whose re-auth may fall due.
+        self._reauth_due: dict[int, list[UeState]] = {}
         self.state_changed = True  # UE auth or binding state moved since the last check
         self._stats: dict[UeFrameStats, UeFrameStats] = {}  # every distinct stats value, once
 
@@ -273,15 +283,14 @@ class RanCell:
         self._send(e2.MsgKind.AUTH_REQUEST, e2.AuthRequestBody(blob))
 
     def maybe_reauth(self, frame: int) -> None:
-        """Re-present credentials for granted UEs on the configured period. A
-        legacy cell never re-authenticates."""
+        """Re-present credentials for granted UEs on the configured period,
+        each whole period after its first grant, in attach order. Only the
+        UEs granted in a frame of `frame`'s residue are visited. A legacy
+        cell never re-authenticates."""
         if not self.zero_trust or self.reauth_period_frames <= 0:
             return
-        for ue in self.ues.values():
-            if ue.auth_state is not AuthState.GRANTED or ue.granted_frame is None:
-                continue
-            age = frame - ue.granted_frame
-            if age > 0 and age % self.reauth_period_frames == 0:
+        for ue in self._reauth_due.get(frame % self.reauth_period_frames, ()):
+            if ue.auth_state is _GRANTED and frame > ue.granted_frame:
                 self._send_auth_request(ue, slice_id=ue.slice_id or 0, cred_mode=ue.cred_mode)
 
     # ---- E2 ingress -------------------------------------------------------
@@ -308,8 +317,15 @@ class RanCell:
             if ue.auth_state is not AuthState.ISOLATED:
                 ue.auth_state = AuthState.GRANTED
             ue.token = body.token
-            if ue.granted_frame is None:
+            if ue.granted_frame is None:  # set once: DENIED below is terminal
                 ue.granted_frame = self.frame_index
+                period = self.reauth_period_frames
+                if period > 0:
+                    r = ue.granted_frame % period
+                    self._reauth_due[r] = [
+                        u for u in self.ues.values()
+                        if u.granted_frame is not None and u.granted_frame % period == r
+                    ]
         else:  # denied or revoked: service stops for good
             ue.auth_state = AuthState.DENIED
             ue.slice_id = None
@@ -402,7 +418,7 @@ class RanCell:
             if n > 0:
                 accum -= n * pkt_bits
                 q = ue.queue
-                if q and ue.auth_state is AuthState.DENIED:
+                if q and ue.auth_state is _DENIED:
                     # Never served again, so only the count matters: grow the tail batch.
                     q[-1].n += n
                     q[-1].left += n
@@ -597,6 +613,6 @@ class RanCell:
             return
         period_ms = self.report_period_frames * FRAME_MS
         for ue_id, ue in self.ues.items():
-            if ue.auth_state is not AuthState.DENIED:  # terminal: nothing to decide
+            if ue.auth_state is not _DENIED:  # terminal: nothing to decide
                 report = self.collect_kpm(ue_id, period_ms)
-                self._send(e2.MsgKind.KPM_INDICATION, e2.KpmIndicationBody(report))
+                self._send(_KPM_INDICATION_KIND, e2.KpmIndicationBody(report))

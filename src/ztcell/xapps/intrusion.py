@@ -8,6 +8,13 @@ instead. The decision statistic is the mean of each field over the last
 up-to-window_n reports: larger windows smooth benign excursions, which is
 what drives the false positive rate down as more reports accumulate.
 
+`assess` reads a list of at most window_n reports in place and slices only
+a longer one. Each field's mean adds the window's values left to right from
+0.0, one `r[i]` read per report, never `sum()`, which compensates from
+Python 3.12. A `Verdict` is a checked tuple, on the pattern of
+`core.PRBMask`: its `__new__` requires `flagged` iff some field offends,
+and `_make` and `_replace` build through it.
+
 `warmup_history` draws each warm-up report straight from `rng.random()`
 with the arithmetic of `Random.uniform` and `Random.gauss`, in this order:
 one rate uniform per frame of the report period, the snr_db, cqi and
@@ -45,10 +52,10 @@ from __future__ import annotations
 import json
 import math
 from math import isfinite
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from random import Random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .. import e2
 from ..core import FRAME_MS, KPM_FIELDS, BehaviorProfile, FieldStats, KPMReport, UeId, ordered_sum
@@ -100,16 +107,30 @@ class DetectionConfig:
             raise ValueError(f"warmup_reports must be >= 2, got {self.warmup_reports}")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _VerdictFields(NamedTuple):
     ue: UeId
     flagged: bool
     offending: tuple[tuple[str, float, tuple[float, float]], ...]
     window_used: int
 
-    def __post_init__(self) -> None:
-        if self.flagged != bool(self.offending):
+
+class Verdict(_VerdictFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        ue: UeId,
+        flagged: bool,
+        offending: tuple[tuple[str, float, tuple[float, float]], ...],
+        window_used: int,
+    ) -> Verdict:
+        if flagged != bool(offending):
             raise ValueError("flagged iff offending fields nonempty")
+        return tuple.__new__(cls, (ue, flagged, offending, window_used))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Verdict:
+        return cls(*iterable)  # through the check; `_replace` comes here too
 
 
 def _sample_stats(values: Sequence[float]) -> tuple[float, float]:
@@ -149,27 +170,27 @@ _FIELD_INDEX = {name: i for i, name in enumerate(KPMReport._fields)}
 def assess(profile: BehaviorProfile, reports: list[KPMReport], config: DetectionConfig) -> Verdict:
     """Flag iff any field's window mean falls strictly outside its range.
 
-    Each mean adds the window's values left to right from 0.0, reading the
-    report tuples by field index.
+    The window is the last `config.window_n` reports; a shorter list is read
+    in place, not copied. Each mean adds the window's values left to right
+    from 0.0, reading the report tuples by field index.
     """
-    if not reports:
+    n = len(reports)
+    if not n:
         raise NoVerdictError("no reports to assess")
-    window = reports[-config.window_n :]
-    offending = []
+    window = reports
+    if n > config.window_n:
+        n = config.window_n
+        window = reports[-n:]
+    offending = ()
     for name, stats in profile.fields.items():
         i = _FIELD_INDEX[name]
         total = 0.0
         for r in window:
             total += r[i]  # float + int rounds the int as float() does
-        mean = total / len(window)
+        mean = total / n
         if mean > stats.hi or (stats.flag_low and mean < stats.lo):
-            offending.append((name, mean, (stats.lo, stats.hi)))
-    return Verdict(
-        ue=profile.ue,
-        flagged=bool(offending),
-        offending=tuple(offending),
-        window_used=len(window),
-    )
+            offending += ((name, mean, (stats.lo, stats.hi)),)
+    return Verdict(profile.ue, bool(offending), offending, n)
 
 
 # ---- benign generative model -----------------------------------------------

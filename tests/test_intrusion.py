@@ -6,7 +6,7 @@ from random import Random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ztcell.core import FRAME_MS, KPM_FIELDS, BehaviorProfile, FieldStats, KPMReport, ordered_sum
@@ -189,10 +189,45 @@ class TestAssessOracle:
         st.integers(1, 12),
         st.lists(kpm_reports, min_size=1, max_size=25),
     )
+    # Fewer reports than window_n, as many, and more: read in place, then sliced.
+    @example(nominal_profile(), 3, [report(40.0, seq=s) for s in range(1, 3)])
+    @example(nominal_profile(), 3, [report(40.0, seq=s) for s in range(1, 4)])
+    @example(nominal_profile(), 3, [report(t, seq=s) for s, t in enumerate((99.0, 15.0, 15.0, 15.0), 1)])
     @settings(max_examples=300, deadline=None)
     def test_assess_matches_reference(self, profile, window_n, reports):
         cfg = DetectionConfig(window_n=window_n)
+        before = list(reports)
         assert assess(profile, reports, cfg) == reference_assess(profile, reports, cfg)
+        assert len(reports) == len(before)
+        assert all(a is b for a, b in zip(reports, before))  # left as it was
+
+
+OFFENDING = (("throughput_mbps", 40.0, (10.0, 20.0)),)
+_VERDICT = Verdict(1, True, OFFENDING, 10)
+VERDICT_WAYS = {
+    "constructor": lambda flagged, offending: Verdict(1, flagged, offending, 10),
+    "keywords": lambda flagged, offending: Verdict(
+        ue=1, flagged=flagged, offending=offending, window_used=10
+    ),
+    "_make": lambda flagged, offending: Verdict._make((1, flagged, offending, 10)),
+    "_replace": lambda flagged, offending: _VERDICT._replace(flagged=flagged, offending=offending),
+}
+
+
+class TestEveryVerdictConstructorChecks:
+    """The check lives in `__new__`, and every way to build a verdict runs it."""
+
+    @pytest.mark.parametrize("way", VERDICT_WAYS)
+    @pytest.mark.parametrize(("flagged", "offending"), [(True, ()), (False, OFFENDING)])
+    def test_rejects_flagged_unless_some_field_offends(self, way, flagged, offending):
+        with pytest.raises(ValueError, match="flagged iff offending fields nonempty"):
+            VERDICT_WAYS[way](flagged, offending)
+
+    @pytest.mark.parametrize("way", VERDICT_WAYS)
+    @pytest.mark.parametrize(("flagged", "offending"), [(True, OFFENDING), (False, ())])
+    def test_ways_build_the_same_checked_verdict(self, way, flagged, offending):
+        verdict = VERDICT_WAYS[way](flagged, offending)
+        assert type(verdict) is Verdict and verdict == Verdict(1, flagged, offending, 10)
 
 
 def values_read(field_count: int, window_n: int) -> int:

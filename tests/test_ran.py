@@ -25,7 +25,7 @@ from ztcell.ran import (
 from ztcell.ric import Router
 from ztcell.runner import run
 from ztcell.scenario import load_scenario, parse_scenario
-from ztcell.xapps.auth import NS_AUTH
+from ztcell.xapps.auth import NS_AUTH, parse_blob
 from ztcell.xapps.intrusion import NS_PROFILES
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -221,9 +221,10 @@ class TestReauthPeriod:
     def test_period_given_at_construction_paces_reauth(self):
         cell = RanCell(CellConfig(), SECRET, zero_trust=True, reauth_period_frames=5)
         attach_one(cell, 1, IDLE)
+        auth_response(cell, TestDeniedIsTerminal.GRANT)  # granted in frame 0
         grant_with_slices(cell, {1: (1, 0, 10, SliceKind.NORMAL)})
-        cell.ues[1].granted_frame = 0
         cell.outbox.clear()
+        assert cell.ues[1].granted_frame == 0
         assert reauth_frames(cell, range(16)) == [5, 10, 15]
 
     def test_legacy_cell_never_reauthenticates(self):
@@ -233,6 +234,69 @@ class TestReauthPeriod:
         cell.ues[1].auth_state = AuthState.GRANTED
         cell.ues[1].granted_frame = 0
         assert reauth_frames(cell, range(16)) == []
+
+
+def reference_reauth(cell: RanCell, frame: int) -> list[int]:
+    """The UEs that a scan of every attached UE re-authenticates at `frame`,
+    in attach order."""
+    due = []
+    for ue in cell.ues.values():
+        if ue.auth_state is not AuthState.GRANTED or ue.granted_frame is None:
+            continue
+        age = frame - ue.granted_frame
+        if age > 0 and age % cell.reauth_period_frames == 0:
+            due.append(ue.id)
+    return due
+
+
+REAUTH_OPS = ("attach", "grant", "deny", "isolate")
+# Per frame, a few operations; an attach names a UE id, any other an
+# attached UE by its index in attach order (modulo their number).
+reauth_frames_ops = st.lists(
+    st.lists(st.tuples(st.sampled_from(REAUTH_OPS), st.integers(1, 40)), max_size=4),
+    min_size=1, max_size=40,
+)
+
+
+class TestReauthScheduleMatchesScan:
+    """`maybe_reauth` visits only the UEs granted in a frame of the current
+    residue; it must send what a scan of every UE sends, in the same order."""
+
+    @given(st.integers(1, 7), reauth_frames_ops)
+    @example(2, [  # two UEs granted in one frame, attached against id order
+        [("attach", 9), ("attach", 3), ("grant", 1), ("grant", 0)], [], [], [], [],
+    ])
+    @example(3, [  # a grant while isolated, a denial, and a late attach
+        [("attach", 1), ("attach", 2), ("isolate", 0), ("grant", 0)], [("grant", 1)],
+        [], [("deny", 1), ("attach", 5)], [("grant", 2)], [], [], [], [], [],
+    ])
+    @settings(max_examples=200, deadline=None)
+    def test_sends_equal_full_scan(self, period, frames):
+        cell = RanCell(CellConfig(), SECRET, zero_trust=True, reauth_period_frames=period)
+        restricted = SliceSpec(1, PRBMask.from_range(99, 1, 100), kind=SliceKind.RESTRICTED)
+        for f, ops in enumerate(frames):
+            # The runner's order: re-auth, then the RIC's answers, then the frame.
+            cell.frame_index = f
+            expected = reference_reauth(cell, f)
+            cell.outbox.clear()
+            cell.maybe_reauth(f)
+            assert [parse_blob(e2.decode(raw).body.blob)[1] for raw in cell.outbox] == expected
+            for op, n in ops:
+                ues = list(cell.ues)
+                if op == "attach":
+                    if n not in cell.ues:
+                        attach_one(cell, n, IDLE)
+                elif not ues:
+                    continue
+                elif op == "isolate":
+                    bindings = ((ues[n % len(ues)], restricted.id),)
+                    cell.apply_slice_control(SliceControlBody(bindings, (restricted,)))
+                else:
+                    outcome = e2.AuthOutcome.GRANTED if op == "grant" else e2.AuthOutcome.REVOKED
+                    reason = e2.AuthReason.OK if op == "grant" else e2.AuthReason.EXPIRED
+                    auth_response(
+                        cell, e2.AuthResponseBody(ues[n % len(ues)], outcome, reason, bytes(16))
+                    )
 
 
 class TestKpm:
