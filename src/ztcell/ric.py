@@ -91,16 +91,17 @@ def json_text(value: Any) -> str:
 class SdlWindow:
     """Bounded JSON lists under one SDL namespace, held in memory and written through.
 
-    `load` turns a decoded JSON value into an item and `dump` an item into
-    its JSON text, which must equal `json.dumps` of the value `load` was
-    given (`json_text` by default). Per key the window caches the bytes last
-    put or read, the items and their texts, so an append costs one get, one
-    join and one put. It decodes the stored bytes only when they are not
-    that object, which means another writer replaced them; the version
-    cannot tell, since a delete then a put restarts it at 1.
+    The intrusion xApp keeps each UE's report window in one. `load` turns a
+    decoded JSON value into an item and `dump` an item into its JSON text,
+    which must equal `json.dumps` of the value `load` was given. Per key the
+    window caches the bytes last put or read, the items and their texts, so
+    an append costs one get, one join and one put. It decodes the stored
+    bytes only when they are not that object, which means another writer
+    replaced them; the version cannot tell, since a delete then a put
+    restarts it at 1.
     """
 
-    def __init__(self, sdl: Sdl, namespace: str, keep: int, load=lambda v: v, dump=json_text):
+    def __init__(self, sdl: Sdl, namespace: str, keep: int, load: Callable, dump: Callable) -> None:
         self.sdl, self.namespace, self.keep = sdl, namespace, keep
         self._load, self._dump = load, dump
         self._cache: dict[str, tuple[bytes, list, list[str]]] = {}
@@ -114,10 +115,6 @@ class SdlWindow:
             items = [self._load(v) for v in json.loads(stored[0])]
             cached = self._cache[key] = (stored[0], items, [self._dump(x) for x in items])
         return cached
-
-    def items(self, key: str) -> list:
-        """The stored window, read with one get; callers must not mutate it."""
-        return self._entry(key)[1]
 
     def append(self, key: str, item: Any) -> list:
         """Append `item`, keep the newest `keep`, put the window back and return it."""

@@ -21,12 +21,18 @@ credential and each UE's registered credential come from the scenario the
 xApp is built from, and every token is drawn from one stream,
 `Random(f"{seed}/auth/tokens")`.
 
-Re-authentication compares a UE's mean reported throughput with its slice
-budget. The xApp holds each UE's usage window in memory and writes it
-through to the SDL on every report, each value's text written by
-`ric.json_text` (`repr` of a finite float, else `json.dumps`); it decodes
-the stored window, and the slicer's table, again only when the SDL holds
-bytes the xApp has not read or written (`ric.SdlWindow`).
+Re-authentication also revokes, for `slice_mismatch`, a UE its RAN served
+beyond its slice. A KPM report whose whole period the current slice table
+served (its `epoch` at least one report period old) is judged on arrival:
+one over `budget * per_prb_rate_mbps * (1 + usage_tolerance)` bumps a u64
+count under `auth/usage:{ue}`, and the first also leaves a
+`usage_over_budget` record. A report of a period that saw a table change, or
+of an unbound UE, is not judged. The parsed table and its budgets by slice
+id are cached per stored bytes object.
+
+A re-auth blob must carry the slice the table binds its UE to. Under a
+table dated the current frame, the binding the frame began with is also
+accepted: the RAN may have built the blob before that table reached it.
 """
 from __future__ import annotations
 
@@ -39,9 +45,9 @@ from random import Random
 from typing import TYPE_CHECKING
 
 from .. import e2
-from ..core import FRAME_MS, CellId, E2Id, SliceId, UeId, ordered_sum
+from ..core import FRAME_MS, CellId, E2Id, KPMReport, SliceId, UeId
 from ..e2 import AuthOutcome, AuthReason, MsgKind
-from ..ric import InternalMessage, SdlWindow, Xapp, XappContext
+from ..ric import InternalMessage, Xapp, XappContext
 
 if TYPE_CHECKING:  # scenario.py imports the xApp modules
     from ..scenario import Scenario
@@ -124,19 +130,20 @@ class AuthXapp(Xapp):
         self.rng_tokens = Random(f"{sc.seed}/auth/tokens")
         # pending verifications: ue -> (blob, due_frame); all durable state in SDL
         self._pending: dict[UeId, tuple[bytes, int]] = {}
-        self._usage: SdlWindow | None = None
-        self._table: tuple[bytes, dict] | None = None  # (stored bytes, parsed table)
+        self.report_period_frames = sc.report_period_ms // FRAME_MS
+        self._table: tuple[bytes, dict, dict[SliceId, int]] | None = None  # bytes, table, budgets
+        self._frame_bindings: dict[str, SliceId] = {}  # the table's bindings as the frame began
 
     # ---- wiring ------------------------------------------------------------
 
     def on_init(self, ctx: XappContext) -> None:
         super().on_init(ctx)
-        keep = max(1, self.sc.auth.reauth_period_frames // (self.sc.report_period_ms // FRAME_MS))
-        self._usage = SdlWindow(ctx.sdl, NS_AUTH, keep)
         ctx.router.subscribe(self.name, [MsgKind.AUTH_REQUEST, MsgKind.KPM_INDICATION], self.handle)
 
     def on_frame_boundary(self, frame: int) -> None:
         super().on_frame_boundary(frame)
+        entry = self._slice_table()
+        self._frame_bindings = {} if entry is None else entry[1]["bindings"]
         for ue in sorted(u for u, (_, due) in self._pending.items() if due <= frame):
             blob, _ = self._pending.pop(ue)
             self._decide_initial(ue, blob)
@@ -146,7 +153,7 @@ class AuthXapp(Xapp):
         if isinstance(body, e2.AuthRequestBody):
             self._on_auth_request(msg, body.blob)
         elif isinstance(body, e2.KpmIndicationBody):
-            self._track_usage(body.report.ue, body.report.throughput_mbps)
+            self._judge_usage(body.report)
 
     # ---- token lifecycle ----------------------------------------------------
 
@@ -246,9 +253,15 @@ class AuthXapp(Xapp):
         self._emit_decision(self.verify_ue(ue, blob, expect_slice=0), "auth")
 
     def _decide_reauth(self, ue: UeId, blob: bytes) -> None:
-        bound = self._bound_slice(ue)
+        entry = self._slice_table()
+        bound = None if entry is None else entry[1]["bindings"].get(str(ue))
         reason = self._verify_factors(ue, blob, expect_slice=bound if bound is not None else 0)
-        if reason is AuthReason.OK and not self._usage_within_slice(ue, bound):
+        changed_now = entry is not None and entry[1]["epoch"] >= self.frame
+        if reason is AuthReason.SLICE_MISMATCH and changed_now:
+            # The RAN may have built the blob before this frame's table reached it.
+            bound = self._frame_bindings.get(str(ue))
+            reason = self._verify_factors(ue, blob, expect_slice=bound if bound is not None else 0)
+        if reason is AuthReason.OK and self.ctx.sdl.get(NS_AUTH, f"usage:{ue}") is not None:
             reason = AuthReason.SLICE_MISMATCH
         if reason is AuthReason.OK:
             self._emit_decision(AuthDecision(ue, AuthOutcome.GRANTED, AuthReason.OK), "reauth")
@@ -275,42 +288,39 @@ class AuthXapp(Xapp):
             e2.AuthResponseBody(ue, decision.outcome, decision.reason, token),
         )
 
-    # ---- periodic re-authentication support --------------------------------------
+    # ---- usage against the slice that served it -----------------------------------
 
-    def _track_usage(self, ue: UeId, throughput_mbps: float) -> None:
-        self._usage.append(f"usage:{ue}", throughput_mbps)
-
-    def _slice_table(self) -> dict | None:
-        """The slicer's table from the SDL, parsed once per stored bytes object."""
+    def _slice_table(self) -> tuple[bytes, dict, dict[SliceId, int]] | None:
+        """The slicer's table and its budgets by slice id, parsed once per stored bytes object."""
         entry = self.ctx.sdl.get(NS_SLICES, "table")
         if entry is None:
             return None
         if self._table is None or self._table[0] is not entry[0]:
-            self._table = (entry[0], json.loads(entry[0]))
-        return self._table[1]
+            table = json.loads(entry[0])
+            self._table = (entry[0], table, {s["id"]: s["budget"] for s in table["slices"]})
+        return self._table
 
-    def _bound_slice(self, ue: UeId) -> SliceId | None:
-        table = self._slice_table()
-        if table is None:
-            return None
-        return table["bindings"].get(str(ue))
-
-    def _slice_budget(self, slice_id: SliceId) -> int:
-        table = self._slice_table()
-        if table is None:
-            return 0
-        for spec in table["slices"]:
-            if spec["id"] == slice_id:
-                return spec["budget"]
-        return 0
-
-    def _usage_within_slice(self, ue: UeId, slice_id: SliceId | None) -> bool:
-        """RAN-reported mean throughput must fit the registered slice capacity."""
+    def _judge_usage(self, report: KPMReport) -> None:
+        """Count `report` against its UE if it exceeds the budget of the slice
+        that served its whole period."""
+        entry = self._slice_table()
+        if entry is None:
+            return
+        _, table, budgets = entry
+        if table["epoch"] > self.frame - self.report_period_frames:
+            return  # the period saw a table change
+        ue = report.ue
+        slice_id = table["bindings"].get(str(ue))
         if slice_id is None:
-            return True
-        window = self._usage.items(f"usage:{ue}")
-        if not window:
-            return True
-        mean = ordered_sum(window) / len(window)
-        capacity = self._slice_budget(slice_id) * self.sc.cell.per_prb_rate_mbps
-        return mean <= capacity * (1.0 + self.sc.auth.usage_tolerance)
+            return
+        capacity = budgets.get(slice_id, 0) * self.sc.cell.per_prb_rate_mbps
+        mbps = report.throughput_mbps
+        if mbps <= capacity * (1.0 + self.sc.auth.usage_tolerance):
+            return
+        stored = self.ctx.sdl.get(NS_AUTH, f"usage:{ue}")
+        count = 1 if stored is None else struct.unpack(">Q", stored[0])[0] + 1
+        self.ctx.sdl.put(NS_AUTH, f"usage:{ue}", struct.pack(">Q", count))
+        if count == 1:  # later offences only count, so the log stays bounded
+            detail = f"ue {ue} report {report.seq}: {mbps} Mbps over its slice's {capacity} Mbps"
+            self.record("usage_over_budget", detail, ue=ue, seq=report.seq,
+                        throughput_mbps=mbps, capacity_mbps=capacity)

@@ -1,11 +1,16 @@
 """Authentication xApp: token laws, RAN-first ordering, factor soundness."""
 import hmac
 import json
+import math
+import struct
 from dataclasses import replace
 from random import Random
 from unittest import mock
 
+import pytest
+
 from ztcell import e2
+from ztcell.core import FRAME_MS, KPMReport
 from ztcell.e2 import AuthOutcome, AuthReason, AuthRequestBody, MsgKind
 from ztcell.ric import AuditLog, Router, Sdl, XappContext
 from ztcell.scenario import parse_scenario
@@ -208,8 +213,11 @@ class TestVerifyUe:
             assert h.xapp.verify_ue(1, bytes(flipped)).outcome is AuthOutcome.DENIED
 
 
+PERIOD = BASE.report_period_ms // FRAME_MS  # frames a KPM report covers
+
+
 class TestReauth:
-    def setup_granted(self, h: Harness, ue: int, budget: int = 50) -> bytes:
+    def setup_granted(self, h: Harness, ue: int, budget: int = 50, epoch: int = 0) -> bytes:
         h.verify_ran()
         token = h.xapp.issue_token(ue)
         h.request(h.blob_for(ue, token))
@@ -220,7 +228,7 @@ class TestReauth:
             "table",
             json.dumps(
                 {
-                    "epoch": 0,
+                    "epoch": epoch,
                     "slices": [{"id": 9, "budget": budget, "kind": "normal"}],
                     "bindings": {str(ue): 9},
                 }
@@ -228,30 +236,95 @@ class TestReauth:
         )
         return fresh
 
-    def track_usage(self, h: Harness, ue: int, mbps: float, reports: int = 5) -> None:
-        for _ in range(reports):
-            h.xapp._track_usage(ue, mbps)
+    def report(self, h: Harness, ue: int, mbps: float, seq: int = 1) -> None:
+        """Deliver one KPM_INDICATION for `ue` one report period after frame 0."""
+        h.xapp.on_frame_boundary(PERIOD)
+        kpm = KPMReport(ue, 1, seq, 25.0, 12, 100, 20.0, mbps)
+        h.xapp.handle(e2.E2Message(MsgKind.KPM_INDICATION, 1, 1, seq, e2.KpmIndicationBody(kpm)))
 
     def test_within_capacity_granted(self):
+        """A report exactly at capacity x (1 + tolerance) is within it."""
         h = Harness()
         token = self.setup_granted(h, 1, budget=50)  # 12 Mbps capacity
-        self.track_usage(h, 1, 11.0)
+        self.report(h, 1, 50 * BASE.cell.per_prb_rate_mbps * (1.0 + BASE.auth.usage_tolerance))
         h.request(h.blob_for(1, token, slice_id=9))
         assert h.responses()[-1].outcome is AuthOutcome.GRANTED
+        assert h.sdl.get(NS_AUTH, "usage:1") is None and not h.audit.scan("usage_over_budget")
+
+    def test_one_ulp_over_bound_revoked(self):
+        h = Harness()
+        token = self.setup_granted(h, 1, budget=50)
+        bound = 50 * BASE.cell.per_prb_rate_mbps * (1.0 + BASE.auth.usage_tolerance)
+        self.report(h, 1, math.nextafter(bound, math.inf))
+        h.request(h.blob_for(1, token, slice_id=9))
+        assert h.responses()[-1].reason is AuthReason.SLICE_MISMATCH
 
     def test_usage_double_capacity_revoked_slice_mismatch(self):
+        """A settled report over its slice's budget is counted, audited once,
+        and revokes the UE at its next re-authentication."""
         h = Harness()
         token = self.setup_granted(h, 1, budget=10)  # 2.4 Mbps capacity
-        self.track_usage(h, 1, 4.8)
+        self.report(h, 1, 4.8, seq=7)
+        self.report(h, 1, 4.8, seq=8)
+        assert h.sdl.get(NS_AUTH, "usage:1") == (struct.pack(">Q", 2), 2)
+        [record] = h.audit.scan("usage_over_budget")
+        assert (record["ue"], record["seq"], record["throughput_mbps"]) == (1, 7, 4.8)
+        assert record["capacity_mbps"] == 10 * BASE.cell.per_prb_rate_mbps
         h.request(h.blob_for(1, token, slice_id=9))
         assert h.responses()[-1].outcome is AuthOutcome.REVOKED
         assert h.responses()[-1].reason is AuthReason.SLICE_MISMATCH
+
+    def test_report_spanning_table_change_not_judged(self):
+        """A table dated after the start of the report's period may not
+        have served it, so the report is not judged against it."""
+        h = Harness()
+        token = self.setup_granted(h, 1, budget=10, epoch=1)
+        self.report(h, 1, 24.0)
+        assert h.sdl.get(NS_AUTH, "usage:1") is None
+        h.request(h.blob_for(1, token, slice_id=9))
+        assert h.responses()[-1].outcome is AuthOutcome.GRANTED
+
+    def test_unbound_ue_not_judged(self):
+        h = Harness()
+        self.setup_granted(h, 1, budget=10)
+        self.report(h, 2, 24.0)  # the table binds only UE 1
+        assert h.sdl.get(NS_AUTH, "usage:2") is None and not h.audit.scan("usage_over_budget")
 
     def test_wrong_slice_id_in_blob_revoked(self):
         h = Harness()
         token = self.setup_granted(h, 1)
         h.request(h.blob_for(1, token, slice_id=8))  # bound to 9
         assert h.responses()[-1].outcome is AuthOutcome.REVOKED
+
+    def table_change(self, h: Harness, frame: int) -> None:
+        """At `frame`, move UE 1 from slice 9 to a new slice 10."""
+        h.xapp.on_frame_boundary(frame)
+        table = {"epoch": frame, "slices": [{"id": 10, "budget": 5, "kind": "restricted"}],
+                 "bindings": {"1": 10}}
+        h.sdl.put(NS_SLICES, "table", json.dumps(table).encode())
+
+    @pytest.mark.parametrize(
+        "slice_id, outcome",
+        [(9, AuthOutcome.GRANTED), (10, AuthOutcome.GRANTED), (8, AuthOutcome.REVOKED)],
+        ids=["frame_start_binding", "new_table_binding", "neither"],
+    )
+    def test_reauth_in_frame_of_table_change(self, slice_id, outcome):
+        """The RAN may build a re-auth blob before a table change of the same
+        frame reaches it, so the binding the frame began with is accepted
+        as well as the new one."""
+        h = Harness()
+        token = self.setup_granted(h, 1)
+        self.table_change(h, PERIOD)
+        h.request(h.blob_for(1, token, slice_id=slice_id))
+        assert h.responses()[-1].outcome is outcome
+
+    def test_old_binding_revoked_after_frame_of_table_change(self):
+        h = Harness()
+        token = self.setup_granted(h, 1)
+        self.table_change(h, PERIOD)
+        h.xapp.on_frame_boundary(PERIOD + 1)
+        h.request(h.blob_for(1, token, slice_id=9))
+        assert h.responses()[-1].reason is AuthReason.SLICE_MISMATCH
 
     def test_expired_token_denied_then_regrant_on_next_attach(self):
         h = Harness(token_expiry_frames=5)

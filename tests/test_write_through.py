@@ -1,20 +1,22 @@
-"""Write-through xApp windows: the in-memory copies never drift from the SDL.
+"""Write-through xApp state: the in-memory copies never drift from the SDL.
 
 The intrusion xApp keeps each UE's report window in memory, and the auth
-xApp each UE's usage window and the parsed slice table. Other writers may
-put, delete, or delete and re-put those SDL keys at any time, including a
-re-put that lands on the version number the xApp last wrote. After every
-step the bytes the xApp wrote must be `json.dumps` of the window a fresh SDL
-read gives, and flags and re-auth decisions must equal those of the xApps
-as they were before the caches: decode and re-encode on every call.
+xApp the parsed slice table with its budgets by slice id. Other writers may
+put, delete, or delete and re-put those SDL keys, and auth's usage counts,
+at any time, including a re-put that lands on the version number the xApp
+last wrote. After every step the bytes the intrusion xApp wrote must be
+`json.dumps` of the window a fresh SDL read gives, the usage count must
+follow auth's rule on a fresh read of the table, and flags and re-auth
+decisions must equal those of xApps that decode and re-encode on every call.
 """
 import json
+import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ztcell import e2
-from ztcell.core import KPMReport, SliceKind, ordered_sum
+from ztcell.core import FRAME_MS, KPMReport, SliceKind
 from ztcell.e2 import MsgKind
 from ztcell.ric import AuditLog, Router, Sdl, XappContext, json_text
 from ztcell.scenario import parse_scenario
@@ -28,7 +30,8 @@ SC = parse_scenario("\n".join([
 SECRET = SC.secret()
 CHAINS = {u.ue: (u.credential,) for u in SC.ues}
 WINDOW_N = SC.detection.window_n
-USAGE_KEEP = 4  # reauth period 40 frames / report period 10 frames
+PERIOD = SC.report_period_ms // FRAME_MS  # 10 frames
+NOW = 15  # the frame every step runs in: a table of epoch <= 5 served a whole report period
 
 
 class UncachedWindows:
@@ -54,37 +57,30 @@ class UncachedIntrusion(IntrusionXapp):
 
 
 class UncachedAuth(AuthXapp):
-    """Parses the usage window and the slice table from the SDL on every call."""
+    """Parses the slice table from the SDL on every call."""
 
-    def _track_usage(self, ue, throughput_mbps):
-        entry = self.ctx.sdl.get(NS_AUTH, f"usage:{ue}")
-        window = (json.loads(entry[0]) if entry else []) + [throughput_mbps]
-        self.ctx.sdl.put(NS_AUTH, f"usage:{ue}", json.dumps(window[-USAGE_KEEP:]).encode())
-
-    def _parsed_table(self):
+    def _slice_table(self):
         entry = self.ctx.sdl.get(NS_SLICES, "table")
-        return json.loads(entry[0]) if entry else None
+        if entry is None:
+            return None
+        table = json.loads(entry[0])
+        return entry[0], table, {spec["id"]: spec["budget"] for spec in table["slices"]}
 
-    def _bound_slice(self, ue):
-        table = self._parsed_table()
-        return None if table is None else table["bindings"].get(str(ue))
 
-    def _slice_budget(self, slice_id):
-        table = self._parsed_table()
-        for spec in table["slices"] if table else []:
-            if spec["id"] == slice_id:
-                return spec["budget"]
-        return 0
-
-    def _usage_within_slice(self, ue, slice_id):
-        if slice_id is None:
-            return True
-        entry = self.ctx.sdl.get(NS_AUTH, f"usage:{ue}")
-        window = json.loads(entry[0]) if entry else []
-        if not window:
-            return True
-        capacity = self._slice_budget(slice_id) * self.sc.cell.per_prb_rate_mbps
-        return ordered_sum(window) / len(window) <= capacity * (1.0 + self.sc.auth.usage_tolerance)
+def expected_usage(sdl: Sdl, before, report: KPMReport) -> bytes | None:
+    """auth's usage count for `report.ue` after `report`, by a fresh read of the table."""
+    entry = sdl.get(NS_SLICES, "table")
+    table = json.loads(entry[0]) if entry else None
+    if table is None or table["epoch"] > NOW - PERIOD:
+        return before and before[0]
+    slice_id = table["bindings"].get(str(report.ue))
+    if slice_id is None:
+        return before and before[0]
+    budget = next((spec["budget"] for spec in table["slices"] if spec["id"] == slice_id), 0)
+    capacity = budget * SC.cell.per_prb_rate_mbps
+    if report.throughput_mbps <= capacity * (1.0 + SC.auth.usage_tolerance):
+        return before and before[0]
+    return struct.pack(">Q", (struct.unpack(">Q", before[0])[0] if before else 0) + 1)
 
 
 class World:
@@ -101,7 +97,7 @@ class World:
         self.intrusion, self.auth = intrusion, auth
         for xapp in (intrusion, auth):
             xapp.on_init(ctx)
-            xapp.on_frame_boundary(0)
+            xapp.on_frame_boundary(NOW)
         for ue in CHAINS:
             auth.issue_token(ue)
 
@@ -168,12 +164,11 @@ def outside_values(draw):
         reports = draw(st.lists(kpm_reports(ue=ue), max_size=WINDOW_N + 2))
         return (NS_PROFILES, f"window:{ue}"), dumps_any(draw, [r._asdict() for r in reports])
     if which == "usage":
-        window = draw(st.lists(tputs, max_size=USAGE_KEEP + 2))
-        return (NS_AUTH, f"usage:{ue}"), dumps_any(draw, window)
+        return (NS_AUTH, f"usage:{ue}"), struct.pack(">Q", draw(st.integers(0, 1000)))
     budgets = draw(st.lists(st.integers(min_value=1, max_value=100), min_size=2, max_size=2))
     bound = draw(st.lists(st.sampled_from([None, 9, 10]), min_size=2, max_size=2))
     table = {
-        "epoch": 0,
+        "epoch": draw(st.integers(min_value=0, max_value=NOW)),
         "slices": [{"id": 9 + i, "budget": b, "kind": "normal"} for i, b in enumerate(budgets)],
         "bindings": {str(u): sid for u, sid in zip(sorted(CHAINS), bound) if sid is not None},
     }
@@ -213,14 +208,14 @@ class TestWriteThroughWindows:
                 ue = arg.ue
                 before_window = cached.sdl.get(NS_PROFILES, f"window:{ue}")
                 before_usage = cached.sdl.get(NS_AUTH, f"usage:{ue}")
+                usage = expected_usage(cached.sdl, before_usage, arg)
                 for world in (cached, uncached):
                     world.deliver(arg)
                 assert cached.sdl.get(NS_PROFILES, f"window:{ue}")[0] == expected_write(
                     before_window, arg._asdict(), WINDOW_N
                 )
-                assert cached.sdl.get(NS_AUTH, f"usage:{ue}")[0] == expected_write(
-                    before_usage, arg.throughput_mbps, USAGE_KEEP
-                )
+                after_usage = cached.sdl.get(NS_AUTH, f"usage:{ue}")
+                assert (after_usage and after_usage[0]) == usage
             elif op == "reauth":
                 for world in (cached, uncached):
                     world.reauth(arg)
@@ -262,8 +257,10 @@ class TestJsonText:
 
     def test_append_after_a_foreign_nan(self):
         world = World(cached=True)
-        world.outside_put((NS_AUTH, "usage:1"), b"[NaN]")
-        report = KPMReport(1, 1, 1, 25.0, 12, 125, 20.0, 12.5)
+        foreign = KPMReport(1, 1, 1, float("nan"), 12, 125, 20.0, 12.5)
+        world.outside_put((NS_PROFILES, "window:1"), json.dumps([foreign._asdict()]).encode())
+        report = KPMReport(1, 1, 2, 25.0, 12, 125, 20.0, 12.5)
         world.deliver(report)
-        written = world.sdl.get(NS_AUTH, "usage:1")[0]
-        assert written == json.dumps([float("nan"), 12.5]).encode() == b"[NaN, 12.5]"
+        written = world.sdl.get(NS_PROFILES, "window:1")[0]
+        assert written == json.dumps([foreign._asdict(), report._asdict()]).encode()
+        assert b'"snr_db": NaN' in written

@@ -2,9 +2,11 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ztcell.core import SliceKind
-from ztcell.ran import InvariantError
+from ztcell.ran import InvariantError, RanCell
 from ztcell.runner import run
 from ztcell.scenario import load_scenario, parse_scenario
 
@@ -146,6 +148,103 @@ class TestReauthOverRun:
         assert all(s.auth_state == "isolated" for s in post)
         assert all(s.served_bits <= 2400 for s in post)
         assert post[-1].queue_bytes > post[0].queue_bytes  # backlog keeps growing
+
+
+def scenario_text(reauth: int, ues: list[dict], seed: int = 1, duration: int = 1000) -> str:
+    lines = [f"scenario.duration_frames = {duration}", f"scenario.seed = {seed}",
+             f"auth.reauth_period_frames = {reauth}"]
+    for ue, keys in enumerate(ues, start=1):
+        lines += [f"ue.{ue}.{key} = {value}" for key, value in keys.items()]
+    return "\n".join(lines)
+
+
+tenths = st.integers(min_value=1, max_value=400).map(lambda t: t / 10)  # 0.1 to 40 Mbps
+
+
+@st.composite
+def honest_ue(draw) -> dict:
+    kind = draw(st.sampled_from(["cbr", "uniform_rate", "idle", "flood"]))
+    keys = {"traffic": kind, "attach_frame": draw(st.integers(min_value=0, max_value=600))}
+    if kind == "cbr":
+        keys["rate_mbps"] = draw(tenths)
+    elif kind == "uniform_rate":
+        lo, hi = sorted((draw(tenths), draw(tenths)))
+        keys.update(rate_lo_mbps=lo, rate_hi_mbps=hi)
+    elif kind == "flood":
+        onset = draw(st.integers(min_value=0, max_value=900))
+        keys.update(rate_mbps=draw(tenths), onset_frame=onset)
+    return keys
+
+
+@st.composite
+def honest_ues(draw) -> list[dict]:
+    """1-8 UEs with valid credentials, up to two of them mission-critical."""
+    ues = draw(st.lists(honest_ue(), min_size=1, max_size=8))
+    for ue in draw(st.sets(st.integers(0, len(ues) - 1), max_size=2)):
+        ues[ue].update(priority="mission_critical", reserved_prbs=draw(st.integers(1, 20)))
+    return ues
+
+
+# UE 1 alone at 18-20 Mbps, profiled at that band, then three 1 Mbps UEs
+# take three quarters of its slice.
+ALONE_THEN_CROWDED = [{
+    "traffic": "uniform_rate", "rate_lo_mbps": 18, "rate_hi_mbps": 20,
+    "profile_rate_lo_mbps": 18, "profile_rate_hi_mbps": 20,
+}] + [
+    {"traffic": "cbr", "rate_mbps": 1, "attach_frame": 400}
+] * 3
+# Three UEs at 10-20 Mbps, the third attaching at frame 400.
+THIRD_ATTACHES_LATE = [{"traffic": "uniform_rate", "rate_lo_mbps": 10, "rate_hi_mbps": 20}] * 2
+THIRD_ATTACHES_LATE += [dict(THIRD_ATTACHES_LATE[0], attach_frame=400)]
+# One UE outside its profile, isolated at frame 890 in the same frame as its
+# re-auth, whose blob still carries the slice the frame began with.
+ISOLATED_AT_REAUTH = [
+    {"traffic": "uniform_rate", "attach_frame": 488, "rate_lo_mbps": 0.1, "rate_hi_mbps": 32.1}
+]
+
+
+class TestHonestReauth:
+    """An honest RAN serves a slice at most its budget, so no re-authentication
+    of an honest run revokes a UE for its usage, however slices move."""
+
+    @given(st.integers(min_value=50, max_value=500), honest_ues(), st.integers(1, 1000))
+    @example(500, ALONE_THEN_CROWDED, 1)
+    @example(500, THIRD_ATTACHES_LATE, 1)
+    @example(50, ISOLATED_AT_REAUTH, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_no_honest_ue_revoked_for_usage(self, reauth, ues, seed):
+        result = run(parse_scenario(scenario_text(reauth, ues, seed)))
+        assert [e for e in result.audit.scan("reauth") if e["reason"] == "slice_mismatch"] == []
+        assert result.audit.scan("usage_over_budget") == []
+
+    @pytest.mark.parametrize("ues", [ALONE_THEN_CROWDED, THIRD_ATTACHES_LATE])
+    def test_reproductions_granted_at_first_reauth(self, ues):
+        for seed in range(1, 21):
+            result = run(parse_scenario(scenario_text(500, ues, seed, duration=600)))
+            first = [e for e in result.audit.scan("reauth") if e["ue"] == 1]
+            assert [(e["frame"], e["outcome"], e["reason"]) for e in first] == [
+                (502, "granted", "ok")
+            ]
+
+    def test_over_serving_ran_revoked_at_next_reauth(self, monkeypatch):
+        """A RAN that reports UE 1 at three times what it served, above the
+        budget of the slice that served it, gets UE 1 revoked at its next
+        re-authentication; the honest UE is granted."""
+        honest = RanCell.collect_kpm
+
+        def inflated(cell, ue, period_ms):
+            report = honest(cell, ue, period_ms)
+            if ue == 1:
+                return report._replace(throughput_mbps=3 * report.throughput_mbps)
+            return report
+
+        monkeypatch.setattr(RanCell, "collect_kpm", inflated)
+        ues = [{"traffic": "cbr", "rate_mbps": 5}] * 2  # 50 PRBs, 12 Mbps each
+        result = run(parse_scenario(scenario_text(500, ues, duration=600)))
+        outcomes = [(e["ue"], e["outcome"], e["reason"]) for e in result.audit.scan("reauth")]
+        assert outcomes == [(1, "revoked", "slice_mismatch"), (2, "granted", "ok")]
+        [first] = result.audit.scan("usage_over_budget")
+        assert first["ue"] == 1 and first["throughput_mbps"] > first["capacity_mbps"]
 
 
 class TestCliInvariantExit:
