@@ -1,16 +1,17 @@
 """Discrete-event cell model advancing in `core.FRAME_MS` (10 ms) radio frames.
 
-Per frame: one loop enqueues every UE's new traffic per its traffic model, in
-both modes, and sums the backlog; then the MAC scheduler drains queues. Every
-UE has its own RNG stream and its own slice, so the visiting order is
-unobservable. With zero-trust slicing active each UE then drains up to its
-own slice capacity in FIFO order and reports its stats; a UE whose queue is
-empty serves nothing and has no latency, so it takes the stats it last had
-while idle, rebuilt only when its auth state or slice changed. In legacy mode
-one shared FIFO across all UEs' packets is served from the whole PRB pool,
-ordered by arrival; while the frame's whole backlog fits the pool, every
-packet completes in that frame whatever the order, so each UE's queue is
-drained whole instead.
+Per frame the cell visits each UE once, in attach order, and first draws and
+enqueues its new traffic per its traffic model. Every UE has its own RNG
+stream and its own slice, so the visiting order is unobservable. With
+zero-trust slicing active each UE is served as it is visited: it drains up
+to its own slice capacity in FIFO order and reports its stats in the same
+loop body, with no per-UE method call; a UE whose queue is empty serves
+nothing and has no latency, so it takes the stats it last had while idle,
+rebuilt only when its auth state or slice changed. In legacy mode the loop
+sums the backlog, and after it one shared FIFO across all UEs' packets is
+served from the whole PRB pool, ordered by arrival; while the frame's whole
+backlog fits the pool, every packet completes in that frame whatever the
+order, so each UE's queue is drained whole instead, batch by batch.
 The auth and binding invariants are checked at the start of a frame only
 when `attach`, an AUTH_RESPONSE or a SLICE_CONTROL changed state since the
 last check, so a quiet frame scans nothing. At each report boundary every
@@ -187,6 +188,8 @@ class UeState:
     idle_stats: UeFrameStats | None = None  # its stats the last frame its queue was empty
 
     def queue_bits(self) -> int:
+        """`queued_bits`, which the frame loop reads directly. The method stays
+        because perfbench's span targets (`perfbench/spans.py`) name it."""
         return self.queued_bits
 
 
@@ -226,6 +229,8 @@ class RanCell:
         # that residue, in attach order: the UEs whose re-auth may fall due.
         self._reauth_due: dict[int, list[UeState]] = {}
         self.state_changed = True  # UE auth or binding state moved since the last check
+        self.last_ric_seq = 0  # the seq of the last RIC frame applied
+        self.replays_dropped = 0  # RIC frames dropped for a seq at or below it
         self._stats: dict[UeFrameStats, UeFrameStats] = {}  # every distinct stats value, once
 
     # ---- E2 egress -------------------------------------------------------
@@ -296,7 +301,13 @@ class RanCell:
     # ---- E2 ingress -------------------------------------------------------
 
     def handle_frame(self, data: bytes) -> None:
+        """Apply one RIC frame, unless its seq is at or below the last one
+        applied: a replayed or late frame is dropped and counted."""
         msg = e2.decode(data)
+        if msg.seq <= self.last_ric_seq:
+            self.replays_dropped += 1
+            return
+        self.last_ric_seq = msg.seq
         body = msg.body
         if isinstance(body, e2.AuthResponseBody):
             self._on_auth_response(body)
@@ -362,38 +373,6 @@ class RanCell:
                 if kind is not SliceKind.RESTRICTED:
                     raise InvariantError(f, f"UE {ue_id} is isolated but bound to a {kind.name.lower()} slice")
 
-    def _drain(self, ue: UeState, capacity: int) -> tuple[int, int, int]:
-        """Serve `ue`'s FIFO up to `capacity` bits, one batch at a time.
-
-        Returns (bits served, latency sum in ms, packets completed).
-        """
-        served = lat_sum = done_total = 0
-        f = self.frame_index
-        pkt_bits = ue.traffic.packet_size_bytes * 8
-        q = ue.queue
-        while capacity > 0 and q:
-            b = q[0]
-            take = min(b.head_bits_left, capacity)
-            b.head_bits_left -= take
-            capacity -= take
-            served += take
-            if b.head_bits_left:
-                break
-            # The head is done; complete as many whole packets after it as fit.
-            whole = min(b.left - 1, capacity // pkt_bits)
-            capacity -= whole * pkt_bits
-            served += whole * pkt_bits
-            done = whole + 1
-            b.left -= done
-            lat_sum += done * (f - b.arrival_frame + 1) * FRAME_MS
-            done_total += done
-            if b.left:
-                b.head_bits_left = pkt_bits
-            else:
-                q.popleft()
-        ue.queued_bits -= served
-        return served, lat_sum, done_total
-
     def step_frame(self) -> FrameReport:
         f = self.frame_index
         zero_trust = self.zero_trust
@@ -401,8 +380,11 @@ class RanCell:
             self._check_invariants()  # a breach keeps the flag set, so it raises again
             self.state_changed = False
         ues = self.ues
+        slice_bits = self.slice_bits
+        interned = self._stats
+        per_ue: dict[UeId, UeFrameStats] = {}
         backlog = 0
-        for ue in ues.values():
+        for ue_id, ue in ues.items():
             t = ue.traffic
             kind = t.kind
             if kind == "uniform_rate":
@@ -410,63 +392,107 @@ class RanCell:
                 bits = (lo + (t.hi_mbps - lo) * ue.rng_traffic.random()) * FRAME_MS * 1000.0
             elif kind == "cbr" or (kind == "flood" and f >= t.onset_frame):
                 bits = t.rate_mbps * FRAME_MS * 1000.0
-            else:  # idle, or a flood before its onset: nothing arrives, nothing queued
-                continue
-            accum = ue.bits_accum + bits
+            else:  # idle, or a flood before its onset: nothing arrives
+                bits = 0.0
+            q = ue.queue
             pkt_bits = t.packet_size_bytes * 8
-            n = int(accum // pkt_bits)
-            if n > 0:
-                accum -= n * pkt_bits
-                q = ue.queue
-                if q and ue.auth_state is _DENIED:
-                    # Never served again, so only the count matters: grow the tail batch.
-                    q[-1].n += n
-                    q[-1].left += n
+            if bits:
+                accum = ue.bits_accum + bits
+                n = int(accum // pkt_bits)
+                if n > 0:
+                    accum -= n * pkt_bits
+                    if q and ue.auth_state is _DENIED:
+                        # Never served again, so only the count matters: grow the tail batch.
+                        q[-1].n += n
+                        q[-1].left += n
+                    else:
+                        q.append(Batch(f, n, pkt_bits, ue.pkt_seq))
+                    ue.pkt_seq += n
+                    ue.queued_bits += n * pkt_bits
+                    ue.window_arrived_pkts += n
+                ue.bits_accum = accum
+            if not zero_trust:
+                backlog += ue.queued_bits
+                continue
+            if not q:
+                # Nothing to serve and no latency: the stats depend on the
+                # auth state and slice alone, so reuse the UE's last ones.
+                stats = ue.idle_stats
+                state = ue.auth_state._value_
+                if stats is None or stats[3] != state or stats[4] != ue.slice_id:
+                    stats = UeFrameStats(0, 0, None, state, ue.slice_id)
+                    stats = ue.idle_stats = interned.setdefault(stats, stats)
+                per_ue[ue_id] = stats
+                continue
+            # Serve the FIFO up to the slice's capacity, one batch at a time;
+            # an unbound UE is not served.
+            cap = room = slice_bits.get(ue.slice_id, 0)
+            served = lat_frames = lat_n = 0
+            while room > 0 and q:
+                b = q[0]
+                take = b.head_bits_left
+                if take > room:  # the slice runs out inside the head packet
+                    b.head_bits_left = take - room
+                    served += room
+                    break
+                room -= take
+                served += take
+                # The head is done; complete as many whole packets after it as fit.
+                whole = room // pkt_bits
+                if whole >= b.left:
+                    whole = b.left - 1
+                room -= whole * pkt_bits
+                served += whole * pkt_bits
+                done = whole + 1
+                b.left -= done
+                lat_frames += done * (f - b.arrival_frame + 1)
+                lat_n += done
+                if b.left:
+                    b.head_bits_left = pkt_bits
                 else:
-                    q.append(Batch(f, n, pkt_bits, ue.pkt_seq))
-                ue.pkt_seq += n
-                ue.queued_bits += n * pkt_bits
-                ue.window_arrived_pkts += n
-            ue.bits_accum = accum
-            backlog += ue.queued_bits
-
-        per_ue: dict[UeId, UeFrameStats] = {}
-        if zero_trust:
-            slice_bits = self.slice_bits
-            interned = self._stats
-            for ue_id, ue in ues.items():
-                if not ue.queue:
-                    # Nothing to serve and no latency: the stats depend on the
-                    # auth state and slice alone, so reuse the UE's last ones.
-                    stats = ue.idle_stats
-                    state = ue.auth_state._value_
-                    if stats is None or stats[3] != state or stats[4] != ue.slice_id:
-                        stats = UeFrameStats(0, 0, None, state, ue.slice_id)
-                        stats = ue.idle_stats = interned.setdefault(stats, stats)
-                    per_ue[ue_id] = stats
-                    continue
-                cap = slice_bits.get(ue.slice_id, 0)  # an unbound UE is not served
-                served, lat_sum, lat_n = self._drain(ue, cap)
-                if served > cap:
-                    raise InvariantError(f, f"UE {ue_id} served over slice capacity")
-                per_ue[ue_id] = self._frame_stats(ue, served, lat_sum, lat_n)
-        else:
+                    q.popleft()
+            if served > cap:
+                raise InvariantError(f, f"UE {ue_id} served over slice capacity")
+            ue.queued_bits -= served
+            ue.window_served_bits += served
+            # `_value_` is a plain attribute, unlike the `.value` property.
+            # Interned: an equal value seen before in this run is handed back
+            # as the object stored then. Equal means identical text in
+            # `frames.csv`, because each field keeps one type (`1 == 1.0`).
+            stats = UeFrameStats(
+                served, ue.queued_bits // 8, lat_frames * FRAME_MS / lat_n if lat_n else None,
+                ue.auth_state._value_, ue.slice_id,
+            )
+            per_ue[ue_id] = interned.setdefault(stats, stats)
+        if not zero_trust:
             cap = self.cfg.cell_bits_per_frame
+            order = list(ues.values())
             if backlog <= cap:
                 # Every queued packet completes in this frame, and its latency
                 # depends only on its arrival frame, so FIFO order changes
                 # nothing: drain each UE whole, with no merge.
-                total = 0
-                for ue_id, ue in ues.items():
-                    served, lat_sum, lat_n = self._drain(ue, ue.queued_bits)
-                    total += served
-                    per_ue[ue_id] = self._frame_stats(ue, served, lat_sum, lat_n)
+                served = [ue.queued_bits for ue in order]
+                lat_sum = []
+                lat_n = []
+                for ue in order:
+                    waited = n = 0  # frames waited, summed over packets
+                    for b in ue.queue:
+                        waited += b.left * (f - b.arrival_frame + 1)
+                        n += b.left
+                    lat_sum.append(waited * FRAME_MS)
+                    lat_n.append(n)
+                    ue.queue.clear()
+                    ue.queued_bits = 0
             else:
-                order = list(ues.values())
                 served, lat_sum, lat_n = self._serve_shared(order, cap)
-                total = sum(served)
-                for ue_id, ue, s, ls, ln in zip(ues, order, served, lat_sum, lat_n):
-                    per_ue[ue_id] = self._frame_stats(ue, s, ls, ln)
+            total = 0
+            for ue_id, ue, s, ls, ln in zip(ues, order, served, lat_sum, lat_n):
+                total += s
+                ue.window_served_bits += s
+                stats = UeFrameStats(
+                    s, ue.queued_bits // 8, ls / ln if ln else None, ue.auth_state._value_, ue.slice_id
+                )
+                per_ue[ue_id] = interned.setdefault(stats, stats)
             if total > cap:
                 raise InvariantError(f, "cell served over shared capacity")
         self.frame_index += 1
@@ -550,20 +576,6 @@ class RanCell:
         for ue, bits in zip(ues, served):
             ue.queued_bits -= bits
         return served, lat_sum, lat_n
-
-    def _frame_stats(self, ue: UeState, served: int, lat_sum: int, lat_n: int) -> UeFrameStats:
-        """The stats of one UE's frame, interned: an equal value seen before in this
-        run is returned as the object stored then. Equal means identical text in
-        `frames.csv`, because each field keeps one type (`1 == 1.0`)."""
-        ue.window_served_bits += served
-        stats = UeFrameStats(
-            served,
-            ue.queue_bits() // 8,
-            lat_sum / lat_n if lat_n else None,
-            ue.auth_state._value_,  # a plain attribute, unlike the `.value` property
-            ue.slice_id,
-        )
-        return self._stats.setdefault(stats, stats)
 
     # ---- KPM reporting ----------------------------------------------------
 

@@ -224,13 +224,24 @@ class Xapp:
 
 
 class XappRegistry:
+    """The registered xApps, by name, in registration order.
+
+    `register` calls each xApp's `on_init` once. `frame_boundary` stamps
+    every xApp's `frame`, then calls `on_frame_boundary` only on the xApps
+    whose class overrides it: the base hook only stamps the frame, which the
+    first pass has done.
+    """
+
     def __init__(self) -> None:
         self._xapps: dict[str, Xapp] = {}
+        self._hooked: list[Xapp] = []  # those overriding on_frame_boundary
 
     def register(self, xapp: Xapp, ctx: XappContext) -> None:
         if xapp.name in self._xapps:
             raise RegistrationError(f"xApp {xapp.name!r} already registered")
         self._xapps[xapp.name] = xapp
+        if type(xapp).on_frame_boundary is not Xapp.on_frame_boundary:
+            self._hooked.append(xapp)
         xapp.on_init(ctx)
 
     def frame_boundary(self, frame: int) -> None:
@@ -238,5 +249,5 @@ class XappRegistry:
         # does boundary work, so cross-xApp cascades stamp the right epoch.
         for xapp in self._xapps.values():
             xapp.frame = frame
-        for xapp in self._xapps.values():
+        for xapp in self._hooked:
             xapp.on_frame_boundary(frame)

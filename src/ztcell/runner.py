@@ -4,7 +4,11 @@ A run wires one RAN cell to the RIC over the binary E2 codec and advances
 in `core.FRAME_MS` (10 ms) frames. At each frame boundary the message
 queues are drained to quiescence, so an indication emitted at the end of
 frame f can trigger a verdict, an isolation, and a slice-control message
-that all take effect at the start of frame f+1 and never mid-frame.
+that all take effect at the start of frame f+1 and never mid-frame. E2
+traffic crosses only on the first frame, at report boundaries, and on
+attach, re-auth and verification frames. On any other boundary both
+outboxes are empty and `pump` returns at once, so a quiet frame costs the
+RIC only the registry's frame stamp and the auth xApp's boundary hook.
 Everything is driven by named RNG streams derived from the scenario seed,
 making outputs byte-identical across runs; legacy runs reuse the same
 traffic streams so arrivals match the zero-trust run frame for frame.
@@ -130,6 +134,8 @@ def run(
         cell.connect(sc.ran_credential())
 
     def pump(frame: int) -> None:
+        if not (cell.outbox or ric_outbox):
+            return  # a quiet boundary: nothing to exchange
         for _ in range(PUMP_ROUND_LIMIT):
             to_ric = cell.outbox
             cell.outbox = []

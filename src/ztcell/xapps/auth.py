@@ -33,6 +33,10 @@ id are cached per stored bytes object.
 A re-auth blob must carry the slice the table binds its UE to. Under a
 table dated the current frame, the binding the frame began with is also
 accepted: the RAN may have built the blob before that table reached it.
+For that, the boundary hook keeps the SDL's table entry as the frame began,
+one get and no parse; only this fallback parses it, and not at all when it
+is the bytes object of the table already parsed. The hook scans pending
+verifications only while there are any, so a quiet boundary costs one get.
 """
 from __future__ import annotations
 
@@ -132,7 +136,7 @@ class AuthXapp(Xapp):
         self._pending: dict[UeId, tuple[bytes, int]] = {}
         self.report_period_frames = sc.report_period_ms // FRAME_MS
         self._table: tuple[bytes, dict, dict[SliceId, int]] | None = None  # bytes, table, budgets
-        self._frame_bindings: dict[str, SliceId] = {}  # the table's bindings as the frame began
+        self._frame_table: tuple[bytes, int] | None = None  # the SDL table entry as the frame began
 
     # ---- wiring ------------------------------------------------------------
 
@@ -142,11 +146,11 @@ class AuthXapp(Xapp):
 
     def on_frame_boundary(self, frame: int) -> None:
         super().on_frame_boundary(frame)
-        entry = self._slice_table()
-        self._frame_bindings = {} if entry is None else entry[1]["bindings"]
-        for ue in sorted(u for u, (_, due) in self._pending.items() if due <= frame):
-            blob, _ = self._pending.pop(ue)
-            self._decide_initial(ue, blob)
+        self._frame_table = self.ctx.sdl.get(NS_SLICES, "table")  # kept unparsed
+        if self._pending:
+            for ue in sorted(u for u, (_, due) in self._pending.items() if due <= frame):
+                blob, _ = self._pending.pop(ue)
+                self._decide_initial(ue, blob)
 
     def handle(self, msg: e2.E2Message) -> None:
         body = msg.body
@@ -259,7 +263,12 @@ class AuthXapp(Xapp):
         changed_now = entry is not None and entry[1]["epoch"] >= self.frame
         if reason is AuthReason.SLICE_MISMATCH and changed_now:
             # The RAN may have built the blob before this frame's table reached it.
-            bound = self._frame_bindings.get(str(ue))
+            start = self._frame_table
+            if start is None:
+                bound = None
+            else:  # parsed only here, unless it is the table `entry` already parsed
+                table = entry[1] if start[0] is entry[0] else json.loads(start[0])
+                bound = table["bindings"].get(str(ue))
             reason = self._verify_factors(ue, blob, expect_slice=bound if bound is not None else 0)
         if reason is AuthReason.OK and self.ctx.sdl.get(NS_AUTH, f"usage:{ue}") is not None:
             reason = AuthReason.SLICE_MISMATCH

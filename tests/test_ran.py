@@ -22,9 +22,10 @@ from ztcell.ran import (
     TrafficModel,
     UeFrameStats,
 )
-from ztcell.ric import Router
+from ztcell.ric import Router, Xapp
 from ztcell.runner import run
 from ztcell.scenario import load_scenario, parse_scenario
+from ztcell.xapps import auth
 from ztcell.xapps.auth import NS_AUTH, parse_blob
 from ztcell.xapps.intrusion import NS_PROFILES
 
@@ -540,18 +541,27 @@ def traffic_models(draw) -> TrafficModel:
     return TrafficModel(kind="idle", packet_size_bytes=size)
 
 
-def bind_widths(cell: RanCell, widths: list[int]) -> None:
-    """UE i gets its own slice of widths[i] PRBs, or stays verifying and unbound at 0."""
+VERIFYING = ("verifying", 0)
+DENIED = ("denied", 0)
+
+
+def bind_widths(cell: RanCell, roles: list[tuple[str, int]]) -> None:
+    """UE i takes roles[i] = (state, width): "granted" gets its own normal
+    slice of `width` PRBs and "isolated" its own restricted one; "verifying"
+    and "denied" stay unbound. A UE denied before stays denied, as in the cell."""
     slices, bindings, start = [], [], 0
-    for (ue, state), width in zip(cell.ues.items(), widths):
-        if width:
+    for (ue, state), (role, width) in zip(cell.ues.items(), roles):
+        if state.auth_state is AuthState.DENIED:
+            continue
+        if role in ("granted", "isolated"):
             mask = PRBMask.from_range(start, width, cell.cfg.total_prbs)
-            slices.append(SliceSpec(ue, mask, kind=SliceKind.NORMAL))
+            kind = SliceKind.NORMAL if role == "granted" else SliceKind.RESTRICTED
+            slices.append(SliceSpec(ue, mask, kind=kind))
             bindings.append((ue, ue))
-            state.auth_state = AuthState.GRANTED
+            state.auth_state = AuthState.GRANTED  # the restricted slice isolates it
             start += width
         else:
-            state.auth_state = AuthState.VERIFYING
+            state.auth_state = AuthState(role)
     cell.apply_slice_control(SliceControlBody(bindings=tuple(bindings), slices=tuple(slices)))
 
 
@@ -569,8 +579,12 @@ def cell_runs(draw):
     else:
         models = draw(st.lists(traffic_models(), min_size=count, max_size=count))
     zero_trust = draw(st.booleans())
-    width = st.integers(min_value=0, max_value=100 // count)
-    tables = [draw(st.lists(width, min_size=count, max_size=count)) for _ in range(2)]
+    width = st.integers(min_value=1, max_value=100 // count)
+    role = st.one_of(
+        st.tuples(st.sampled_from(["granted", "isolated"]), width),
+        st.sampled_from([VERIFYING, DENIED]),
+    )
+    tables = [draw(st.lists(role, min_size=count, max_size=count)) for _ in range(2)]
     # The reference holds one object per packet, so a run offers at most
     # about 20k packets; at 100 packets a frame or fewer that is 200 frames,
     # long enough for a flood backlog to span many batches.
@@ -585,28 +599,36 @@ class TestBatchedQueueOracle:
     @example((  # two UEs tie on every key; the flood backlog outgrows the cell
         [TrafficModel(kind="cbr", rate_mbps=6.0)] * 2
         + [TrafficModel(kind="flood", rate_mbps=40.0, onset_frame=10)],
-        False, [[0, 0, 0], [0, 0, 0]], 200, 0,
+        False, [[VERIFYING] * 3] * 2, 200, 0,
     ))
     @example((  # 120 and 24 packets a frame: UE 1's runs end in ties it wins
         [TrafficModel(kind="cbr", rate_mbps=120.0, packet_size_bytes=1250),
          TrafficModel(kind="cbr", rate_mbps=24.0, packet_size_bytes=1250)],
-        False, [[0, 0], [0, 0]], 40, 0,
+        False, [[VERIFYING] * 2] * 2, 40, 0,
     ))
     @example((  # the backlog is exactly the cell's 240 000 bits every frame
         [TrafficModel(kind="cbr", rate_mbps=8.0, packet_size_bytes=1000)] * 3,
-        False, [[0, 0, 0], [0, 0, 0]], 120, 0,
+        False, [[VERIFYING] * 3] * 2, 120, 0,
     ))
     @example((  # one packet over the cell at frame 100, and congested from then on
         [TrafficModel(kind="cbr", rate_mbps=8.008, packet_size_bytes=1000)]
         + [TrafficModel(kind="cbr", rate_mbps=8.0, packet_size_bytes=1000)] * 2,
-        False, [[0, 0, 0], [0, 0, 0]], 120, 0,
+        False, [[VERIFYING] * 3] * 2, 120, 0,
     ))
     @example((  # both queues are empty at frame 30, when both UEs lose their slice and grant
         [IDLE, TrafficModel(kind="cbr", rate_mbps=0.1, packet_size_bytes=3000)],
-        True, [[5, 5], [0, 0]], 60, 30,
+        True, [[("granted", 5)] * 2, [VERIFYING] * 2], 60, 30,
+    ))
+    @example((  # a flooder queues while verifying, then is denied; an idle UE goes granted to isolated
+        [TrafficModel(kind="flood", rate_mbps=40.0), IDLE],
+        True, [[VERIFYING, ("granted", 5)], [DENIED, ("isolated", 1)]], 60, 20,
     ))
     @settings(max_examples=200, deadline=None)
     def test_frames_equal_per_packet_reference(self, run):
+        """Every branch of the frame loop against the per-packet reference:
+        the legacy whole drain and shared FIFO, and in zero-trust mode idle
+        UEs, granted and isolated UEs served up to their slice, unbound
+        verifying UEs that queue, and denied UEs whose tail batch grows."""
         models, zero_trust, tables, frames, switch = run
         cells = [RanCell(CellConfig(), SECRET, zero_trust), ReferenceCell(CellConfig(), SECRET, zero_trust)]
         for cell in cells:
@@ -622,7 +644,10 @@ class TestBatchedQueueOracle:
                 assert ue.queue_bits() == recount_queue_bits(ue)
                 assert len(ue.queue) <= f + 1
         for ue_id, ue in batched.ues.items():
-            assert ue.pkt_seq == reference.ues[ue_id].pkt_seq
+            ref = reference.ues[ue_id]
+            assert (ue.pkt_seq, ue.window_arrived_pkts, ue.window_served_bits) == (
+                ref.pkt_seq, ref.window_arrived_pkts, ref.window_served_bits
+            )
 
 
 def auth_response(cell: RanCell, body: e2.AuthResponseBody) -> None:
@@ -671,6 +696,42 @@ class TestDeniedIsTerminal:
 
 def slice_control(cell: RanCell, body: SliceControlBody) -> None:
     cell.handle_frame(e2.encode(cell.conn.make("ric", MsgKind.SLICE_CONTROL, body)))
+
+
+def slice_frame(cell: RanCell, width: int) -> bytes:
+    """A SLICE_CONTROL frame binding UE 1 to a normal slice of `width` PRBs."""
+    spec = SliceSpec(1, PRBMask.from_range(0, width, 100), kind=SliceKind.NORMAL)
+    body = SliceControlBody(bindings=((1, 1),), slices=(spec,))
+    return e2.encode(cell.conn.make("ric", MsgKind.SLICE_CONTROL, body))
+
+
+class TestRicSeqCheck:
+    """The cell applies a RIC frame only if its seq is above the last one applied."""
+
+    def granted_cell(self) -> RanCell:
+        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
+        attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=40.0))
+        cell.ues[1].auth_state = AuthState.GRANTED
+        return cell
+
+    def test_replayed_slice_control_leaves_table_untouched(self):
+        cell = self.granted_cell()
+        first = slice_frame(cell, 10)
+        cell.handle_frame(first)
+        cell.step_frame()
+        installed = cell.slice_bits
+        cell.handle_frame(first)
+        assert cell.slice_bits is installed and not cell.state_changed
+        assert cell.replays_dropped == 1 and cell.last_ric_seq == 1
+
+    def test_late_slice_control_leaves_newer_table_untouched(self):
+        cell = self.granted_cell()
+        older, newer = slice_frame(cell, 10), slice_frame(cell, 20)
+        cell.handle_frame(newer)
+        cell.handle_frame(older)
+        assert cell.slice_bits == {1: 20 * cell.cfg.prb_bits_per_frame}
+        assert cell.replays_dropped == 1 and cell.last_ric_seq == 2
+        assert cell.step_frame().per_ue[1].served_bits == 20 * cell.cfg.prb_bits_per_frame
 
 
 class EveryFrameCheckCell(RanCell):
@@ -938,3 +999,52 @@ class TestAsymptoticGate:
         assert "isolate_skipped" not in ue1
         late = {e["action"] for e in result.audit.entries if e["time_ms"] >= 2000 * 10}
         assert late == {"reauth", "token_issued"}
+
+    def test_quiet_boundaries_cost_no_ric_work(self, monkeypatch):
+        """flood_isolation over 1000 frames, where E2 traffic crosses on about
+        a tenth of the boundaries. Each pump hands the router and the cell
+        exactly the frames encoded since the last one, so on a boundary that
+        starts with both outboxes empty it calls neither and leaves the
+        outboxes as they are. The boundary hook runs only on the auth xApp,
+        the one xApp that overrides it, and the auth xApp parses at most one
+        slice table per table emitted, however many frames run."""
+        sc = load_scenario(SCENARIOS / "flood_isolation.scn")
+        counts = {"encode": 0, "take": 0, "loads": 0}
+        windows: list[tuple[int, int]] = []  # per pump: (frames encoded, frames taken)
+        outboxes = []  # the cell's outbox object at each step, once per object
+        hooked: set[str] = set()
+
+        def counting(fn, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        step, base_hook = RanCell.step_frame, Xapp.on_frame_boundary
+
+        def recording_step(cell):
+            windows.append((counts["encode"], counts["take"]))
+            counts["encode"] = counts["take"] = 0
+            if not outboxes or outboxes[-1] is not cell.outbox:
+                outboxes.append(cell.outbox)
+            return step(cell)
+
+        def recording_hook(xapp, frame):
+            hooked.add(type(xapp).__name__)
+            base_hook(xapp, frame)
+
+        monkeypatch.setattr(e2, "encode", counting(e2.encode, "encode"))
+        monkeypatch.setattr(Router, "ingest_frame", counting(Router.ingest_frame, "take"))
+        monkeypatch.setattr(RanCell, "handle_frame", counting(RanCell.handle_frame, "take"))
+        monkeypatch.setattr(RanCell, "step_frame", recording_step)
+        monkeypatch.setattr(Xapp, "on_frame_boundary", recording_hook)
+        loads = counting(auth.json.loads, "loads")
+        monkeypatch.setattr(auth, "json", type("CountingJson", (), {"loads": staticmethod(loads)}))
+        result = run(sc)
+        assert sc.duration_frames == len(windows) == 1000
+        assert all(encoded == taken for encoded, taken in windows)
+        busy = sum(1 for encoded, _ in windows if encoded)
+        assert 0 < busy < sc.duration_frames // 5
+        assert len(outboxes) <= 1 + busy
+        assert hooked == {"AuthXapp"}
+        assert counts["loads"] <= len(result.slicing.emitted) < busy
