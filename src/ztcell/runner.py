@@ -1,14 +1,19 @@
 """Experiment orchestration: the frame loop, metric logs, and run summaries.
 
 A run wires one RAN cell to the RIC over the binary E2 codec and advances
-in `core.FRAME_MS` (10 ms) frames. At each frame boundary the message
-queues are drained to quiescence, so an indication emitted at the end of
+in `core.FRAME_MS` (10 ms) frames. Each frame boundary runs in this order:
+the frame stamp and the boundary hooks, the frame's attaches, `pump`, the
+RAN's due re-authentications, `pump` again. The first pump drains the
+message queues to quiescence, so an indication emitted at the end of
 frame f can trigger a verdict, an isolation, and a slice-control message
-that all take effect at the start of frame f+1 and never mid-frame. E2
-traffic crosses only on the first frame, at report boundaries, and on
+that all take effect at the start of frame f+1 and never mid-frame. The
+RAN re-presents credentials only after that, so every re-auth blob carries
+the slice the RIC's table holds, and an isolated UE is not re-presented.
+E2 traffic crosses only on the first frame, at report boundaries, and on
 attach, re-auth and verification frames. On any other boundary both
-outboxes are empty and `pump` returns at once, so a quiet frame costs the
-RIC only the registry's frame stamp and the auth xApp's boundary hook.
+outboxes are empty and each `pump` returns at once, so a quiet frame costs
+the RIC only the registry's frame stamp and the auth xApp's boundary hook,
+which reads nothing while no verification is pending.
 Everything is driven by named RNG streams derived from the scenario seed,
 making outputs byte-identical across runs; legacy runs reuse the same
 traffic streams so arrivals match the zero-trust run frame for frame.
@@ -171,6 +176,7 @@ def run(
                 token=token,
                 cred_mode=spec.credentials,
             )
+        pump(f)
         cell.maybe_reauth(f)
         pump(f)
         frames.append(cell.step_frame())

@@ -11,9 +11,8 @@ what drives the false positive rate down as more reports accumulate.
 `assess` reads a list of at most window_n reports in place and slices only
 a longer one. Each field's mean adds the window's values left to right from
 0.0, one `r[i]` read per report, never `sum()`, which compensates from
-Python 3.12. A `Verdict` is a checked tuple, on the pattern of
-`core.PRBMask`: its `__new__` requires `flagged` iff some field offends,
-and `_make` and `_replace` build through it.
+Python 3.12. A `Verdict` holds its offending fields once: `flagged` is a
+property, true iff some field offends, so no verdict can contradict itself.
 
 `warmup_history` draws each warm-up report straight from `rng.random()`
 with the arithmetic of `Random.uniform` and `Random.gauss`, in this order:
@@ -52,7 +51,7 @@ from __future__ import annotations
 import json
 import math
 from math import isfinite
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple
@@ -107,30 +106,14 @@ class DetectionConfig:
             raise ValueError(f"warmup_reports must be >= 2, got {self.warmup_reports}")
 
 
-class _VerdictFields(NamedTuple):
+class Verdict(NamedTuple):
     ue: UeId
-    flagged: bool
-    offending: tuple[tuple[str, float, tuple[float, float]], ...]
+    offending: tuple[tuple[str, float, tuple[float, float]], ...]  # (field, mean, (lo, hi))
     window_used: int
 
-
-class Verdict(_VerdictFields):
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        ue: UeId,
-        flagged: bool,
-        offending: tuple[tuple[str, float, tuple[float, float]], ...],
-        window_used: int,
-    ) -> Verdict:
-        if flagged != bool(offending):
-            raise ValueError("flagged iff offending fields nonempty")
-        return tuple.__new__(cls, (ue, flagged, offending, window_used))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> Verdict:
-        return cls(*iterable)  # through the check; `_replace` comes here too
+    @property
+    def flagged(self) -> bool:
+        return bool(self.offending)
 
 
 def _sample_stats(values: Sequence[float]) -> tuple[float, float]:
@@ -190,7 +173,7 @@ def assess(profile: BehaviorProfile, reports: list[KPMReport], config: Detection
         mean = total / n
         if mean > stats.hi or (stats.flag_low and mean < stats.lo):
             offending += ((name, mean, (stats.lo, stats.hi)),)
-    return Verdict(profile.ue, bool(offending), offending, n)
+    return Verdict(profile.ue, offending, n)
 
 
 # ---- benign generative model -----------------------------------------------

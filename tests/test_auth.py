@@ -305,13 +305,13 @@ class TestReauth:
 
     @pytest.mark.parametrize(
         "slice_id, outcome",
-        [(9, AuthOutcome.GRANTED), (10, AuthOutcome.GRANTED), (8, AuthOutcome.REVOKED)],
+        [(9, AuthOutcome.REVOKED), (10, AuthOutcome.GRANTED), (8, AuthOutcome.REVOKED)],
         ids=["frame_start_binding", "new_table_binding", "neither"],
     )
-    def test_reauth_in_frame_of_table_change(self, slice_id, outcome):
-        """The RAN may build a re-auth blob before a table change of the same
-        frame reaches it, so the binding the frame began with is accepted
-        as well as the new one."""
+    def test_reauth_in_frame_of_table_change_needs_current_binding(self, slice_id, outcome):
+        """The RAN re-presents only after the frame's table has reached it, so
+        a re-auth in the frame of a table change is granted only on the
+        binding of the table as it now stands."""
         h = Harness()
         token = self.setup_granted(h, 1)
         self.table_change(h, PERIOD)

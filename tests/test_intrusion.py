@@ -156,7 +156,7 @@ def reference_assess(profile, reports, config) -> Verdict:
         mean = total / len(window)
         if mean > stats.hi or (stats.flag_low and mean < stats.lo):
             offending.append((name, mean, (stats.lo, stats.hi)))
-    return Verdict(profile.ue, bool(offending), tuple(offending), len(window))
+    return Verdict(profile.ue, tuple(offending), len(window))
 
 
 bounds = st.floats(min_value=-1e300, max_value=1e300) | st.integers(-(2**64), 2**64)
@@ -203,9 +203,15 @@ class TestAssessOracle:
 
 
 OFFENDING = (("throughput_mbps", 40.0, (10.0, 20.0)),)
-_VERDICT = Verdict(1, True, OFFENDING, 10)
+_VERDICT = Verdict(1, OFFENDING, 10)
 VERDICT_WAYS = {
-    "constructor": lambda flagged, offending: Verdict(1, flagged, offending, 10),
+    "positional": lambda offending: Verdict(1, offending, 10),
+    "keywords": lambda offending: Verdict(ue=1, offending=offending, window_used=10),
+    "_make": lambda offending: Verdict._make((1, offending, 10)),
+    "_replace": lambda offending: _VERDICT._replace(offending=offending),
+}
+OLD_VERDICT_WAYS = {
+    "positional": lambda flagged, offending: Verdict(1, flagged, offending, 10),
     "keywords": lambda flagged, offending: Verdict(
         ue=1, flagged=flagged, offending=offending, window_used=10
     ),
@@ -214,20 +220,30 @@ VERDICT_WAYS = {
 }
 
 
-class TestEveryVerdictConstructorChecks:
-    """The check lives in `__new__`, and every way to build a verdict runs it."""
+class TestVerdictFlaggedIsDerived:
+    """`flagged` is read off the offending fields, so however a verdict is
+    built it cannot contradict them."""
 
     @pytest.mark.parametrize("way", VERDICT_WAYS)
-    @pytest.mark.parametrize(("flagged", "offending"), [(True, ()), (False, OFFENDING)])
-    def test_rejects_flagged_unless_some_field_offends(self, way, flagged, offending):
-        with pytest.raises(ValueError, match="flagged iff offending fields nonempty"):
-            VERDICT_WAYS[way](flagged, offending)
+    @pytest.mark.parametrize("offending", [OFFENDING, ()], ids=["offending", "clean"])
+    def test_flagged_iff_some_field_offends(self, way, offending):
+        verdict = VERDICT_WAYS[way](offending)
+        assert type(verdict) is Verdict and verdict == Verdict(1, offending, 10)
+        assert verdict.flagged is bool(offending)
 
-    @pytest.mark.parametrize("way", VERDICT_WAYS)
+    @pytest.mark.parametrize("way", OLD_VERDICT_WAYS)
     @pytest.mark.parametrize(("flagged", "offending"), [(True, OFFENDING), (False, ())])
-    def test_ways_build_the_same_checked_verdict(self, way, flagged, offending):
-        verdict = VERDICT_WAYS[way](flagged, offending)
-        assert type(verdict) is Verdict and verdict == Verdict(1, flagged, offending, 10)
+    def test_refuses_flagged_as_a_field(self, way, flagged, offending):
+        """A caller that still passes `flagged`, even one that agrees with
+        the offending fields, fails loudly: no way shifts its arguments
+        into a verdict with `offending=flagged`."""
+        with pytest.raises((TypeError, ValueError)):
+            OLD_VERDICT_WAYS[way](flagged, offending)
+
+    def test_flagged_cannot_be_set(self):
+        with pytest.raises(AttributeError):
+            _VERDICT.flagged = False
+        assert _VERDICT.flagged is True
 
 
 def values_read(field_count: int, window_n: int) -> int:

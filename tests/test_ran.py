@@ -22,7 +22,7 @@ from ztcell.ran import (
     TrafficModel,
     UeFrameStats,
 )
-from ztcell.ric import Router, Xapp
+from ztcell.ric import Router, Sdl, Xapp
 from ztcell.runner import run
 from ztcell.scenario import load_scenario, parse_scenario
 from ztcell.xapps import auth
@@ -1005,12 +1005,14 @@ class TestAsymptoticGate:
         a tenth of the boundaries. Each pump hands the router and the cell
         exactly the frames encoded since the last one, so on a boundary that
         starts with both outboxes empty it calls neither and leaves the
-        outboxes as they are. The boundary hook runs only on the auth xApp,
-        the one xApp that overrides it, and the auth xApp parses at most one
-        slice table per table emitted, however many frames run."""
+        outboxes as they are. Nor does such a boundary read the SDL. The
+        boundary hook runs only on the auth xApp, the one xApp that overrides
+        it, and the auth xApp parses at most one slice table per table
+        emitted, however many frames run."""
         sc = load_scenario(SCENARIOS / "flood_isolation.scn")
-        counts = {"encode": 0, "take": 0, "loads": 0}
-        windows: list[tuple[int, int]] = []  # per pump: (frames encoded, frames taken)
+        counts = {"encode": 0, "take": 0, "loads": 0, "gets": 0}
+        # per frame boundary: (frames encoded, frames taken, SDL gets)
+        windows: list[tuple[int, int, int]] = []
         outboxes = []  # the cell's outbox object at each step, once per object
         hooked: set[str] = set()
 
@@ -1023,8 +1025,8 @@ class TestAsymptoticGate:
         step, base_hook = RanCell.step_frame, Xapp.on_frame_boundary
 
         def recording_step(cell):
-            windows.append((counts["encode"], counts["take"]))
-            counts["encode"] = counts["take"] = 0
+            windows.append((counts["encode"], counts["take"], counts["gets"]))
+            counts["encode"] = counts["take"] = counts["gets"] = 0
             if not outboxes or outboxes[-1] is not cell.outbox:
                 outboxes.append(cell.outbox)
             return step(cell)
@@ -1038,12 +1040,14 @@ class TestAsymptoticGate:
         monkeypatch.setattr(RanCell, "handle_frame", counting(RanCell.handle_frame, "take"))
         monkeypatch.setattr(RanCell, "step_frame", recording_step)
         monkeypatch.setattr(Xapp, "on_frame_boundary", recording_hook)
+        monkeypatch.setattr(Sdl, "get", counting(Sdl.get, "gets"))
         loads = counting(auth.json.loads, "loads")
         monkeypatch.setattr(auth, "json", type("CountingJson", (), {"loads": staticmethod(loads)}))
         result = run(sc)
         assert sc.duration_frames == len(windows) == 1000
-        assert all(encoded == taken for encoded, taken in windows)
-        busy = sum(1 for encoded, _ in windows if encoded)
+        assert all(encoded == taken for encoded, taken, _ in windows)
+        assert all(gets == 0 for encoded, _, gets in windows if not encoded)
+        busy = sum(1 for encoded, _, _ in windows if encoded)
         assert 0 < busy < sc.duration_frames // 5
         assert len(outboxes) <= 1 + busy
         assert hooked == {"AuthXapp"}

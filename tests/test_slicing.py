@@ -63,7 +63,7 @@ def slicer_scenario(
 
 
 def verdict(ue: UeId) -> Verdict:
-    return Verdict(ue, True, (("throughput_mbps", 40.0, (10.0, 20.0)),), 10)
+    return Verdict(ue, (("throughput_mbps", 40.0, (10.0, 20.0)),), 10)
 
 
 class Board:

@@ -162,9 +162,9 @@ tenths = st.integers(min_value=1, max_value=400).map(lambda t: t / 10)  # 0.1 to
 
 
 @st.composite
-def honest_ue(draw) -> dict:
+def honest_ue(draw, last_attach: int = 600) -> dict:
     kind = draw(st.sampled_from(["cbr", "uniform_rate", "idle", "flood"]))
-    keys = {"traffic": kind, "attach_frame": draw(st.integers(min_value=0, max_value=600))}
+    keys = {"traffic": kind, "attach_frame": draw(st.integers(min_value=0, max_value=last_attach))}
     if kind == "cbr":
         keys["rate_mbps"] = draw(tenths)
     elif kind == "uniform_rate":
@@ -177,9 +177,9 @@ def honest_ue(draw) -> dict:
 
 
 @st.composite
-def honest_ues(draw) -> list[dict]:
+def honest_ues(draw, last_attach: int = 600) -> list[dict]:
     """1-8 UEs with valid credentials, up to two of them mission-critical."""
-    ues = draw(st.lists(honest_ue(), min_size=1, max_size=8))
+    ues = draw(st.lists(honest_ue(last_attach), min_size=1, max_size=8))
     for ue in draw(st.sets(st.integers(0, len(ues) - 1), max_size=2)):
         ues[ue].update(priority="mission_critical", reserved_prbs=draw(st.integers(1, 20)))
     return ues
@@ -196,8 +196,8 @@ ALONE_THEN_CROWDED = [{
 # Three UEs at 10-20 Mbps, the third attaching at frame 400.
 THIRD_ATTACHES_LATE = [{"traffic": "uniform_rate", "rate_lo_mbps": 10, "rate_hi_mbps": 20}] * 2
 THIRD_ATTACHES_LATE += [dict(THIRD_ATTACHES_LATE[0], attach_frame=400)]
-# One UE outside its profile, isolated at frame 890 in the same frame as its
-# re-auth, whose blob still carries the slice the frame began with.
+# One UE outside its profile, isolated at frame 890, a frame its re-auth is
+# due in: the RAN applies the isolation first and does not re-present it.
 ISOLATED_AT_REAUTH = [
     {"traffic": "uniform_rate", "attach_frame": 488, "rate_lo_mbps": 0.1, "rate_hi_mbps": 32.1}
 ]
@@ -245,6 +245,51 @@ class TestHonestReauth:
         assert outcomes == [(1, "revoked", "slice_mismatch"), (2, "granted", "ok")]
         [first] = result.audit.scan("usage_over_budget")
         assert first["ue"] == 1 and first["throughput_mbps"] > first["capacity_mbps"]
+
+
+@st.composite
+def flooder(draw, last_attach: int) -> dict:
+    return {
+        "traffic": "flood",
+        "attach_frame": draw(st.integers(min_value=0, max_value=last_attach)),
+        "rate_mbps": draw(st.integers(min_value=25, max_value=60)),
+        "onset_frame": draw(st.integers(min_value=0, max_value=300)),
+    }
+
+
+@st.composite
+def cells_with_flooders(draw) -> tuple[int, list[dict]]:
+    """A run length of 100-600 frames and its UEs: honest ones, then 0-2 flooders."""
+    duration = draw(st.integers(min_value=100, max_value=600))
+    ues = draw(honest_ues(duration - 1))
+    return duration, ues + draw(st.lists(flooder(min(duration - 1, 300)), max_size=2))
+
+
+# UE 1 runs above its profile's band and is isolated at frame 40, with a
+# re-auth due in every frame.
+ISOLATED_WITH_REAUTH_DUE = [
+    {"traffic": "cbr", "attach_frame": 5, "rate_mbps": 20.6},
+    {"traffic": "cbr", "attach_frame": 56, "rate_mbps": 26.7},
+]
+
+
+class TestReauthAfterIsolation:
+    """The RAN applies a boundary's RIC traffic before it re-presents, so it
+    never re-authenticates a UE from the frame of its isolation on, and
+    every blob it builds carries the slice the current table binds."""
+
+    @given(st.integers(min_value=1, max_value=60), cells_with_flooders(), st.integers(1, 1000))
+    @example(1, (441, ISOLATED_WITH_REAUTH_DUE), 318032)
+    @settings(max_examples=60, deadline=None)
+    def test_no_reauth_from_isolation_on(self, reauth, cell, seed):
+        duration, ues = cell
+        result = run(parse_scenario(scenario_text(reauth, ues, seed, duration)))
+        isolated = {}
+        for e in result.audit.scan("isolate"):
+            isolated.setdefault(e["ue"], e["frame"])
+        reauths = result.audit.scan("reauth")
+        assert [e for e in reauths if e["frame"] >= isolated.get(e["ue"], duration)] == []
+        assert [e for e in reauths if e["reason"] == "slice_mismatch"] == []
 
 
 class TestCliInvariantExit:
