@@ -444,16 +444,13 @@ def decode(data: bytes) -> E2Message:
 
 
 class Connection:
-    """One RAN-RIC link; stamps a strictly increasing seq on each side's sends."""
+    """One end of a RAN-RIC link; stamps a strictly increasing seq on its sends."""
 
     def __init__(self, cell: CellId, e2: E2Id) -> None:
         self.cell = cell
         self.e2 = e2
-        self._tx = {"ran": 0, "ric": 0}
+        self.seq = 0  # the seq of the last message made
 
-    def next_seq(self, side: str) -> int:
-        self._tx[side] += 1
-        return self._tx[side]
-
-    def make(self, side: str, kind: MsgKind, body: Body) -> E2Message:
-        return E2Message(kind, self.cell, self.e2, self.next_seq(side), body)
+    def make(self, kind: MsgKind, body: Body) -> E2Message:
+        self.seq += 1
+        return E2Message(kind, self.cell, self.e2, self.seq, body)

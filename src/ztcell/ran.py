@@ -1,9 +1,10 @@
 """Discrete-event cell model advancing in `core.FRAME_MS` (10 ms) radio frames.
 
-Per frame the cell visits each UE once, in attach order, and first draws and
-enqueues its new traffic per its traffic model. Every UE has its own RNG
-stream and its own slice, so the visiting order is unobservable. With
-zero-trust slicing active each UE is served as it is visited: it drains up
+The cell is built from the parsed `Scenario`. Per frame it visits each UE
+once, in attach order, and first draws and enqueues its new traffic per its
+traffic model. Every UE has its own slice and its own RNG streams, which
+`attach` names from the scenario seed, so the visiting order is unobservable.
+With zero-trust slicing active each UE is served as it is visited: it drains up
 to its own slice capacity in FIFO order and reports its stats in the same
 loop body, with no per-UE method call; a UE whose queue is empty serves
 nothing and has no latency, so it takes the stats it last had while idle,
@@ -50,11 +51,14 @@ from enum import Enum
 from heapq import heapify, heappop, heapreplace
 from math import cos, log, sin, sqrt, tau
 from random import Random
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import e2
 from .core import FRAME_MS, CellId, E2Id, KPMReport, SliceId, SliceKind, UeId
 from .xapps.auth import blob_key, build_blob, corrupt_chain, ran_identity_blob
+
+if TYPE_CHECKING:  # scenario.py imports this module
+    from .scenario import Scenario, UeSpec
 
 
 class AttachError(ValueError):
@@ -167,16 +171,13 @@ def _head_key(b: Batch) -> float:
 
 @dataclass
 class UeState:
-    id: UeId
-    traffic: TrafficModel
-    radio: RadioProfile
+    spec: UeSpec
+    traffic: TrafficModel  # `spec.traffic`, held for the frame loop's per-UE read
     rng_traffic: Random
     rng_radio: Random
     auth_state: AuthState = AuthState.UNAUTHENTICATED
     slice_id: SliceId | None = None
     token: bytes | None = None
-    credential_chain: tuple[bytes, ...] = ()
-    cred_mode: str = "valid"  # valid | wrong_token | wrong_credential, kept at re-auth
     granted_frame: int | None = None
     queue: deque[Batch] = field(default_factory=deque)
     queued_bits: int = 0
@@ -208,23 +209,21 @@ class FrameReport:
 
 
 class RanCell:
-    """One cell plus its E2 connection; the runner drains `outbox` between frames."""
+    """One cell plus its end of the E2 link; the runner drains `outbox` between frames."""
 
-    def __init__(
-        self, config: CellConfig, secret: bytes, zero_trust: bool = True,
-        reauth_period_frames: int = 0,
-    ) -> None:
-        self.cfg = config
-        self.secret = secret
-        self.zero_trust = zero_trust
-        self.conn = e2.Connection(config.cell_id, config.e2_id)
+    def __init__(self, sc: Scenario) -> None:
+        self.sc = sc
+        self.cfg = sc.cell
+        self.secret = sc.secret()
+        self.zero_trust = sc.zero_trust
+        self.conn = e2.Connection(sc.cell.cell_id, sc.cell.e2_id)
         self.outbox: list[bytes] = []
         self.frame_index = 0
         self.ues: dict[UeId, UeState] = {}  # in attach order
         self.slice_kinds: dict[SliceId, SliceKind] = {}
         self.slice_bits: dict[SliceId, int] = {}  # capacity per frame, per table
         self.report_period_frames: int | None = None
-        self.reauth_period_frames = reauth_period_frames  # 0 disables RAN-driven re-auth
+        self.reauth_period_frames = sc.auth.reauth_period_frames  # 0 disables RAN-driven re-auth
         # granted_frame % reauth_period_frames -> the UEs granted in a frame of
         # that residue, in attach order: the UEs whose re-auth may fall due.
         self._reauth_due: dict[int, list[UeState]] = {}
@@ -236,55 +235,41 @@ class RanCell:
     # ---- E2 egress -------------------------------------------------------
 
     def _send(self, kind: e2.MsgKind, body) -> None:
-        self.outbox.append(e2.encode(self.conn.make("ran", kind, body)))
+        self.outbox.append(e2.encode(self.conn.make(kind, body)))
 
-    def connect(self, ran_credential: bytes) -> None:
+    def connect(self) -> None:
         """Present the RAN's own identity blob so the RIC can verify this node."""
-        blob = ran_identity_blob(self.secret, self.cfg.cell_id, self.cfg.e2_id, ran_credential)
+        cfg = self.cfg
+        blob = ran_identity_blob(self.secret, cfg.cell_id, cfg.e2_id, self.sc.ran_credential())
         self._send(e2.MsgKind.AUTH_REQUEST, e2.AuthRequestBody(blob))
 
     # ---- attach / auth ----------------------------------------------------
 
-    def attach(
-        self,
-        ue: UeId,
-        traffic: TrafficModel,
-        radio: RadioProfile,
-        rng_traffic: Random,
-        rng_radio: Random,
-        credential_chain: tuple[bytes, ...] = (),
-        token: bytes | None = None,
-        cred_mode: str = "valid",
-    ) -> None:
+    def attach(self, spec: UeSpec, token: bytes | None = None) -> None:
+        """Attach the UE `spec` describes, holding `token` (None in a legacy cell)."""
+        ue = spec.ue
         if ue in self.ues:
             raise AttachError(f"UE {ue} already attached")
-        state = UeState(
-            id=ue,
-            traffic=traffic,
-            radio=radio,
-            rng_traffic=rng_traffic,
-            rng_radio=rng_radio,
-            credential_chain=credential_chain,
-            token=token,
-            cred_mode=cred_mode,
-        )
+        seed = self.sc.seed
+        state = UeState(spec, spec.traffic, Random(f"{seed}/ue{ue}/traffic"),
+                        Random(f"{seed}/ue{ue}/radio"), token=token)
         self.ues[ue] = state
         self.state_changed = True
         if not self.zero_trust:
             return  # legacy cell: no authentication traffic, shared scheduling
-        self._send_auth_request(state, slice_id=0, cred_mode=cred_mode)
+        self._send_auth_request(state, slice_id=0)
         state.auth_state = AuthState.VERIFYING
 
-    def _send_auth_request(self, ue: UeState, slice_id: int, cred_mode: str) -> None:
+    def _send_auth_request(self, ue: UeState, slice_id: int) -> None:
+        spec = ue.spec
         token = ue.token if ue.token is not None else bytes(e2.TOKEN_LEN)
-        chain = ue.credential_chain
-        if cred_mode == "wrong_token":
-            bad = Random(f"badtoken/{ue.id}")
-            token = bad.randbytes(e2.TOKEN_LEN)
-        elif cred_mode == "wrong_credential":
+        chain = (spec.credential,)
+        if spec.credentials == "wrong_token":
+            token = Random(f"badtoken/{spec.ue}").randbytes(e2.TOKEN_LEN)
+        elif spec.credentials == "wrong_credential":
             chain = corrupt_chain(chain)
         key = blob_key(self.secret, chain)
-        blob = build_blob(token, ue.id, self.cfg.cell_id, self.cfg.e2_id, slice_id, key)
+        blob = build_blob(token, spec.ue, self.cfg.cell_id, self.cfg.e2_id, slice_id, key)
         self._send(e2.MsgKind.AUTH_REQUEST, e2.AuthRequestBody(blob))
 
     def maybe_reauth(self, frame: int) -> None:
@@ -296,7 +281,7 @@ class RanCell:
             return
         for ue in self._reauth_due.get(frame % self.reauth_period_frames, ()):
             if ue.auth_state is _GRANTED and frame > ue.granted_frame:
-                self._send_auth_request(ue, slice_id=ue.slice_id or 0, cred_mode=ue.cred_mode)
+                self._send_auth_request(ue, slice_id=ue.slice_id or 0)
 
     # ---- E2 ingress -------------------------------------------------------
 
@@ -601,7 +586,7 @@ class RanCell:
             g = sqrt(-2.0 * log(1.0 - random()))
             snr_z, cqi_z, pow_z, carried = carried, cos(x) * g, sin(x) * g, None
         rng.gauss_next = carried
-        radio = ue.radio
+        radio = ue.spec.radio
         cqi = round(radio.cqi_mean + cqi_z * radio.cqi_std)
         if cqi < 0:
             cqi = 0

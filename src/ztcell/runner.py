@@ -15,8 +15,9 @@ outboxes are empty and each `pump` returns at once, so a quiet frame costs
 the RIC only the registry's frame stamp and the auth xApp's boundary hook,
 which reads nothing while no verification is pending.
 Everything is driven by named RNG streams derived from the scenario seed,
-making outputs byte-identical across runs; legacy runs reuse the same
-traffic streams so arrivals match the zero-trust run frame for frame.
+which the cell and the xApps name themselves, making outputs byte-identical
+across runs; legacy runs reuse the same traffic streams so arrivals match
+the zero-trust run frame for frame.
 
 The run keeps one copy of its per-frame data, `RunResult.frames`, whose
 per-UE stats the cell interns, so equal stats are one object. The summary
@@ -30,8 +31,9 @@ its index and written in one call.
 A run applies its seed and legacy overrides to the scenario once, and
 `run.log` echoes that scenario as run, effective seed and mode included. It is
 the one statement of a run's configuration: `summarize_dir` parses it back.
-The cell and each xApp are built from that same scenario: an xApp's
-constructor takes the `Scenario` and reads the sections it needs.
+The cell and each xApp are built from that same scenario, `RanCell(sc)` as
+`AuthXapp(sc)`, and the cell attaches each UE from its `UeSpec`. The RAN
+and the RIC each stamp their E2 seqs with their own `e2.Connection`.
 """
 from __future__ import annotations
 
@@ -56,7 +58,7 @@ from .xapps.intrusion import (
     warmup_history,
     write_fpr_csv,
 )
-from .xapps.slicing import SlicingXapp
+from .xapps.slicing import CHANGES_CSV_HEADER, SlicingXapp
 
 FRAMES_CSV_HEADER = "frame_index,ue,served_bits,queue_bytes,latency_ms,auth_state,slice_id"
 
@@ -116,18 +118,16 @@ def run(
         sc, zero_trust=sc.zero_trust and not legacy, seed=sc.seed if seed is None else seed
     )
     audit = AuditLog()
-    cell = RanCell(
-        sc.cell, sc.secret(), zero_trust=sc.zero_trust,
-        reauth_period_frames=sc.auth.reauth_period_frames,
-    )
+    cell = RanCell(sc)
 
     router = Router(audit)
     sdl = Sdl()
     registry = XappRegistry()
     ric_outbox: list[bytes] = []
+    ric_end = e2.Connection(sc.cell.cell_id, sc.cell.e2_id)
 
     def send_e2(kind: e2.MsgKind, body) -> None:
-        ric_outbox.append(e2.encode(cell.conn.make("ric", kind, body)))
+        ric_outbox.append(e2.encode(ric_end.make(kind, body)))
 
     auth_x = intr_x = slic_x = None
     if sc.zero_trust:
@@ -136,7 +136,7 @@ def run(
         registry.register(auth_x, ctx)
         registry.register(intr_x, ctx)
         registry.register(slic_x, ctx)
-        cell.connect(sc.ran_credential())
+        cell.connect()
 
     def pump(frame: int) -> None:
         if not (cell.outbox or ric_outbox):
@@ -165,17 +165,7 @@ def run(
         router.frame = f
         registry.frame_boundary(f)
         for spec in attaching.get(f, ()):
-            token = auth_x.issue_token(spec.ue) if sc.zero_trust else None
-            cell.attach(
-                spec.ue,
-                traffic=spec.traffic,
-                radio=spec.radio,
-                rng_traffic=Random(f"{sc.seed}/ue{spec.ue}/traffic"),
-                rng_radio=Random(f"{sc.seed}/ue{spec.ue}/radio"),
-                credential_chain=(spec.credential,),
-                token=token,
-                cred_mode=spec.credentials,
-            )
+            cell.attach(spec, auth_x.issue_token(spec.ue) if sc.zero_trust else None)
         pump(f)
         cell.maybe_reauth(f)
         pump(f)
@@ -337,7 +327,7 @@ def _write_outputs(result: RunResult) -> None:
     if result.slicing is not None:
         result.slicing.write_changes_csv(str(out / "slice_changes.csv"))
     else:
-        (out / "slice_changes.csv").write_text("frame,ue,old_slice,new_slice,cause\n")
+        (out / "slice_changes.csv").write_text(CHANGES_CSV_HEADER + "\n")
     with open(out / "summary.json", "w") as fh:
         json.dump(result.summary.to_dict(), fh, indent=2, sort_keys=True)
     lines = [f"# run: {result.scenario.name}", *resolved_lines(result.scenario)]

@@ -54,7 +54,7 @@ from ..ric import InternalMessage, Xapp, XappContext
 if TYPE_CHECKING:  # scenario.py imports the xApp modules
     from ..scenario import Scenario
 
-BLOB_LEN = 66
+BLOB_LEN = e2.AUTH_BLOB_LEN  # 66, shared with the wire format
 TOKEN_LEN = e2.TOKEN_LEN  # 16, shared with the wire format
 TAG_LEN = 32
 RAN_UE_ID = 0  # reserved: a blob carrying ue_id 0 authenticates the RAN node

@@ -44,6 +44,8 @@ from .intrusion import KIND_VERDICT, Verdict
 if TYPE_CHECKING:  # scenario.py imports this module's RestrictedPolicy
     from ..scenario import Scenario
 
+CHANGES_CSV_HEADER = "frame,ue,old_slice,new_slice,cause"
+
 
 class PolicyError(ValueError):
     pass
@@ -229,7 +231,7 @@ class SlicingXapp(Xapp):
 
     def write_changes_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write("frame,ue,old_slice,new_slice,cause\n")
+            fh.write(CHANGES_CSV_HEADER + "\n")
             for ch in self.changes:
                 old = "" if ch.old_slice is None else ch.old_slice
                 new = "" if ch.new_slice is None else ch.new_slice

@@ -160,6 +160,7 @@ def messages(draw) -> E2Message:
     return E2Message(kind, draw(uint(32)), draw(uint(32)), draw(uint(64)), body)
 
 
+@pytest.mark.oracle
 class TestRoundTrip:
     @given(messages())
     @settings(max_examples=300)
@@ -476,6 +477,7 @@ def mutated_frames(draw) -> bytes:
     return with_length(raw) if draw(st.booleans()) else raw
 
 
+@pytest.mark.oracle
 class TestDecodeMatchesReference:
     @given(messages())
     @settings(max_examples=300)

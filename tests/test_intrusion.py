@@ -180,6 +180,7 @@ def profiles(draw):
 kpm_reports = st.builds(KPMReport, *([st.integers(0, 2**64)] * 3), *([values] * 5))
 
 
+@pytest.mark.oracle
 class TestAssessOracle:
     def test_report_fields_are_ids_then_kpm_fields(self):
         assert KPMReport._fields == ("ue", "cell", "seq", *KPM_FIELDS)
@@ -477,6 +478,7 @@ throughput_ranges = st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 10.0)).map(
 fpr_seeds = st.integers(0, 2**32) | st.text(max_size=4)
 
 
+@pytest.mark.oracle
 class TestFastSamplerMatchesReference:
     """`estimate_fpr` draws its windows with `Random.gauss`'s arithmetic
     inlined; it must equal `profile_generated_report` draw for draw."""

@@ -3,6 +3,7 @@ from dataclasses import replace
 from heapq import heapify
 from pathlib import Path
 from random import Random
+from weakref import WeakKeyDictionary
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,6 @@ from ztcell.e2 import MsgKind, SliceControlBody
 from ztcell.ran import (
     AttachError,
     AuthState,
-    CellConfig,
     FrameReport,
     InvariantError,
     RadioProfile,
@@ -24,25 +24,26 @@ from ztcell.ran import (
 )
 from ztcell.ric import Router, Sdl, Xapp
 from ztcell.runner import run
-from ztcell.scenario import load_scenario, parse_scenario
+from ztcell.scenario import UeSpec, load_scenario, parse_scenario
 from ztcell.xapps import auth
 from ztcell.xapps.auth import NS_AUTH, parse_blob
 from ztcell.xapps.intrusion import NS_PROFILES
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
-SECRET = b"\x5a" * 32
 IDLE = TrafficModel(kind="idle")
 STILL_RADIO = RadioProfile(snr_std_db=0.0, cqi_std=0.0, tx_power_std_dbm=0.0)
 
 
-def attach_one(cell: RanCell, ue: int, traffic: TrafficModel, radio=None) -> None:
-    cell.attach(
-        ue,
-        traffic=traffic,
-        radio=radio or RadioProfile(),
-        rng_traffic=Random(f"t/{ue}"),
-        rng_radio=Random(f"r/{ue}"),
-    )
+# Its one UE is never attached: each test attaches its own `UeSpec`s.
+CELL_SCENARIO = parse_scenario("scenario.duration_frames = 1\nue.1.traffic = idle\n", "cell")
+
+
+def new_cell(cls=RanCell, reauth_period_frames: int = 0, **changes) -> RanCell:
+    """A cell of the default `CellConfig`, built from a scenario as the runner
+    builds one, with re-auth off unless a period is given; `changes` replace
+    `Scenario` fields."""
+    auth_params = replace(CELL_SCENARIO.auth, reauth_period_frames=reauth_period_frames)
+    return cls(replace(CELL_SCENARIO, auth=auth_params, **changes))
 
 
 def grant_with_slices(cell: RanCell, table: dict[int, tuple[int, int, SliceKind]]) -> None:
@@ -59,9 +60,9 @@ def grant_with_slices(cell: RanCell, table: dict[int, tuple[int, int, SliceKind]
 
 class TestCapacity:
     def test_full_cell_slice_serves_quarter_megabit_per_frame(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
+        cell = new_cell()
         # 1 Gbps offered: 833 packets of 12 kbit (10 Mbit) queue up per frame.
-        attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=1000.0))
+        cell.attach(UeSpec(1, TrafficModel(kind="cbr", rate_mbps=1000.0)))
         preload = cell.step_frame().per_ue[1]  # verifying and unbound: not served
         assert preload.served_bits == 0
         assert preload.queue_bytes == 833 * 1500
@@ -72,8 +73,8 @@ class TestCapacity:
         assert report.per_ue[1].queue_bytes == (2 * 833 * 12_000 - 240_000) // 8
 
     def test_empty_queue_serves_nothing_latency_absent(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, IDLE)
+        cell = new_cell()
+        cell.attach(UeSpec(1, IDLE))
         grant_with_slices(cell, {1: (1, 0, 100, SliceKind.NORMAL)})
         report = cell.step_frame()
         stats = report.per_ue[1]
@@ -82,8 +83,8 @@ class TestCapacity:
         assert not cell.ues[1].queue  # no head-of-line packet
 
     def test_served_never_exceeds_slice_capacity(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, TrafficModel(kind="flood", rate_mbps=40.0))
+        cell = new_cell()
+        cell.attach(UeSpec(1, TrafficModel(kind="flood", rate_mbps=40.0)))
         grant_with_slices(cell, {1: (1, 0, 30, SliceKind.NORMAL)})
         cap = 30 * cell.cfg.prb_bits_per_frame
         for _ in range(50):
@@ -91,9 +92,9 @@ class TestCapacity:
             assert report.per_ue[1].served_bits <= cap
 
     def test_legacy_total_served_capped_by_cell(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=False)
+        cell = new_cell(zero_trust=False)
         for ue in (1, 2, 3):
-            attach_one(cell, ue, TrafficModel(kind="cbr", rate_mbps=20.0))
+            cell.attach(UeSpec(ue, TrafficModel(kind="cbr", rate_mbps=20.0)))
         for _ in range(50):
             report = cell.step_frame()
             assert sum(s.served_bits for s in report.per_ue.values()) <= 2_400_000 // 10
@@ -102,8 +103,8 @@ class TestCapacity:
 class TestLegacyQueueGrowth:
     def test_thousand_frame_queue_recurrence(self):
         """Deterministic oracle: offered 40 Mbps vs 24 Mbps cell capacity."""
-        cell = RanCell(CellConfig(), SECRET, zero_trust=False)
-        attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=40.0))
+        cell = new_cell(zero_trust=False)
+        cell.attach(UeSpec(1, TrafficModel(kind="cbr", rate_mbps=40.0)))
 
         # Independent recurrence mirroring the packetizer arithmetic.
         accum = 0.0
@@ -123,8 +124,8 @@ class TestLegacyQueueGrowth:
         assert queue_bits >= (40 - 24) * 10_000 * 1000 - pkt_bits
 
     def test_head_of_line_latency_grows_without_bound(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=False)
-        attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=40.0))
+        cell = new_cell(zero_trust=False)
+        cell.attach(UeSpec(1, TrafficModel(kind="cbr", rate_mbps=40.0)))
         hol = []
         for _ in range(600):
             cell.step_frame()
@@ -137,8 +138,8 @@ class TestLegacyQueueGrowth:
 
 class TestFifo:
     def test_per_ue_completion_in_enqueue_order(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=30.0))
+        cell = new_cell()
+        cell.attach(UeSpec(1, TrafficModel(kind="cbr", rate_mbps=30.0)))
         grant_with_slices(cell, {1: (1, 0, 50, SliceKind.NORMAL)})
         next_seqs = []
         for _ in range(100):
@@ -152,9 +153,9 @@ class TestFifo:
         assert next_seqs == sorted(next_seqs)
 
     def test_legacy_global_fifo_interleaves_by_arrival(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=False)
-        attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=18.0))
-        attach_one(cell, 2, TrafficModel(kind="cbr", rate_mbps=18.0))
+        cell = new_cell(zero_trust=False)
+        cell.attach(UeSpec(1, TrafficModel(kind="cbr", rate_mbps=18.0)))
+        cell.attach(UeSpec(2, TrafficModel(kind="cbr", rate_mbps=18.0)))
         # 36 Mbps offered vs 24 Mbps capacity: both UEs still get served every
         # frame because service follows arrival order, not UE order.
         for _ in range(20):
@@ -165,9 +166,9 @@ class TestFifo:
 
 class TestDeterminism:
     def build(self) -> RanCell:
-        cell = RanCell(CellConfig(), SECRET, zero_trust=False)
-        attach_one(cell, 1, TrafficModel(kind="uniform_rate", lo_mbps=5, hi_mbps=15))
-        attach_one(cell, 2, TrafficModel(kind="uniform_rate", lo_mbps=5, hi_mbps=15))
+        cell = new_cell(zero_trust=False)
+        cell.attach(UeSpec(1, TrafficModel(kind="uniform_rate", lo_mbps=5, hi_mbps=15)))
+        cell.attach(UeSpec(2, TrafficModel(kind="uniform_rate", lo_mbps=5, hi_mbps=15)))
         return cell
 
     def test_identical_seeds_identical_frame_reports(self):
@@ -178,30 +179,30 @@ class TestDeterminism:
 
 class TestAttach:
     def test_fresh_attach_emits_one_auth_request(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, IDLE)
+        cell = new_cell()
+        cell.attach(UeSpec(1, IDLE))
         assert len(cell.outbox) == 1
         msg = e2.decode(cell.outbox[0])
         assert msg.kind == MsgKind.AUTH_REQUEST
         assert cell.ues[1].auth_state is AuthState.VERIFYING
 
     def test_duplicate_attach_rejected(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, IDLE)
+        cell = new_cell()
+        cell.attach(UeSpec(1, IDLE))
         with pytest.raises(AttachError):
-            attach_one(cell, 1, IDLE)
+            cell.attach(UeSpec(1, IDLE))
 
     def test_four_attaches_distinct_monotone_seq(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
+        cell = new_cell()
         for ue in (1, 2, 3, 4):
-            attach_one(cell, ue, IDLE)
+            cell.attach(UeSpec(ue, IDLE))
         seqs = [e2.decode(raw).seq for raw in cell.outbox]
         assert len(seqs) == 4
         assert seqs == sorted(seqs) and len(set(seqs)) == 4
 
     def test_legacy_attach_stays_unauthenticated_and_silent(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=False)
-        attach_one(cell, 1, IDLE)
+        cell = new_cell(zero_trust=False)
+        cell.attach(UeSpec(1, IDLE))
         assert cell.outbox == []
         assert cell.ues[1].auth_state is AuthState.UNAUTHENTICATED
 
@@ -220,8 +221,8 @@ def reauth_frames(cell: RanCell, frames: range) -> list[int]:
 
 class TestReauthPeriod:
     def test_period_given_at_construction_paces_reauth(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True, reauth_period_frames=5)
-        attach_one(cell, 1, IDLE)
+        cell = new_cell(reauth_period_frames=5)
+        cell.attach(UeSpec(1, IDLE))
         auth_response(cell, TestDeniedIsTerminal.GRANT)  # granted in frame 0
         grant_with_slices(cell, {1: (1, 0, 10, SliceKind.NORMAL)})
         cell.outbox.clear()
@@ -229,8 +230,8 @@ class TestReauthPeriod:
         assert reauth_frames(cell, range(16)) == [5, 10, 15]
 
     def test_legacy_cell_never_reauthenticates(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=False, reauth_period_frames=5)
-        attach_one(cell, 1, IDLE)
+        cell = new_cell(zero_trust=False, reauth_period_frames=5)
+        cell.attach(UeSpec(1, IDLE))
         # Even a UE marked granted: the rule is the cell's mode, not the UE's state.
         cell.ues[1].auth_state = AuthState.GRANTED
         cell.ues[1].granted_frame = 0
@@ -246,7 +247,7 @@ def reference_reauth(cell: RanCell, frame: int) -> list[int]:
             continue
         age = frame - ue.granted_frame
         if age > 0 and age % cell.reauth_period_frames == 0:
-            due.append(ue.id)
+            due.append(ue.spec.ue)
     return due
 
 
@@ -259,6 +260,7 @@ reauth_frames_ops = st.lists(
 )
 
 
+@pytest.mark.oracle
 class TestReauthScheduleMatchesScan:
     """`maybe_reauth` visits only the UEs granted in a frame of the current
     residue; it must send what a scan of every UE sends, in the same order."""
@@ -273,7 +275,7 @@ class TestReauthScheduleMatchesScan:
     ])
     @settings(max_examples=200, deadline=None)
     def test_sends_equal_full_scan(self, period, frames):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True, reauth_period_frames=period)
+        cell = new_cell(reauth_period_frames=period)
         restricted = SliceSpec(1, PRBMask.from_range(99, 1, 100), kind=SliceKind.RESTRICTED)
         for f, ops in enumerate(frames):
             # The runner's order: re-auth, then the RIC's answers, then the frame.
@@ -286,7 +288,7 @@ class TestReauthScheduleMatchesScan:
                 ues = list(cell.ues)
                 if op == "attach":
                     if n not in cell.ues:
-                        attach_one(cell, n, IDLE)
+                        cell.attach(UeSpec(n, IDLE))
                 elif not ues:
                     continue
                 elif op == "isolate":
@@ -302,24 +304,24 @@ class TestReauthScheduleMatchesScan:
 
 class TestKpm:
     def test_throughput_is_served_bits_over_period(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, IDLE, radio=STILL_RADIO)
+        cell = new_cell()
+        cell.attach(UeSpec(1, IDLE, STILL_RADIO))
         grant_with_slices(cell, {1: (1, 0, 100, SliceKind.NORMAL)})
         cell.ues[1].window_served_bits = 1_500_000  # 1.5 Mbit over 100 ms
         report = cell.collect_kpm(1, period_ms=100)
         assert report.throughput_mbps == 15.0
 
     def test_zero_std_radio_reports_exact_means(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, IDLE, radio=STILL_RADIO)
+        cell = new_cell()
+        cell.attach(UeSpec(1, IDLE, STILL_RADIO))
         report = cell.collect_kpm(1, period_ms=100)
         assert report.snr_db == 25.0
         assert report.cqi == 12
         assert report.tx_power_dbm == 20.0
 
     def test_isolated_attacker_capped_at_one_prb_rate(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, TrafficModel(kind="flood", rate_mbps=40.0))
+        cell = new_cell()
+        cell.attach(UeSpec(1, TrafficModel(kind="flood", rate_mbps=40.0)))
         grant_with_slices(cell, {1: (1, 99, 1, SliceKind.RESTRICTED)})
         assert cell.ues[1].auth_state is AuthState.ISOLATED
         for _ in range(10):
@@ -329,8 +331,8 @@ class TestKpm:
         assert report.tx_packets > 300  # the flood itself is still visible
 
     def test_kpm_seq_strictly_increases(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, IDLE)
+        cell = new_cell()
+        cell.attach(UeSpec(1, IDLE))
         seqs = [cell.collect_kpm(1, 100).seq for _ in range(5)]
         assert seqs == [1, 2, 3, 4, 5]
 
@@ -338,9 +340,10 @@ class TestKpm:
 def reference_collect_kpm(cell: RanCell, ue_id: int, period_ms: int) -> KPMReport:
     """`RanCell.collect_kpm` with one `rng_radio.gauss` call per normal."""
     ue = cell.ues[ue_id]
-    snr = ue.rng_radio.gauss(ue.radio.snr_mean_db, ue.radio.snr_std_db)
-    cqi = min(15, max(0, round(ue.rng_radio.gauss(ue.radio.cqi_mean, ue.radio.cqi_std))))
-    power = ue.rng_radio.gauss(ue.radio.tx_power_mean_dbm, ue.radio.tx_power_std_dbm)
+    radio = ue.spec.radio
+    snr = ue.rng_radio.gauss(radio.snr_mean_db, radio.snr_std_db)
+    cqi = min(15, max(0, round(ue.rng_radio.gauss(radio.cqi_mean, radio.cqi_std))))
+    power = ue.rng_radio.gauss(radio.tx_power_mean_dbm, radio.tx_power_std_dbm)
     ue.kpm_seq += 1
     report = KPMReport(
         ue_id, cell.cfg.cell_id, ue.kpm_seq, snr, cqi, ue.window_arrived_pkts, power,
@@ -366,13 +369,14 @@ def radio_profiles(draw) -> RadioProfile:
     return RadioProfile(snr_mean, snr_std, cqi_mean, cqi_std, pow_mean, pow_std)
 
 
+@pytest.mark.oracle
 class TestKpmDrawMatchesReference:
     """`collect_kpm` draws its snr, cqi and tx_power normals with `Random.gauss`'s
     arithmetic written out; it must equal three `gauss` calls, report for report."""
 
     @given(
         radio_profiles(),
-        st.integers(0, 2**32) | st.text(max_size=4),
+        st.integers(0, 2**32) | st.text(max_size=4),  # the seed names the radio stream
         st.booleans(),
         st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**9)), min_size=1, max_size=12),
     )
@@ -380,12 +384,12 @@ class TestKpmDrawMatchesReference:
     def test_reports_and_rng_state_equal_reference(self, radio, seed, carried, windows):
         cells = []
         for _ in range(2):
-            cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-            rng = Random(seed)
+            cell = new_cell(seed=seed)
+            cell.attach(UeSpec(7, IDLE, radio))
+            rng = cell.ues[7].rng_radio
             if carried:  # the first report starts on `gauss`'s cached normal
                 rng.gauss()
                 assert rng.gauss_next is not None
-            cell.attach(7, IDLE, radio, rng_traffic=Random(0), rng_radio=rng)
             cells.append(cell)
         cell, ref_cell = cells
         for arrived, served in windows:
@@ -594,6 +598,7 @@ def cell_runs(draw):
     return models, zero_trust, tables, frames, switch
 
 
+@pytest.mark.oracle
 class TestBatchedQueueOracle:
     @given(cell_runs())
     @example((  # two UEs tie on every key; the flood backlog outgrows the cell
@@ -630,10 +635,10 @@ class TestBatchedQueueOracle:
         UEs, granted and isolated UEs served up to their slice, unbound
         verifying UEs that queue, and denied UEs whose tail batch grows."""
         models, zero_trust, tables, frames, switch = run
-        cells = [RanCell(CellConfig(), SECRET, zero_trust), ReferenceCell(CellConfig(), SECRET, zero_trust)]
+        cells = [new_cell(zero_trust=zero_trust), new_cell(ReferenceCell, zero_trust=zero_trust)]
         for cell in cells:
             for ue, model in enumerate(models, start=1):
-                attach_one(cell, ue, model)
+                cell.attach(UeSpec(ue, model))
         batched, reference = cells
         for f in range(frames):
             if zero_trust and f in (0, switch):
@@ -650,8 +655,20 @@ class TestBatchedQueueOracle:
             )
 
 
+# cell -> the RIC's end of its link, so each cell's RIC seqs count from 1
+RIC_ENDS: WeakKeyDictionary[RanCell, e2.Connection] = WeakKeyDictionary()
+
+
+def ric_frame(cell: RanCell, kind: MsgKind, body) -> bytes:
+    """`body` framed as the RIC end of `cell`'s link sends it."""
+    end = RIC_ENDS.get(cell)
+    if end is None:
+        end = RIC_ENDS[cell] = e2.Connection(cell.cfg.cell_id, cell.cfg.e2_id)
+    return e2.encode(end.make(kind, body))
+
+
 def auth_response(cell: RanCell, body: e2.AuthResponseBody) -> None:
-    cell.handle_frame(e2.encode(cell.conn.make("ric", MsgKind.AUTH_RESPONSE, body)))
+    cell.handle_frame(ric_frame(cell, MsgKind.AUTH_RESPONSE, body))
 
 
 class TestDeniedIsTerminal:
@@ -659,8 +676,8 @@ class TestDeniedIsTerminal:
     DENY = e2.AuthResponseBody(1, e2.AuthOutcome.DENIED, e2.AuthReason.BAD_TAG)
 
     def test_later_grant_is_ignored(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=12.0))
+        cell = new_cell()
+        cell.attach(UeSpec(1, TrafficModel(kind="cbr", rate_mbps=12.0)))
         auth_response(cell, self.DENY)
         auth_response(cell, self.GRANT)
         ue = cell.ues[1]
@@ -668,8 +685,8 @@ class TestDeniedIsTerminal:
         assert ue.token is None and ue.granted_frame is None
 
     def test_restricted_binding_does_not_readmit_and_fails_closed(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=12.0))
+        cell = new_cell()
+        cell.attach(UeSpec(1, TrafficModel(kind="cbr", rate_mbps=12.0)))
         auth_response(cell, self.DENY)
         spec = SliceSpec(1, PRBMask.from_range(99, 1, 100), kind=SliceKind.RESTRICTED)
         cell.apply_slice_control(SliceControlBody(bindings=((1, 1),), slices=(spec,)))
@@ -678,8 +695,8 @@ class TestDeniedIsTerminal:
             cell.step_frame()
 
     def test_denied_backlog_grows_one_batch(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=12.0))
+        cell = new_cell()
+        cell.attach(UeSpec(1, TrafficModel(kind="cbr", rate_mbps=12.0)))
         for _ in range(3):
             cell.step_frame()  # verifying and unbound: three batches queue up
         auth_response(cell, self.DENY)
@@ -695,22 +712,22 @@ class TestDeniedIsTerminal:
 
 
 def slice_control(cell: RanCell, body: SliceControlBody) -> None:
-    cell.handle_frame(e2.encode(cell.conn.make("ric", MsgKind.SLICE_CONTROL, body)))
+    cell.handle_frame(ric_frame(cell, MsgKind.SLICE_CONTROL, body))
 
 
 def slice_frame(cell: RanCell, width: int) -> bytes:
     """A SLICE_CONTROL frame binding UE 1 to a normal slice of `width` PRBs."""
     spec = SliceSpec(1, PRBMask.from_range(0, width, 100), kind=SliceKind.NORMAL)
     body = SliceControlBody(bindings=((1, 1),), slices=(spec,))
-    return e2.encode(cell.conn.make("ric", MsgKind.SLICE_CONTROL, body))
+    return ric_frame(cell, MsgKind.SLICE_CONTROL, body)
 
 
 class TestRicSeqCheck:
     """The cell applies a RIC frame only if its seq is above the last one applied."""
 
     def granted_cell(self) -> RanCell:
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=40.0))
+        cell = new_cell()
+        cell.attach(UeSpec(1, TrafficModel(kind="cbr", rate_mbps=40.0)))
         cell.ues[1].auth_state = AuthState.GRANTED
         return cell
 
@@ -777,7 +794,7 @@ def apply_op(cell: RanCell, op: tuple):
     kind = op[0]
     if kind == "attach":
         if op[1] not in cell.ues:
-            attach_one(cell, op[1], TrafficModel(kind="cbr", rate_mbps=3.0))
+            cell.attach(UeSpec(op[1], TrafficModel(kind="cbr", rate_mbps=3.0)))
     elif kind == "auth":
         grant = TestDeniedIsTerminal.GRANT if op[2] else TestDeniedIsTerminal.DENY
         auth_response(cell, replace(grant, ue=op[1]))
@@ -797,6 +814,7 @@ def one_slice_table(kind: SliceKind) -> SliceControlBody:
     return SliceControlBody(bindings=((1, 1),), slices=(spec,))
 
 
+@pytest.mark.oracle
 class TestCheckOnChange:
     @given(check_ops)
     @example([  # an isolated UE rebound to a normal slice
@@ -808,8 +826,8 @@ class TestCheckOnChange:
         """Checking only after attach, AUTH_RESPONSE or SLICE_CONTROL raises
         the same InvariantError at the same step as checking every frame, and
         no frame is served with an isolated UE outside a restricted slice."""
-        on_change = RanCell(CellConfig(), SECRET, zero_trust=True)
-        every_frame = EveryFrameCheckCell(CellConfig(), SECRET, zero_trust=True)
+        on_change = new_cell()
+        every_frame = new_cell(EveryFrameCheckCell)
         for op in ops:
             outcome = apply_op(on_change, op)
             assert outcome == apply_op(every_frame, op)
@@ -829,16 +847,16 @@ class TestCheckOnChange:
             check(cell)
 
         monkeypatch.setattr(RanCell, "_check_invariants", counting_check)
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, TrafficModel(kind="cbr", rate_mbps=3.0))
+        cell = new_cell()
+        cell.attach(UeSpec(1, TrafficModel(kind="cbr", rate_mbps=3.0)))
         grant_with_slices(cell, {1: (1, 0, 10, SliceKind.NORMAL)})
         for _ in range(100):
             cell.step_frame()
         assert scans == [0]
 
     def test_table_that_fails_half_way_is_still_checked(self):
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, IDLE)
+        cell = new_cell()
+        cell.attach(UeSpec(1, IDLE))
         cell.step_frame()
         spec = SliceSpec(1, PRBMask.from_range(0, 10, 100))
         with pytest.raises(KeyError):  # binds UE 1 to slice 2, which the table lacks
@@ -869,9 +887,9 @@ class TestAsymptoticGate:
     def test_long_flood_queue_holds_one_entry_per_frame(self):
         """Deterministic work counts over a 4000-frame flood, not wall time."""
         frames = 4000
-        cell = RanCell(CellConfig(), SECRET, zero_trust=True)
-        attach_one(cell, 1, TrafficModel(kind="flood", rate_mbps=40.0))
-        attach_one(cell, 2, TrafficModel(kind="cbr", rate_mbps=12.0))
+        cell = new_cell()
+        cell.attach(UeSpec(1, TrafficModel(kind="flood", rate_mbps=40.0)))
+        cell.attach(UeSpec(2, TrafficModel(kind="cbr", rate_mbps=12.0)))
         grant_with_slices(cell, {1: (1, 99, 1, SliceKind.RESTRICTED), 2: (2, 0, 99, SliceKind.NORMAL)})
         produced = {1: 0, 2: 0}
         accum = {1: 0.0, 2: 0.0}

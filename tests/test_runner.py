@@ -126,7 +126,7 @@ def reauth_on_every_grant(monkeypatch):
         original(cell, body)
         ue = cell.ues.get(body.ue)
         if ue is not None and body.outcome is AuthOutcome.GRANTED:
-            cell._send_auth_request(ue, slice_id=ue.slice_id or 0, cred_mode="valid")
+            cell._send_auth_request(ue, slice_id=ue.slice_id or 0)
 
     monkeypatch.setattr(RanCell, "_on_auth_response", storm)
 
@@ -228,6 +228,7 @@ def mixed_scenarios(draw):
 
 
 class TestFramesCsv:
+    @pytest.mark.oracle
     @given(mixed_scenarios())
     @settings(max_examples=40, deadline=None)
     def test_frames_csv_equals_per_row_reference(self, case):
@@ -333,6 +334,7 @@ def verdicts(detection: int | None, isolation: int | None) -> list[dict]:
 
 
 class TestSummary:
+    @pytest.mark.oracle
     @given(mixed_scenarios())
     @settings(max_examples=40, deadline=None)
     def test_summary_equals_row_reference(self, case):

@@ -579,6 +579,7 @@ def slicer_outputs(board: Board) -> tuple:
     return x.emitted, board.sdl.get(NS_SLICES, "table"), x.changes, board.audit.entries, board.sent
 
 
+@pytest.mark.oracle
 class TestSlicerOracle:
     @given(slicer_runs())
     @example((  # a mission-critical UE verifies, is granted, then is isolated

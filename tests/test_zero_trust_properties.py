@@ -207,6 +207,7 @@ class TestHonestReauth:
     """An honest RAN serves a slice at most its budget, so no re-authentication
     of an honest run revokes a UE for its usage, however slices move."""
 
+    @pytest.mark.oracle
     @given(st.integers(min_value=50, max_value=500), honest_ues(), st.integers(1, 1000))
     @example(500, ALONE_THEN_CROWDED, 1)
     @example(500, THIRD_ATTACHES_LATE, 1)
@@ -278,6 +279,7 @@ class TestReauthAfterIsolation:
     never re-authenticates a UE from the frame of its isolation on, and
     every blob it builds carries the slice the current table binds."""
 
+    @pytest.mark.oracle
     @given(st.integers(min_value=1, max_value=60), cells_with_flooders(), st.integers(1, 1000))
     @example(1, (441, ISOLATED_WITH_REAUTH_DUE), 318032)
     @settings(max_examples=60, deadline=None)
