@@ -21,6 +21,9 @@ credential and each UE's registered credential come from the scenario the
 xApp is built from, and every token is drawn from one stream,
 `Random(f"{seed}/auth/tokens")`.
 
+The outcome follows from the reason: `ok` grants, `slice_mismatch` on a
+re-authentication revokes, and any other reason denies.
+
 Re-authentication also revokes, for `slice_mismatch`, a UE its RAN served
 beyond its slice. A KPM report whose whole period the current slice table
 served (its `epoch` at least one report period old) is judged on arrival:
@@ -42,7 +45,6 @@ import hashlib
 import hmac
 import json
 import struct
-from dataclasses import dataclass
 from random import Random
 from typing import TYPE_CHECKING
 
@@ -108,17 +110,6 @@ def ran_identity_blob(secret: bytes, cell: CellId, e2_id: E2Id, ran_credential: 
     return build_blob(bytes(TOKEN_LEN), RAN_UE_ID, cell, e2_id, 0, key)
 
 
-@dataclass(frozen=True)
-class AuthDecision:
-    ue: UeId
-    outcome: AuthOutcome
-    reason: AuthReason
-
-    def __post_init__(self) -> None:
-        if self.outcome is AuthOutcome.GRANTED and self.reason is not AuthReason.OK:
-            raise ValueError("granted decisions must carry reason ok")
-
-
 class AuthXapp(Xapp):
     name = "auth"
 
@@ -146,7 +137,7 @@ class AuthXapp(Xapp):
         if self._pending:
             for ue in sorted(u for u, (_, due) in self._pending.items() if due <= frame):
                 blob, _ = self._pending.pop(ue)
-                self._decide_initial(ue, blob)
+                self._decide(ue, self.verify_ue(ue, blob), reauth=False)
 
     def handle(self, msg: e2.E2Message) -> None:
         body = msg.body
@@ -217,8 +208,9 @@ class AuthXapp(Xapp):
         self.record("auth_pending", f"ue {ue} under verification", ue=ue)
         self.ctx.router.route(InternalMessage(KIND_VERIFY_START, {"ue": ue}))
 
-    def _verify_factors(self, ue: UeId, blob: bytes, expect_slice: SliceId | None) -> AuthReason:
-        """Run the factor checks in order; first failure names the reason."""
+    def verify_ue(self, ue: UeId, blob: bytes, expect_slice: SliceId = 0) -> AuthReason:
+        """Run the factor checks in order; the first failure names the reason.
+        No side effects."""
         try:
             token, blob_ue, cell, e2_id, slice_id, tag = parse_blob(blob)
         except ValueError:
@@ -238,50 +230,37 @@ class AuthXapp(Xapp):
         # Identifier binding: tag-covered, but reject explicitly on mismatch.
         if blob_ue != ue or cell != self.sc.cell.cell_id or e2_id != self.sc.cell.e2_id:
             return AuthReason.BAD_TAG
-        if expect_slice is not None and slice_id != expect_slice:
+        if slice_id != expect_slice:
             return AuthReason.SLICE_MISMATCH
         return AuthReason.OK
 
-    def verify_ue(self, ue: UeId, blob: bytes, expect_slice: SliceId | None = 0) -> AuthDecision:
-        """Evaluate a blob against the factor checks; no side effects."""
-        reason = self._verify_factors(ue, blob, expect_slice)
-        if reason is AuthReason.OK:
-            return AuthDecision(ue, AuthOutcome.GRANTED, AuthReason.OK)
-        return AuthDecision(ue, AuthOutcome.DENIED, reason)
-
-    def _decide_initial(self, ue: UeId, blob: bytes) -> None:
-        self._emit_decision(self.verify_ue(ue, blob, expect_slice=0), "auth")
-
     def _decide_reauth(self, ue: UeId, blob: bytes) -> None:
         entry = self._slice_table()
-        bound = None if entry is None else entry[1]["bindings"].get(str(ue))
-        reason = self._verify_factors(ue, blob, expect_slice=bound if bound is not None else 0)
+        bound = 0 if entry is None else entry[1]["bindings"].get(str(ue), 0)
+        reason = self.verify_ue(ue, blob, bound)
         if reason is AuthReason.OK and self.ctx.sdl.get(NS_AUTH, f"usage:{ue}") is not None:
             reason = AuthReason.SLICE_MISMATCH
-        if reason is AuthReason.OK:
-            self._emit_decision(AuthDecision(ue, AuthOutcome.GRANTED, AuthReason.OK), "reauth")
-        elif reason is AuthReason.SLICE_MISMATCH:
-            self._emit_decision(AuthDecision(ue, AuthOutcome.REVOKED, reason), "reauth")
-        else:
-            self._emit_decision(AuthDecision(ue, AuthOutcome.DENIED, reason), "reauth")
+        self._decide(ue, reason, reauth=True)
 
-    def _emit_decision(self, decision: AuthDecision, action: str) -> None:
-        ue = decision.ue
+    def _decide(self, ue: UeId, reason: AuthReason, reauth: bool) -> None:
+        """Grant on `ok`, revoke on a re-auth's `slice_mismatch`, deny on any
+        other reason; then audit the decision and answer the RAN."""
         token = bytes(TOKEN_LEN)
-        if decision.outcome is AuthOutcome.GRANTED:
+        if reason is AuthReason.OK:
+            outcome, kind = AuthOutcome.GRANTED, KIND_GRANT
             token = self.issue_token(ue)  # rotate for the next transaction
             self.ctx.sdl.put(NS_AUTH, f"grant:{ue}", struct.pack(">Q", self.frame))
-            self.ctx.router.route(InternalMessage(KIND_GRANT, {"ue": ue}))
         else:
+            if reauth and reason is AuthReason.SLICE_MISMATCH:
+                outcome, kind = AuthOutcome.REVOKED, KIND_REVOKE
+            else:
+                outcome, kind = AuthOutcome.DENIED, KIND_DENY
             self.ctx.sdl.delete(NS_AUTH, f"grant:{ue}")
-            kind = KIND_REVOKE if decision.outcome is AuthOutcome.REVOKED else KIND_DENY
-            self.ctx.router.route(InternalMessage(kind, {"ue": ue}))
-        outcome, reason = decision.outcome.name.lower(), decision.reason.name.lower()
-        self.record(action, f"ue {ue} {outcome} ({reason})", ue=ue, outcome=outcome, reason=reason)
-        self.ctx.send_e2(
-            MsgKind.AUTH_RESPONSE,
-            e2.AuthResponseBody(ue, decision.outcome, decision.reason, token),
-        )
+        self.ctx.router.route(InternalMessage(kind, {"ue": ue}))
+        name, why = outcome.name.lower(), reason.name.lower()
+        self.record("reauth" if reauth else "auth", f"ue {ue} {name} ({why})",
+                    ue=ue, outcome=name, reason=why)
+        self.ctx.send_e2(MsgKind.AUTH_RESPONSE, e2.AuthResponseBody(ue, outcome, reason, token))
 
     # ---- usage against the slice that served it -----------------------------------
 

@@ -313,8 +313,8 @@ def estimate_fpr(
     window_n: int,
     trials: int,
     seed: int | str,
-    config: DetectionConfig | None = None,
-    throughput_range: tuple[float, float] | None = None,
+    config: DetectionConfig,
+    throughput_range: tuple[float, float],
 ) -> FprEstimate:
     """Monte Carlo false-positive rate of assess() on benign windows.
 
@@ -329,12 +329,8 @@ def estimate_fpr(
     if trials < 1000:
         raise ValueError("trials must be >= 1000")
     # Every trial assesses a full window, so no min_reports gate applies.
-    cfg = replace(config or DetectionConfig(), window_n=window_n, min_reports_before_decision=1)
-    span = throughput_range or (
-        profile.fields["throughput_mbps"].lo,
-        profile.fields["throughput_mbps"].hi,
-    )
-    windows = _benign_windows(profile, window_n, Random(f"fpr/{seed}/{window_n}"), span)
+    cfg = replace(config, window_n=window_n, min_reports_before_decision=1)
+    windows = _benign_windows(profile, window_n, Random(f"fpr/{seed}/{window_n}"), throughput_range)
     flagged = 0
     for _ in range(trials):
         if assess(profile, next(windows), cfg).flagged:

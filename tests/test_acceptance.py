@@ -14,7 +14,7 @@ import pytest
 
 from ztcell import e2, runner
 from ztcell.core import KPMReport, PRBMask, SliceSpec, validate_slice_table
-from ztcell.e2 import AuthOutcome, AuthRequestBody, KpmIndicationBody, MsgKind, SubscriptionAckBody, SubscriptionRequestBody
+from ztcell.e2 import AuthReason, AuthRequestBody, KpmIndicationBody, MsgKind, SubscriptionAckBody, SubscriptionRequestBody
 from ztcell.runner import fpr_sweep, run
 from ztcell.scenario import load_scenario, parse_scenario
 from ztcell.xapps.auth import blob_key, build_blob
@@ -401,12 +401,12 @@ class TestCriterion5PropertySuites:
         token = auth.issue_token(2)
         chain = auth.credentials[2]
         blob = build_blob(token, 2, 1, 1, 0, blob_key(auth.secret, chain))
-        assert auth.verify_ue(2, blob).outcome is AuthOutcome.GRANTED
+        assert auth.verify_ue(2, blob) is AuthReason.OK
         denied = 0
         for bit in range(528):
             flipped = bytearray(blob)
             flipped[bit // 8] ^= 1 << (bit % 8)
-            if auth.verify_ue(2, bytes(flipped)).outcome is not AuthOutcome.GRANTED:
+            if auth.verify_ue(2, bytes(flipped)) is not AuthReason.OK:
                 denied += 1
         report(
             "criterion 5d blob bit-flip soundness", denied == 528,

@@ -16,6 +16,9 @@ from ztcell.ric import AuditLog, Router, Sdl, XappContext
 from ztcell.scenario import parse_scenario
 from ztcell.xapps.auth import (
     BLOB_LEN,
+    KIND_DENY,
+    KIND_GRANT,
+    KIND_REVOKE,
     NS_AUTH,
     NS_SLICES,
     AuthXapp,
@@ -183,9 +186,7 @@ class TestVerifyUe:
 
     def test_malformed_blob_length_denied_bad_tag(self):
         h = Harness()
-        decision = h.xapp.verify_ue(1, b"way too short")
-        assert decision.outcome is AuthOutcome.DENIED
-        assert decision.reason is AuthReason.BAD_TAG
+        assert h.xapp.verify_ue(1, b"way too short") is AuthReason.BAD_TAG
 
     def test_replay_after_reissue_denied_unknown_token(self):
         h = Harness()
@@ -206,11 +207,54 @@ class TestVerifyUe:
         h.verify_ran()
         token = h.xapp.issue_token(1)
         blob = h.blob_for(1, token)
-        assert h.xapp.verify_ue(1, blob).outcome is AuthOutcome.GRANTED
+        assert h.xapp.verify_ue(1, blob) is AuthReason.OK
         for bit in range(0, BLOB_LEN * 8, 37):  # sparse sample; full sweep in acceptance
             flipped = bytearray(blob)
             flipped[bit // 8] ^= 1 << (bit % 8)
-            assert h.xapp.verify_ue(1, bytes(flipped)).outcome is AuthOutcome.DENIED
+            assert h.xapp.verify_ue(1, bytes(flipped)) is not AuthReason.OK
+
+
+# For each reason, a blob from UE 1 whose checks return it, given its token.
+BLOB_FOR_REASON = {
+    "ok": lambda h, token: h.blob_for(1, token),
+    "slice_mismatch": lambda h, token: h.blob_for(1, token, slice_id=9),
+    "unknown_token": lambda h, token: h.blob_for(1, bytes(len(token))),
+    "bad_tag": lambda h, token: build_blob(
+        token, 1, 1, 1, 0, blob_key(SECRET, corrupt_chain(CHAINS[1]))
+    ),
+}
+
+
+class TestDecisionRule:
+    """The outcome follows from the reason: `ok` grants, `slice_mismatch`
+    revokes only a UE that holds a grant, and every other reason denies."""
+
+    @pytest.mark.parametrize(("action", "reason", "outcome", "kind"), [
+        ("auth", "ok", "granted", KIND_GRANT),
+        ("auth", "slice_mismatch", "denied", KIND_DENY),
+        ("auth", "unknown_token", "denied", KIND_DENY),
+        ("auth", "bad_tag", "denied", KIND_DENY),
+        ("reauth", "ok", "granted", KIND_GRANT),
+        ("reauth", "slice_mismatch", "revoked", KIND_REVOKE),
+        ("reauth", "unknown_token", "denied", KIND_DENY),
+        ("reauth", "bad_tag", "denied", KIND_DENY),
+    ])
+    def test_outcome_and_routed_kind(self, action, reason, outcome, kind):
+        h = Harness()
+        h.verify_ran()
+        token = h.xapp.issue_token(1)
+        if action == "reauth":  # grant first; no slice table binds UE 1, so it expects slice 0
+            h.request(h.blob_for(1, token))
+            h.decide()
+            token = h.responses()[-1].token
+        routed = []
+        h.router.subscribe("probe", [KIND_GRANT, KIND_DENY, KIND_REVOKE], lambda m: routed.append(m.kind))
+        h.request(BLOB_FOR_REASON[reason](h, token))
+        h.decide()
+        response, decision = h.responses()[-1], h.decisions()[-1]
+        assert (response.outcome.name.lower(), response.reason.name.lower()) == (outcome, reason)
+        assert routed == [kind]
+        assert (decision["action"], decision["outcome"], decision["reason"]) == (action, outcome, reason)
 
 
 PERIOD = BASE.report_period_ms // FRAME_MS  # frames a KPM report covers
@@ -350,8 +394,8 @@ def hmac_calls_to_grant(length: int) -> int:
     token = h.xapp.issue_token(1)
     blob = build_blob(token, 1, 1, 1, 0, blob_key(SECRET, chain))
     with mock.patch.object(hmac, "new", wraps=hmac.new) as new:
-        decision = h.xapp.verify_ue(1, blob)
-    assert decision.outcome is AuthOutcome.GRANTED
+        reason = h.xapp.verify_ue(1, blob)
+    assert reason is AuthReason.OK
     return new.call_count
 
 

@@ -347,6 +347,7 @@ def warmup_rngs(draw):
     return rng
 
 
+@pytest.mark.oracle
 class TestWarmupMatchesReference:
     """`warmup_history` draws with `Random.uniform`'s and `Random.gauss`'s
     arithmetic written out; it must equal one call per draw, report for report."""
@@ -403,21 +404,21 @@ class TestEstimateFpr:
             for name, s in nominal_profile().fields.items()
         }
         profile = BehaviorProfile(ue=1, fields=fields)
-        est = estimate_fpr(profile, window_n=1, trials=1000, seed=1,
+        est = estimate_fpr(profile, window_n=1, trials=1000, seed=1, config=CFG,
                            throughput_range=(profile.fields["throughput_mbps"].mean,) * 2)
         assert est.fpr == 0.0
 
     def test_leaky_generator_window_ten_beats_window_one(self):
         profile = leaky_profile()
-        one = estimate_fpr(profile, 1, 10_000, seed=3, throughput_range=(8.0, 22.0))
-        ten = estimate_fpr(profile, 10, 10_000, seed=3, throughput_range=(8.0, 22.0))
+        one = estimate_fpr(profile, 1, 10_000, seed=3, config=CFG, throughput_range=(8.0, 22.0))
+        ten = estimate_fpr(profile, 10, 10_000, seed=3, config=CFG, throughput_range=(8.0, 22.0))
         assert ten.fpr < one.fpr
         assert ten.ci_high < one.ci_low  # non-overlapping 95% intervals
 
     def test_monotone_smoothing_with_ci_ordering(self):
         profile = leaky_profile()
         estimates = [
-            estimate_fpr(profile, w, 4000, seed=5, throughput_range=(8.0, 22.0))
+            estimate_fpr(profile, w, 4000, seed=5, config=CFG, throughput_range=(8.0, 22.0))
             for w in (1, 2, 5, 10)
         ]
         for earlier, later in zip(estimates, estimates[1:]):
@@ -425,24 +426,24 @@ class TestEstimateFpr:
 
     def test_concentration_inside_generator(self):
         profile = leaky_profile()
-        est = estimate_fpr(profile, 20, 2000, seed=9, throughput_range=(12.0, 18.0))
+        est = estimate_fpr(profile, 20, 2000, seed=9, config=CFG, throughput_range=(12.0, 18.0))
         assert est.fpr == 0.0  # fully inside the accepted band, large window
 
     def test_deterministic_given_seed(self):
         profile = leaky_profile()
-        a = estimate_fpr(profile, 5, 2000, seed=11, throughput_range=(8.0, 22.0))
-        b = estimate_fpr(profile, 5, 2000, seed=11, throughput_range=(8.0, 22.0))
+        a = estimate_fpr(profile, 5, 2000, seed=11, config=CFG, throughput_range=(8.0, 22.0))
+        b = estimate_fpr(profile, 5, 2000, seed=11, config=CFG, throughput_range=(8.0, 22.0))
         assert a == b
 
     def test_min_reports_above_a_swept_window_is_no_error(self):
         # The sweep assesses full windows only, so the decision gate never applies.
         cfg = DetectionConfig(window_n=10, min_reports_before_decision=5)
         est = estimate_fpr(leaky_profile(), 1, 1000, seed=1, config=cfg, throughput_range=(8.0, 22.0))
-        assert est == estimate_fpr(leaky_profile(), 1, 1000, seed=1, throughput_range=(8.0, 22.0))
+        assert est == estimate_fpr(leaky_profile(), 1, 1000, seed=1, config=CFG, throughput_range=(8.0, 22.0))
 
     def test_trials_floor_enforced(self):
         with pytest.raises(ValueError):
-            estimate_fpr(leaky_profile(), 1, 999, seed=1)
+            estimate_fpr(leaky_profile(), 1, 999, seed=1, config=CFG, throughput_range=(8.0, 22.0))
 
 
 @st.composite

@@ -292,6 +292,12 @@ class TestReauthAfterIsolation:
         reauths = result.audit.scan("reauth")
         assert [e for e in reauths if e["frame"] >= isolated.get(e["ue"], duration)] == []
         assert [e for e in reauths if e["reason"] == "slice_mismatch"] == []
+        # Each decision's outcome follows from its reason: only `ok` grants,
+        # and only a re-auth's `slice_mismatch` revokes.
+        decisions = [e for e in result.audit.entries if e["action"] in ("auth", "reauth")]
+        assert [e for e in decisions if (e["outcome"] == "granted") != (e["reason"] == "ok")] == []
+        assert [e for e in decisions if e["outcome"] == "revoked"
+                and (e["action"], e["reason"]) != ("reauth", "slice_mismatch")] == []
 
 
 class TestCliInvariantExit:
