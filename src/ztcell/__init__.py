@@ -13,9 +13,17 @@ from .core import (
     equal_split,
     validate_slice_table,
 )
-from .ran import CellConfig, RadioProfile, RanCell, TrafficModel
+from .ran import RanCell
 from .runner import RunResult, RunSummary, fpr_sweep, run, summarize_dir
-from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
+from .scenario import (
+    CellConfig,
+    RadioProfile,
+    Scenario,
+    ScenarioError,
+    TrafficModel,
+    load_scenario,
+    parse_scenario,
+)
 
 __all__ = [
     "BehaviorProfile",

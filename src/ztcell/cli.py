@@ -28,7 +28,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    summary = summarize_dir(args.metrics_dir, args.latency_threshold)
+    summary = summarize_dir(args.metrics_dir)
     print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sum = sub.add_parser("summarize", help="recompute the summary for a finished run")
     p_sum.add_argument("metrics_dir")
-    p_sum.add_argument("--latency-threshold", type=int, default=None, metavar="MS")
     p_sum.set_defaults(func=_cmd_summarize)
 
     p_fpr = sub.add_parser("fpr-sweep", help="false-positive rate vs. report window size")

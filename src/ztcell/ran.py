@@ -51,14 +51,12 @@ from enum import Enum
 from heapq import heapify, heappop, heapreplace
 from math import cos, log, sin, sqrt, tau
 from random import Random
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import e2
-from .core import FRAME_MS, CellId, E2Id, KPMReport, SliceId, SliceKind, UeId
+from .core import FRAME_MS, KPMReport, SliceId, SliceKind, UeId
+from .scenario import Scenario, TrafficModel, UeSpec
 from .xapps.auth import blob_key, build_blob, corrupt_chain, ran_identity_blob
-
-if TYPE_CHECKING:  # scenario.py imports this module
-    from .scenario import Scenario, UeSpec
 
 
 class AttachError(ValueError):
@@ -86,64 +84,6 @@ class AuthState(Enum):
 _DENIED = AuthState.DENIED
 _GRANTED = AuthState.GRANTED
 _KPM_INDICATION_KIND = e2.MsgKind.KPM_INDICATION
-
-
-@dataclass(frozen=True)
-class CellConfig:
-    total_prbs: int = 100
-    per_prb_rate_mbps: float = 0.24
-    cell_id: CellId = 1
-    e2_id: E2Id = 1
-
-    def __post_init__(self) -> None:
-        if self.total_prbs < 1:
-            raise ValueError("total_prbs must be >= 1")
-        if self.per_prb_rate_mbps <= 0:
-            raise ValueError("per_prb_rate_mbps must be > 0")
-        for name in ("cell_id", "e2_id"):  # each travels as a u32 on E2
-            value = getattr(self, name)
-            if not 0 <= value < 2**32:
-                raise ValueError(f"{name} must be in [0, 2**32), got {value}")
-
-    @property
-    def prb_bits_per_frame(self) -> int:
-        # 1 Mbps over one 10 ms frame is 10_000 bits.
-        return round(self.per_prb_rate_mbps * FRAME_MS * 1000)
-
-    @property
-    def cell_bits_per_frame(self) -> int:
-        return self.total_prbs * self.prb_bits_per_frame
-
-
-@dataclass(frozen=True)
-class TrafficModel:
-    kind: str  # cbr | uniform_rate | flood | idle
-    rate_mbps: float = 0.0
-    lo_mbps: float = 0.0
-    hi_mbps: float = 0.0
-    onset_frame: int = 0  # flood only: silent before this frame
-    packet_size_bytes: int = 1500
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("cbr", "uniform_rate", "flood", "idle"):
-            raise ValueError(f"unknown traffic kind {self.kind!r}")
-        if self.kind in ("cbr", "flood") and self.rate_mbps <= 0:
-            raise ValueError("rate_mbps must be > 0")
-        if self.kind == "uniform_rate":
-            if self.lo_mbps <= 0 or self.lo_mbps > self.hi_mbps:
-                raise ValueError("uniform_rate needs 0 < lo <= hi")
-        if self.packet_size_bytes < 1:
-            raise ValueError("packet_size_bytes must be >= 1")
-
-
-@dataclass(frozen=True)
-class RadioProfile:
-    snr_mean_db: float = 25.0
-    snr_std_db: float = 2.0
-    cqi_mean: float = 12.0
-    cqi_std: float = 1.5
-    tx_power_mean_dbm: float = 20.0
-    tx_power_std_dbm: float = 1.0
 
 
 class Batch:

@@ -175,7 +175,7 @@ def run(
     registry.frame_boundary(sc.duration_frames)
     pump(sc.duration_frames)
 
-    summary = summarize_rows(frames, audit.entries, sc, sc.latency_threshold_ms)
+    summary = summarize_rows(frames, audit.entries, sc)
 
     result = RunResult(
         scenario=sc,
@@ -210,9 +210,7 @@ def frames_to_rows(frames: list[FrameReport], ue_order: list[int]) -> Iterator[t
                 yield (f, ue, *stats)
 
 
-def summarize_rows(
-    frames: list[FrameReport], audit_entries: list[dict], sc: Scenario, latency_threshold_ms: int
-) -> RunSummary:
+def summarize_rows(frames: list[FrameReport], audit_entries: list[dict], sc: Scenario) -> RunSummary:
     """The run summary of `frames`, walked once.
 
     Each UE keeps running totals of its served bits and of the frames it was
@@ -222,6 +220,7 @@ def summarize_rows(
     the final totals less the second.
     """
     duration = sc.duration_frames
+    threshold = sc.latency_threshold_ms
     legit = {u.ue for u in sc.ues if u.legitimate}
 
     detection_frame = None
@@ -253,7 +252,7 @@ def summarize_rows(
                 latency_ms = round(latency_ms, 3)
                 if latency_ms > peak:
                     peak = latency_ms
-                if latency_ms > latency_threshold_ms:
+                if latency_ms > threshold:
                     exceed_frames.add(f)
             if ue in rows:
                 bits[ue] += stats[0]
@@ -282,7 +281,7 @@ def summarize_rows(
         }
 
     return RunSummary(
-        latency_threshold_ms=latency_threshold_ms,
+        latency_threshold_ms=threshold,
         latency_exceedance=len(exceed_frames) / duration if duration else 0.0,
         peak_latency_ms=peak,
         detection_frame=detection_frame,
@@ -337,7 +336,7 @@ def _write_outputs(result: RunResult) -> None:
             json.dump(result.sdl.snapshot(), fh, indent=2, sort_keys=True)
 
 
-def summarize_dir(metrics_dir: str | Path, latency_threshold_ms: int | None = None) -> RunSummary:
+def summarize_dir(metrics_dir: str | Path) -> RunSummary:
     """Recompute summary.json from a run directory: the scenario as run from
     run.log (its first line names it), rows from frames.csv, verdicts from
     audit.jsonl."""
@@ -361,8 +360,7 @@ def summarize_dir(metrics_dir: str | Path, latency_threshold_ms: int | None = No
     if audit_path.exists():
         with open(audit_path) as fh:
             audit_entries = [json.loads(line) for line in fh if line.strip()]
-    threshold = sc.latency_threshold_ms if latency_threshold_ms is None else latency_threshold_ms
-    summary = summarize_rows(frames, audit_entries, sc, threshold)
+    summary = summarize_rows(frames, audit_entries, sc)
     fpr_csvs = sorted(out.glob("fpr*.csv"))
     if fpr_csvs:
         summary.fpr_curve = fpr_csvs[0].name

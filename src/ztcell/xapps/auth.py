@@ -46,15 +46,12 @@ import hmac
 import json
 import struct
 from random import Random
-from typing import TYPE_CHECKING
 
 from .. import e2
 from ..core import FRAME_MS, CellId, E2Id, KPMReport, SliceId, UeId
 from ..e2 import AuthOutcome, AuthReason, MsgKind
 from ..ric import InternalMessage, Xapp, XappContext
-
-if TYPE_CHECKING:  # scenario.py imports the xApp modules
-    from ..scenario import Scenario
+from ..scenario import Scenario
 
 BLOB_LEN = e2.AUTH_BLOB_LEN  # 66, shared with the wire format
 TOKEN_LEN = e2.TOKEN_LEN  # 16, shared with the wire format
@@ -198,8 +195,12 @@ class AuthXapp(Xapp):
                 ue=ue, reason="ran_unverified",
             )
             return
-        if ue is None:
-            return  # unparseable blob from a verified pair: nothing to decide on
+        if ue is None:  # an unparseable blob names no UE to decide on
+            self.record(
+                "auth_ignored", f"unparseable request from cell {msg.cell} e2 {msg.e2}",
+                ue=None, reason="bad_tag",
+            )
+            return
         if self.ctx.sdl.get(NS_AUTH, f"grant:{ue}") is not None:
             self._decide_reauth(ue, blob)
             return

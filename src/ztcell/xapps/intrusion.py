@@ -54,15 +54,13 @@ from math import isfinite
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from random import Random
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .. import e2
 from ..core import FRAME_MS, KPM_FIELDS, BehaviorProfile, FieldStats, KPMReport, UeId, ordered_sum
 from ..e2 import MsgKind
 from ..ric import InternalMessage, SdlWindow, Xapp, XappContext, json_text
-
-if TYPE_CHECKING:  # scenario.py imports this module's DetectionConfig
-    from ..scenario import Scenario, UeSpec
+from ..scenario import DetectionConfig, Scenario, UeSpec
 
 NS_PROFILES = "profiles"
 
@@ -77,33 +75,6 @@ class InsufficientDataError(ValueError):
 
 class NoVerdictError(ValueError):
     """Assessment needs at least one report."""
-
-
-@dataclass(frozen=True)
-class DetectionConfig:
-    window_n: int = 10
-    rate_lo_mbps: float = 10.0
-    rate_hi_mbps: float = 20.0
-    z_sigma: float = 3.0
-    min_reports_before_decision: int = 1
-    warmup_reports: int = 100
-
-    def __post_init__(self) -> None:
-        if self.window_n < 1:
-            raise ValueError("window_n must be >= 1")
-        if self.rate_lo_mbps >= self.rate_hi_mbps:
-            raise ValueError("rate range needs lo < hi")
-        if self.z_sigma <= 0:
-            raise ValueError("z_sigma must be > 0")
-        # A window never holds more than window_n reports, so a larger
-        # min_reports would never let a verdict be made.
-        if not 1 <= self.min_reports_before_decision <= self.window_n:
-            raise ValueError(
-                f"min_reports must be in [1, window_n = {self.window_n}], "
-                f"got {self.min_reports_before_decision}"
-            )
-        if self.warmup_reports < 2:
-            raise ValueError(f"warmup_reports must be >= 2, got {self.warmup_reports}")
 
 
 class Verdict(NamedTuple):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .. import e2
 from ..core import (
@@ -38,26 +37,15 @@ from ..core import (
 )
 from ..e2 import MsgKind
 from ..ric import InternalMessage, Xapp, XappContext
+from ..scenario import Scenario
 from .auth import KIND_DENY, KIND_GRANT, KIND_REVOKE, KIND_VERIFY_START, NS_AUTH, NS_SLICES
 from .intrusion import KIND_VERDICT, Verdict
-
-if TYPE_CHECKING:  # scenario.py imports this module's RestrictedPolicy
-    from ..scenario import Scenario
 
 CHANGES_CSV_HEADER = "frame,ue,old_slice,new_slice,cause"
 
 
 class PolicyError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RestrictedPolicy:
-    budget_prbs: int = 1  # highest-index PRBs
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.budget_prbs <= 5:
-            raise ValueError("restricted budget must be 1..5 PRBs")
 
 
 @dataclass(frozen=True)
@@ -166,7 +154,7 @@ class SlicingXapp(Xapp):
         critical = [u for u, k in occupancy if k is SliceKind.NORMAL and u in reserved]
         commercial = [u for u, k in occupancy if k is SliceKind.NORMAL and u not in reserved]
         isolated = SliceKind.RESTRICTED in self._occupancy.values()
-        restricted = self.sc.restricted.budget_prbs if isolated else 0
+        restricted = self.sc.restricted_budget_prbs if isolated else 0
 
         # (ue, kind, first PRB, PRBs): the restricted and verification slices
         # down from the top of the cell, the mission-critical ones up from the

@@ -119,6 +119,15 @@ class TestRanOrdering:
         ignored = h.audit.scan("auth_ignored")
         assert ignored and ignored[0]["reason"] == "ran_unverified"
 
+    def test_unparseable_blob_from_verified_ran_is_audited(self):
+        h = Harness()
+        h.verify_ran()
+        h.request(b"short")
+        h.decide()
+        assert h.responses() == []
+        ignored = h.audit.scan("auth_ignored")
+        assert [(e["ue"], e["reason"]) for e in ignored] == [(None, "bad_tag")]
+
     def test_valid_pair_then_ue_blob_proceeds(self):
         h = Harness()
         h.verify_ran()

@@ -10,11 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ztcell.core import FRAME_MS, KPM_FIELDS, BehaviorProfile, FieldStats, KPMReport, ordered_sum
-from ztcell.ran import RadioProfile
-from ztcell.scenario import UeSpec, parse_scenario
+from ztcell.scenario import DetectionConfig, RadioProfile, UeSpec, parse_scenario
 from ztcell.xapps import intrusion
 from ztcell.xapps.intrusion import (
-    DetectionConfig,
     FprEstimate,
     InsufficientDataError,
     NoVerdictError,

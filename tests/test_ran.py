@@ -17,14 +17,12 @@ from ztcell.ran import (
     AuthState,
     FrameReport,
     InvariantError,
-    RadioProfile,
     RanCell,
-    TrafficModel,
     UeFrameStats,
 )
 from ztcell.ric import Router, Sdl, Xapp
 from ztcell.runner import run
-from ztcell.scenario import UeSpec, load_scenario, parse_scenario
+from ztcell.scenario import RadioProfile, TrafficModel, UeSpec, load_scenario, parse_scenario
 from ztcell.xapps import auth
 from ztcell.xapps.auth import NS_AUTH, parse_blob
 from ztcell.xapps.intrusion import NS_PROFILES

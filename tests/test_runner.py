@@ -238,7 +238,7 @@ class TestFramesCsv:
             assert (Path(out) / "frames.csv").read_bytes() == reference_frames_csv(result).encode()
 
 
-def reference_summary(rows, audit_entries, sc, latency_threshold_ms) -> RunSummary:
+def reference_summary(rows, audit_entries, sc) -> RunSummary:
     """The summary recomputed row by row from `frames_to_rows` tuples, with
     one explicit frame-range test per window."""
     duration = sc.duration_frames
@@ -257,7 +257,7 @@ def reference_summary(rows, audit_entries, sc, latency_threshold_ms) -> RunSumma
         if ue in legit and latency_ms is not None:
             latency_ms = round(latency_ms, 3)  # as frames.csv stores it
             peak = max(peak, latency_ms)
-            if latency_ms > latency_threshold_ms:
+            if latency_ms > sc.latency_threshold_ms:
                 exceed_frames.add(f)
         pre, post, whole = windows.setdefault(ue, [[0, 0], [0, 0], [0, 0]])
         if f < pre_end:
@@ -274,7 +274,7 @@ def reference_summary(rows, audit_entries, sc, latency_threshold_ms) -> RunSumma
         return bits / frames / (FRAME_MS * 1000) if frames else None
 
     return RunSummary(
-        latency_threshold_ms=latency_threshold_ms,
+        latency_threshold_ms=sc.latency_threshold_ms,
         latency_exceedance=len(exceed_frames) / duration if duration else 0.0,
         peak_latency_ms=peak,
         detection_frame=detection_frame,
@@ -345,9 +345,7 @@ class TestSummary:
             result = run(parse_scenario(text, "mixed"), out_dir=out, legacy=legacy)
             sc = result.scenario
             rows = frames_to_rows(result.frames, [u.ue for u in sc.ues])
-            expected = reference_summary(
-                rows, result.audit.entries, sc, sc.latency_threshold_ms
-            ).to_dict()
+            expected = reference_summary(rows, result.audit.entries, sc).to_dict()
             assert result.summary.to_dict() == expected
             assert summarize_dir(out).to_dict() == expected
 
@@ -367,19 +365,19 @@ class TestSummary:
         sc = parse_scenario(FOUR_FRAMES, "four")
         frames = hand_frames(last_attach, first)
         audit = verdicts(detection, isolation)
-        summary = summarize_rows(frames, audit, sc, 100)
-        expected = reference_summary(frames_to_rows(frames, [1, 2, 3]), audit, sc, 100)
+        summary = summarize_rows(frames, audit, sc)
+        expected = reference_summary(frames_to_rows(frames, [1, 2, 3]), audit, sc)
         assert summary.to_dict() == expected.to_dict()
 
     def test_hand_built_windows_read_null_when_empty(self):
         sc = parse_scenario(FOUR_FRAMES, "four")
-        summary = summarize_rows(hand_frames(3), verdicts(0, 3), sc, 100).to_dict()
+        summary = summarize_rows(hand_frames(3), verdicts(0, 3), sc).to_dict()
         assert all(ue["pre_detection_mbps"] is None for ue in summary["per_ue"].values())
         assert summary["per_ue"]["2"]["post_isolation_mbps"] == 0.07  # its one frame, 700 bits
         assert summary["per_ue"]["1"]["post_isolation_mbps"] == 0.4
         assert summary["peak_latency_ms"] == 130.0
         assert summary["latency_exceedance"] == 0.25  # frame 3, where UE 2 attaches
-        no_isolation = summarize_rows(hand_frames(0), verdicts(2, None), sc, 100).to_dict()
+        no_isolation = summarize_rows(hand_frames(0), verdicts(2, None), sc).to_dict()
         assert all(ue["post_isolation_mbps"] is None for ue in no_isolation["per_ue"].values())
 
     def test_48_ue_run_holds_one_object_per_distinct_stats(self):
@@ -409,7 +407,12 @@ class TestCli:
         assert code == 0
         assert (out / "frames.csv").exists()
 
-        code = main(["summarize", str(out), "--latency-threshold", "200"])
+        # The threshold is the scenario's: summarize reads it from run.log.
+        log = (out / "run.log").read_text()
+        (out / "run.log").write_text(
+            log.replace("scenario.latency_threshold_ms = 100\n", "scenario.latency_threshold_ms = 200\n")
+        )
+        code = main(["summarize", str(out)])
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["latency_threshold_ms"] == 200
@@ -434,15 +437,16 @@ class TestCli:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            ("detection.min_reports = 11", "min_reports must be in [1, window_n = 10], got 11"),
-            ("detection.warmup_reports = -3", "warmup_reports must be >= 2, got -3"),
+            ("detection.min_reports = 11",
+             "detection.min_reports: must be <= detection.window_n (10), got 11"),
+            ("detection.warmup_reports = -3", "detection.warmup_reports: must be >= 2, got -3"),
         ],
     )
     def test_detection_that_could_never_decide_is_config_error(self, extra, message, tmp_path, capsys):
         scn = tmp_path / "bad.scn"
         scn.write_text((SCENARIOS / "flood_isolation.scn").read_text() + extra + "\n")
         assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
-        assert f"config error: detection.*: {message}" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -457,16 +461,16 @@ class TestCli:
              "line {m}: expected a finite float for ue.5.rate_mbps"),
             ("ue.2.attach_frame = 5000", "ue.2.attach_frame: must be < scenario.duration_frames (1000)"),
             ("auth.reauth_period_frames = -1", "auth.reauth_period_frames: must be >= 0"),
-            ("cell.id = -1", "cell.*: cell_id must be in [0, 2**32), got -1"),
-            ("cell.id = 4294967296", "cell.*: cell_id must be in [0, 2**32), got 4294967296"),
-            ("cell.e2_id = -1", "cell.*: e2_id must be in [0, 2**32), got -1"),
-            ("cell.e2_id = 4294967296", "cell.*: e2_id must be in [0, 2**32), got 4294967296"),
+            ("cell.id = -1", "cell.id: must be >= 0, got -1"),
+            ("cell.id = 4294967296", "cell.id: must be <= 4294967295, got 4294967296"),
+            ("cell.e2_id = -1", "cell.e2_id: must be >= 0, got -1"),
+            ("cell.e2_id = 4294967296", "cell.e2_id: must be <= 4294967295, got 4294967296"),
             ("ue.5.traffic = flood\nue.5.rate_mbps = 40\nue.5.onset_frame = -1",
              "ue.5.onset_frame: must be >= 0"),
-            ("ue.2.reserved_prbs = -5", "ue.2.reserved_prbs: only mission_critical UEs reserve PRBs, got -5"),
+            ("ue.2.reserved_prbs = -5", "ue.2.reserved_prbs: must be 0 for a commercial UE, got -5"),
             ("ue.2.priority = mission_critical\nue.2.reserved_prbs = 200",
-             "ue.2.reserved_prbs: mission-critical reservations total 200 PRBs, "
-             "more than cell.total_prbs (100)"),
+             "ue.2.reserved_prbs: must be <= 100, what earlier reservations leave of "
+             "cell.total_prbs (100), got 200"),
             ("cell.total_prbs = 1", "auth.verification_budget_prbs: must be <= cell.total_prbs (1), got 2"),
             ("ue.5.traffic = cbr\nue.5.rate_mbps = 1e200", "ue.5.rate_mbps: " + _KPM_LIMIT + "1e+200"),
             ("ue.5.traffic = flood\nue.5.rate_mbps = 6e8", "ue.5.rate_mbps: " + _KPM_LIMIT + "600000000.0"),
@@ -529,7 +533,9 @@ class TestCli:
             (["run"], "the following arguments are required: scenario"),
             (["fpr-sweep", str(SCENARIOS / "fpr_leaky.scn"), "--trials", "abc"],
              "argument --trials: invalid int value: 'abc'"),
-            (["summarize", "out", "--latency-threshold"], "expected one argument"),
+            (["run", "x.scn", "--seed"], "argument --seed: expected one argument"),
+            (["summarize", "out", "--latency-threshold", "200"],
+             "unrecognized arguments: --latency-threshold 200"),
             (["frobnicate"], "invalid choice"),
             ([], "the following arguments are required: command"),
         ],

@@ -69,7 +69,7 @@ class TestDefaults:
         assert sc.cell.per_prb_rate_mbps == 0.24
         assert sc.report_period_ms == 100
         assert sc.detection.window_n == 10
-        assert sc.restricted.budget_prbs == 1
+        assert sc.restricted_budget_prbs == 1
         assert sc.auth.reauth_period_frames == 500
         assert sc.latency_threshold_ms == 100
         assert sc.zero_trust is True
@@ -88,11 +88,6 @@ class TestDefaults:
 
 
 class TestRejection:
-    def test_zero_duration_names_the_key(self):
-        bad = MINIMAL.replace("= 100", "= 0")
-        with pytest.raises(ScenarioError, match="scenario.duration_frames"):
-            parse_scenario(bad)
-
     def test_unknown_key_names_the_line(self):
         with pytest.raises(ScenarioError, match="line 2"):
             parse_scenario("scenario.duration_frames = 10\nbogus.key = 1\nue.1.traffic = idle")
@@ -122,14 +117,6 @@ class TestRejection:
         with pytest.raises(ScenarioError, match="reserved"):
             parse_scenario("scenario.duration_frames = 5\nue.0.traffic = idle")
 
-    def test_uniform_rate_needs_positive_band(self):
-        text = (
-            "scenario.duration_frames = 5\n"
-            "ue.1.traffic = uniform_rate\nue.1.rate_lo_mbps = 9\nue.1.rate_hi_mbps = 3"
-        )
-        with pytest.raises(ScenarioError, match="ue.1.traffic"):
-            parse_scenario(text)
-
     def test_report_period_must_be_whole_frames(self):
         with pytest.raises(ScenarioError, match="report.period_ms"):
             parse_scenario(MINIMAL + "report.period_ms = 105\n")
@@ -146,32 +133,45 @@ class TestRejection:
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario("no/such/file.scn")
 
-    @pytest.mark.parametrize("extra", ["detection.min_reports = 11\n", "detection.min_reports = 0\n",
-                                       "detection.window_n = 3\ndetection.min_reports = 4\n"])
-    def test_min_reports_outside_window_names_the_key(self, extra):
+    @pytest.mark.parametrize(("extra", "window_n", "got"), [
+        ("detection.min_reports = 11\n", 10, 11),
+        ("detection.window_n = 3\ndetection.min_reports = 4\n", 3, 4),
+    ])
+    def test_min_reports_above_the_window_names_the_key(self, extra, window_n, got):
         # A window never holds more than window_n reports: no verdict would ever be made.
-        with pytest.raises(ScenarioError, match=r"detection\.\*: min_reports must be in \[1, window_n"):
+        message = rf"^detection\.min_reports: must be <= detection\.window_n \({window_n}\), got {got}$"
+        with pytest.raises(ScenarioError, match=message):
             parse_scenario(MINIMAL + extra)
 
     def test_min_reports_equal_to_window_accepted(self):
         sc = parse_scenario(MINIMAL + "detection.window_n = 4\ndetection.min_reports = 4\n")
         assert sc.detection.min_reports_before_decision == 4
 
-    @pytest.mark.parametrize("value", [1, 0, -3])
-    def test_warmup_reports_below_two_names_key_and_value(self, value):
-        with pytest.raises(ScenarioError, match=rf"detection\.\*: warmup_reports must be >= 2, got {value}$"):
-            parse_scenario(MINIMAL + f"detection.warmup_reports = {value}\n")
-
-    @pytest.mark.parametrize(("lo", "hi", "key"), [
-        (-20, -10, "profile_rate_lo_mbps"), (-1, 5, "profile_rate_lo_mbps"),
-        (20, 10, "profile_rate_hi_mbps"),
+    @pytest.mark.parametrize(("extra", "message"), [
+        ("detection.rate_lo_mbps = 30",
+         "detection.rate_lo_mbps: must be < detection.rate_hi_mbps (20.0), got 30.0"),
+        ("detection.rate_lo_mbps = 20",
+         "detection.rate_lo_mbps: must be < detection.rate_hi_mbps (20.0), got 20.0"),
+        ("fpr.benign_rate_lo_mbps = 30",
+         "fpr.benign_rate_lo_mbps: must be <= fpr.benign_rate_hi_mbps (20.0), got 30.0"),
+        ("ue.2.traffic = uniform_rate\nue.2.rate_lo_mbps = 9\nue.2.rate_hi_mbps = 3",
+         "ue.2.rate_lo_mbps: must be <= ue.2.rate_hi_mbps (3.0), got 9.0"),
+        ("ue.1.profile_rate_lo_mbps = 20\nue.1.profile_rate_hi_mbps = 10",
+         "ue.1.profile_rate_lo_mbps: must be <= ue.1.profile_rate_hi_mbps (10.0), got 20.0"),
     ])
-    def test_profile_rate_band_outside_domain_names_the_key(self, lo, hi, key):
-        # A negative band profiles tx_packets at [0, 0], so an honest UE is
-        # isolated on its first live report.
-        text = MINIMAL + f"ue.1.profile_rate_lo_mbps = {lo}\nue.1.profile_rate_hi_mbps = {hi}\n"
-        with pytest.raises(ScenarioError, match=rf"^ue\.1\.{key}: profile rate band needs 0 <= lo <= hi"):
-            parse_scenario(text)
+    def test_inverted_band_names_its_lo_key(self, extra, message):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(MINIMAL + extra + "\n")
+
+    @pytest.mark.parametrize(("kind", "given", "missing"), [
+        ("cbr", "", "rate_mbps"), ("flood", "ue.2.onset_frame = 3\n", "rate_mbps"),
+        ("uniform_rate", "ue.2.rate_hi_mbps = 8\n", "rate_lo_mbps"),
+        ("uniform_rate", "ue.2.rate_lo_mbps = 4\n", "rate_hi_mbps"),
+    ])
+    def test_rate_the_kind_needs_is_required(self, kind, given, missing):
+        message = rf"^ue\.2\.{missing}: required key missing for traffic {kind}$"
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(MINIMAL + f"ue.2.traffic = {kind}\n" + given)
 
     @pytest.mark.parametrize(("lo", "hi"), [(0, 0), (0, 5), (7, 7)])
     def test_profile_rate_band_edges_accepted(self, lo, hi):
@@ -181,12 +181,12 @@ class TestRejection:
 
     @pytest.mark.parametrize("extra", [
         "auth.token_expiry_frames = -1\n", "auth.token_expiry_frames = 0\n",
-        "auth.token_expiry_frames = 2\n", f"auth.token_expiry_frames = {2**64}\n",
+        "auth.token_expiry_frames = 2\n",
         "auth.verify_frames = 10\nauth.token_expiry_frames = 10\n",
     ])
     def test_token_expiry_outside_domain_names_the_key(self, extra):
         # A token expiring by the end of its verification denies every UE.
-        with pytest.raises(ScenarioError, match=r"^auth\.token_expiry_frames: must be > auth\.verify_frames"):
+        with pytest.raises(ScenarioError, match=r"^auth\.token_expiry_frames: must be > auth\.verify_frames \(\d+\), got"):
             parse_scenario(MINIMAL + extra)
 
     @pytest.mark.parametrize(("verify", "expiry"), [(2, 3), (0, 1), (2, 2**64 - 1)])
@@ -239,7 +239,7 @@ class TestRejection:
 
     @pytest.mark.parametrize("prbs", [-5, 5])
     def test_commercial_reservation_names_the_key(self, prbs):
-        with pytest.raises(ScenarioError, match=rf"^ue\.1\.reserved_prbs: only mission_critical UEs reserve PRBs, got {prbs}$"):
+        with pytest.raises(ScenarioError, match=rf"^ue\.1\.reserved_prbs: must be 0 for a commercial UE, got {prbs}$"):
             parse_scenario(MINIMAL + f"ue.1.reserved_prbs = {prbs}\n")
 
     @staticmethod
@@ -258,8 +258,8 @@ class TestRejection:
 
     @pytest.mark.parametrize(("total", "prbs"), [(100, (60, 41)), (100, (200,)), (1, (2,))])
     def test_reservations_beyond_the_cell_name_the_key(self, total, prbs):
-        message = (rf"^ue\.{1 + len(prbs)}\.reserved_prbs: mission-critical reservations total "
-                   rf"{sum(prbs)} PRBs, more than cell\.total_prbs \({total}\)$")
+        message = (rf"^ue\.{1 + len(prbs)}\.reserved_prbs: must be <= {total - sum(prbs[:-1])}, what "
+                   rf"earlier reservations leave of cell\.total_prbs \({total}\), got {prbs[-1]}$")
         with pytest.raises(ScenarioError, match=message):
             parse_scenario(self.with_reservations(total, prbs))
 
@@ -303,33 +303,60 @@ class TestRejection:
         with pytest.raises(ScenarioError, match=message):
             parse_scenario(text)
 
-    @pytest.mark.parametrize("extra", [
-        "auth.usage_tolerance = -0.1", "auth.reauth_period_frames = -1", "ue.1.snr_std_db = -1",
-        "ue.1.cqi_std = -0.5", "ue.1.tx_power_std_dbm = -2", "scenario.latency_threshold_ms = -1",
-        "ue.1.attach_frame = -1",
-    ])
-    def test_below_least_value_names_the_key(self, extra):
-        key = extra.partition(" = ")[0]
-        with pytest.raises(ScenarioError, match=rf"^{key}: must be >= 0$"):
-            parse_scenario(MINIMAL + extra + "\n")
-
     @pytest.mark.parametrize("frame", [100, 5000])
     def test_attach_frame_at_or_past_the_run_end_names_the_key(self, frame):
         """A UE attaching at or after the last frame never attaches."""
         message = r"^ue\.1\.attach_frame: must be < scenario\.duration_frames \(100\), got"
         with pytest.raises(ScenarioError, match=message):
             parse_scenario(MINIMAL + f"ue.1.attach_frame = {frame}\n")
+        assert parse_scenario(MINIMAL + "ue.1.attach_frame = 99\n").ues[0].attach_frame == 99
 
-    @pytest.mark.parametrize("extra", [
-        "auth.usage_tolerance = 0", "auth.reauth_period_frames = 0", "ue.1.snr_std_db = 0",
-        "ue.1.cqi_std = 0", "ue.1.tx_power_std_dbm = 0", "scenario.latency_threshold_ms = 0",
-        "ue.1.attach_frame = 0", "ue.1.attach_frame = 99",
-        "cell.id = 0", f"cell.id = {2**32 - 1}", "cell.e2_id = 0", f"cell.e2_id = {2**32 - 1}",
-    ])
-    def test_domain_edges_accepted(self, extra):
-        key, _, raw = extra.partition(" = ")
-        echo = dict(line.split(" = ") for line in resolved_lines(parse_scenario(MINIMAL + extra + "\n")))
-        assert float(echo[key]) == float(raw)
+# A scenario that reads every key: UE 1 sends cbr, UE 2 uniform_rate and UE 3
+# flood, in a cell that a one-PRB verification slice fits.
+DOMAIN_BASE = {
+    "scenario.duration_frames": 100,
+    "auth.verification_budget_prbs": 1,
+    "ue.1.traffic": "cbr", "ue.1.rate_mbps": 5,
+    "ue.2.traffic": "uniform_rate", "ue.2.rate_lo_mbps": 4, "ue.2.rate_hi_mbps": 8,
+    "ue.3.traffic": "flood", "ue.3.rate_mbps": 40,
+}
+DOMAIN_UE = {"rate_lo_mbps": 2, "onset_frame": 3}  # the UE whose traffic reads the key; else UE 1
+
+
+def _step(typ, value, direction: int):
+    return value + direction if typ is int else math.nextafter(value, direction * math.inf)
+
+
+def _domain_edges():
+    """(key, type, the bound, one step past it) for every key with a bound in
+    the key tables. A strictly positive key's bound is its least positive value."""
+    keys = [(key, spec) for key, spec in scenario._TOP_KEYS.items()]
+    keys += [(f"ue.{DOMAIN_UE.get(key, 1)}.{key}", spec) for key, spec in scenario._UE_KEYS.items()]
+    edges = []
+    for key, spec in keys:
+        if spec.positive:
+            edges.append(pytest.param(key, spec.type, _step(spec.type, 0, 1), 0, id=f"{key}>0"))
+        if spec.least is not None:
+            edges.append(pytest.param(key, spec.type, spec.least, _step(spec.type, spec.least, -1),
+                                      id=f"{key}>={spec.least}"))
+        if spec.most is not None:
+            edges.append(pytest.param(key, spec.type, spec.most, _step(spec.type, spec.most, 1),
+                                      id=f"{key}<={spec.most}"))
+    return edges
+
+
+class TestDomain:
+    @pytest.mark.parametrize(("key", "typ", "bound", "past"), _domain_edges())
+    def test_one_step_past_a_bound_names_the_key(self, key, typ, bound, past):
+        text = "\n".join(f"{k} = {v}" for k, v in {**DOMAIN_BASE, key: past}.items())
+        with pytest.raises(ScenarioError, match=f"^{re.escape(key)}: must be "):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize(("key", "typ", "bound", "past"), _domain_edges())
+    def test_the_bound_parses_and_echoes(self, key, typ, bound, past):
+        text = "\n".join(f"{k} = {v}" for k, v in {**DOMAIN_BASE, key: bound}.items())
+        echo = dict(line.split(" = ") for line in resolved_lines(parse_scenario(text)))
+        assert typ(echo[key]) == bound
 
 
 class TestEcho:

@@ -30,7 +30,6 @@ from ztcell.xapps.auth import (
 from ztcell.xapps.intrusion import KIND_VERDICT, Verdict
 from ztcell.xapps.slicing import (
     PolicyError,
-    RestrictedPolicy,
     SliceChange,
     SlicingXapp,
 )
@@ -43,7 +42,7 @@ BASE = parse_scenario("scenario.duration_frames = 1\nue.1.traffic = idle")
 def slicer_scenario(
     total_prbs: int = 100,
     verification_budget_prbs: int = 2,
-    restricted: RestrictedPolicy = RestrictedPolicy(),
+    restricted_budget_prbs: int = 1,
     reserved_prbs: dict[UeId, int] | None = None,
 ) -> Scenario:
     """`BASE` with the settings the slicer reads replaced, and one
@@ -57,7 +56,7 @@ def slicer_scenario(
         BASE,
         cell=replace(BASE.cell, total_prbs=total_prbs),
         auth=replace(BASE.auth, verification_budget_prbs=verification_budget_prbs),
-        restricted=restricted,
+        restricted_budget_prbs=restricted_budget_prbs,
         ues=critical,
     )
 
@@ -325,7 +324,7 @@ class TestPriorities:
 def slices_sent_isolating(prior: int) -> int:
     """The slices in the SLICE_CONTROL table sent when one more UE is
     isolated after `prior` intruders, with 3 UEs left granted."""
-    board = Board(restricted=RestrictedPolicy(budget_prbs=1))
+    board = Board(restricted_budget_prbs=1)
     for ue in range(1, prior + 5):  # prior + 1 future intruders, 3 that stay granted
         board.grant(ue)
     for ue in range(1, prior + 1):
@@ -456,7 +455,7 @@ class ReferenceSlicer(Xapp):
         critical = [u for u in normal if u in reserved]
         commercial = [u for u in normal if u not in reserved]
 
-        restricted_prbs = self.sc.restricted.budget_prbs if isolated else 0
+        restricted_prbs = self.sc.restricted_budget_prbs if isolated else 0
         verification = self.sc.auth.verification_budget_prbs
         reserved_prbs = sum(reserved[u] for u in critical)
         need = restricted_prbs + len(verifying) * verification + reserved_prbs + len(commercial)
@@ -472,7 +471,7 @@ class ReferenceSlicer(Xapp):
         slices: list[SliceSpec] = []
         new_bindings: dict[UeId, SliceId] = {}
         if isolated:
-            budget = self.sc.restricted.budget_prbs
+            budget = self.sc.restricted_budget_prbs
             top -= budget
             rid = self._slice_id(None, "restricted")
             slices.append(
@@ -552,7 +551,7 @@ def slicer_runs(draw):
     config = {
         "total_prbs": draw(st.integers(4, 100)),
         "verification_budget_prbs": draw(st.integers(1, 4)),
-        "restricted": RestrictedPolicy(draw(st.integers(1, 5))),
+        "restricted_budget_prbs": draw(st.integers(1, 5)),
         "reserved_prbs": {ue: draw(st.integers(1, 30)) for ue in critical},
     }
     step = st.tuples(st.sampled_from(SLICER_OPS), st.integers(1, n), st.integers(0, 3))
@@ -584,12 +583,12 @@ class TestSlicerOracle:
     @given(slicer_runs())
     @example((  # a mission-critical UE verifies, is granted, then is isolated
         {"total_prbs": 100, "verification_budget_prbs": 2,
-         "restricted": RestrictedPolicy(1), "reserved_prbs": {1: 10}},
+         "restricted_budget_prbs": 1, "reserved_prbs": {1: 10}},
         [(KIND_VERIFY_START, 1, 0), (KIND_GRANT, 1, 1), (KIND_GRANT, 2, 0), (KIND_VERDICT, 1, 1)],
     ))
     @example((  # the last isolated UE is released; the next isolation reuses the restricted id
         {"total_prbs": 100, "verification_budget_prbs": 2,
-         "restricted": RestrictedPolicy(1), "reserved_prbs": {}},
+         "restricted_budget_prbs": 1, "reserved_prbs": {}},
         [(KIND_GRANT, 1, 0), (KIND_GRANT, 2, 0), (KIND_VERDICT, 1, 1), (KIND_DENY, 1, 1),
          (KIND_VERDICT, 2, 1)],
     ))
