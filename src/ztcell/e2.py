@@ -444,13 +444,15 @@ def decode(data: bytes) -> E2Message:
 
 
 class Connection:
-    """One end of a RAN-RIC link; stamps a strictly increasing seq on its sends."""
+    """One end of a RAN-RIC link: stamps a strictly increasing seq on each
+    message it sends and queues the encoded frame in `outbox`."""
 
     def __init__(self, cell: CellId, e2: E2Id) -> None:
         self.cell = cell
         self.e2 = e2
-        self.seq = 0  # the seq of the last message made
+        self.seq = 0  # the seq of the last message sent
+        self.outbox: list[bytes] = []
 
-    def make(self, kind: MsgKind, body: Body) -> E2Message:
+    def send(self, kind: MsgKind, body: Body) -> None:
         self.seq += 1
-        return E2Message(kind, self.cell, self.e2, self.seq, body)
+        self.outbox.append(encode(E2Message(kind, self.cell, self.e2, self.seq, body)))

@@ -149,7 +149,7 @@ class FrameReport:
 
 
 class RanCell:
-    """One cell plus its end of the E2 link; the runner drains `outbox` between frames."""
+    """One cell plus its end of the E2 link, `conn`; the runner drains its outbox between frames."""
 
     def __init__(self, sc: Scenario) -> None:
         self.sc = sc
@@ -157,7 +157,6 @@ class RanCell:
         self.secret = sc.secret()
         self.zero_trust = sc.zero_trust
         self.conn = e2.Connection(sc.cell.cell_id, sc.cell.e2_id)
-        self.outbox: list[bytes] = []
         self.frame_index = 0
         self.ues: dict[UeId, UeState] = {}  # in attach order
         self.slice_kinds: dict[SliceId, SliceKind] = {}
@@ -174,14 +173,11 @@ class RanCell:
 
     # ---- E2 egress -------------------------------------------------------
 
-    def _send(self, kind: e2.MsgKind, body) -> None:
-        self.outbox.append(e2.encode(self.conn.make(kind, body)))
-
     def connect(self) -> None:
         """Present the RAN's own identity blob so the RIC can verify this node."""
         cfg = self.cfg
         blob = ran_identity_blob(self.secret, cfg.cell_id, cfg.e2_id, self.sc.ran_credential())
-        self._send(e2.MsgKind.AUTH_REQUEST, e2.AuthRequestBody(blob))
+        self.conn.send(e2.MsgKind.AUTH_REQUEST, e2.AuthRequestBody(blob))
 
     # ---- attach / auth ----------------------------------------------------
 
@@ -210,7 +206,7 @@ class RanCell:
             chain = corrupt_chain(chain)
         key = blob_key(self.secret, chain)
         blob = build_blob(token, spec.ue, self.cfg.cell_id, self.cfg.e2_id, slice_id, key)
-        self._send(e2.MsgKind.AUTH_REQUEST, e2.AuthRequestBody(blob))
+        self.conn.send(e2.MsgKind.AUTH_REQUEST, e2.AuthRequestBody(blob))
 
     def maybe_reauth(self, frame: int) -> None:
         """Re-present credentials for granted UEs on the configured period,
@@ -240,7 +236,7 @@ class RanCell:
             self.apply_slice_control(body)
         elif isinstance(body, e2.SubscriptionRequestBody):
             self.report_period_frames = body.report_period_ms // FRAME_MS
-            self._send(e2.MsgKind.SUBSCRIPTION_ACK, e2.SubscriptionAckBody(body.report_period_ms))
+            self.conn.send(e2.MsgKind.SUBSCRIPTION_ACK, e2.SubscriptionAckBody(body.report_period_ms))
 
     def _on_auth_response(self, body: e2.AuthResponseBody) -> None:
         ue = self.ues.get(body.ue)
@@ -552,4 +548,4 @@ class RanCell:
         for ue_id, ue in self.ues.items():
             if ue.auth_state is not _DENIED:  # terminal: nothing to decide
                 report = self.collect_kpm(ue_id, period_ms)
-                self._send(_KPM_INDICATION_KIND, e2.KpmIndicationBody(report))
+                self.conn.send(_KPM_INDICATION_KIND, e2.KpmIndicationBody(report))

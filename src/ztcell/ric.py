@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import isfinite
 from typing import Any, Callable
 
 from . import e2
@@ -76,18 +75,6 @@ class Sdl:
         return out
 
 
-def json_text(value: Any) -> str:
-    """`json.dumps(value)`, without the encoder set-up for an exact int or finite float.
-
-    For those two the JSON text is `repr`. Anything else, such as NaN, a
-    bool, an `IntEnum` or a string another writer stored, goes to
-    `json.dumps`.
-    """
-    if type(value) is int or type(value) is float and isfinite(value):
-        return repr(value)
-    return json.dumps(value)
-
-
 class SdlWindow:
     """Bounded JSON lists under one SDL namespace, held in memory and written through.
 
@@ -146,8 +133,9 @@ class Router:
     E2 ingress decodes frames, drops stale sequence numbers with an audit
     record, and fans each message out to every subscriber of its kind in
     subscription order. A message with no subscriber lands in the
-    dead-letter log, which is not an error. The runner sets `frame` at each
-    frame boundary; the router's own audit records carry it.
+    dead-letter log, which is not an error. `frame` is the RIC's one clock:
+    the registry sets it at each frame boundary, and the router's and every
+    xApp's audit records carry it.
     """
 
     def __init__(self, audit: AuditLog) -> None:
@@ -195,7 +183,7 @@ class Router:
 
 @dataclass
 class XappContext:
-    """Handles given to an xApp at init: router, SDL, audit, E2 egress."""
+    """Handles an xApp is built with: router, SDL, audit, and the RIC's E2 send."""
 
     router: Router
     sdl: Sdl
@@ -204,50 +192,47 @@ class XappContext:
 
 
 class Xapp:
-    """Base xApp: subclasses subscribe in on_init and handle deliveries."""
+    """Base xApp, built wired: a subclass subscribes in `__init__`. Its
+    `frame` reads the router's, the RIC's one clock."""
 
     name = "xapp"
 
-    def __init__(self) -> None:
-        self.ctx: XappContext | None = None
-        self.frame = 0
-
-    def on_init(self, ctx: XappContext) -> None:
+    def __init__(self, ctx: XappContext) -> None:
         self.ctx = ctx
 
+    @property
+    def frame(self) -> int:
+        return self.ctx.router.frame
+
     def on_frame_boundary(self, frame: int) -> None:
-        self.frame = frame
+        """Boundary work, for a subclass to override; the base has none."""
 
     def record(self, action: str, detail: str, **extra: Any) -> None:
-        """Audit `action` as this xApp at its current frame."""
+        """Audit `action` as this xApp at the current frame."""
         self.ctx.audit.record(self.frame, self.name, action, detail, **extra)
 
 
 class XappRegistry:
     """The registered xApps, by name, in registration order.
 
-    `register` calls each xApp's `on_init` once. `frame_boundary` stamps
-    every xApp's `frame`, then calls `on_frame_boundary` only on the xApps
-    whose class overrides it: the base hook only stamps the frame, which the
-    first pass has done.
+    `frame_boundary` sets the router's frame, then calls `on_frame_boundary`
+    only on the xApps whose class overrides it, so every xApp reads the new
+    frame before any of them does boundary work.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, router: Router) -> None:
+        self.router = router
         self._xapps: dict[str, Xapp] = {}
         self._hooked: list[Xapp] = []  # those overriding on_frame_boundary
 
-    def register(self, xapp: Xapp, ctx: XappContext) -> None:
+    def register(self, xapp: Xapp) -> None:
         if xapp.name in self._xapps:
             raise RegistrationError(f"xApp {xapp.name!r} already registered")
         self._xapps[xapp.name] = xapp
         if type(xapp).on_frame_boundary is not Xapp.on_frame_boundary:
             self._hooked.append(xapp)
-        xapp.on_init(ctx)
 
     def frame_boundary(self, frame: int) -> None:
-        # Two passes: every xApp sees the new frame number before any of them
-        # does boundary work, so cross-xApp cascades stamp the right epoch.
-        for xapp in self._xapps.values():
-            xapp.frame = frame
+        self.router.frame = frame
         for xapp in self._hooked:
             xapp.on_frame_boundary(frame)

@@ -2,8 +2,9 @@
 
 A run wires one RAN cell to the RIC over the binary E2 codec and advances
 in `core.FRAME_MS` (10 ms) frames. Each frame boundary runs in this order:
-the frame stamp and the boundary hooks, the frame's attaches, `pump`, the
-RAN's due re-authentications, `pump` again. The first pump drains the
+the registry's boundary (it sets the router's frame, the RIC's one clock,
+and runs the boundary hooks), the frame's attaches, `pump`, the RAN's due
+re-authentications, `pump` again. The first pump drains the
 message queues to quiescence, so an indication emitted at the end of
 frame f can trigger a verdict, an isolation, and a slice-control message
 that all take effect at the start of frame f+1 and never mid-frame. The
@@ -12,8 +13,8 @@ the slice the RIC's table holds, and an isolated UE is not re-presented.
 E2 traffic crosses only on the first frame, at report boundaries, and on
 attach, re-auth and verification frames. On any other boundary both
 outboxes are empty and each `pump` returns at once, so a quiet frame costs
-the RIC only the registry's frame stamp and the auth xApp's boundary hook,
-which reads nothing while no verification is pending.
+the RIC only setting its clock and the auth xApp's boundary hook, which
+reads nothing while no verification is pending.
 Everything is driven by named RNG streams derived from the scenario seed,
 which the cell and the xApps name themselves, making outputs byte-identical
 across runs; legacy runs reuse the same traffic streams so arrivals match
@@ -32,8 +33,10 @@ A run applies its seed and legacy overrides to the scenario once, and
 `run.log` echoes that scenario as run, effective seed and mode included. It is
 the one statement of a run's configuration: `summarize_dir` parses it back.
 The cell and each xApp are built from that same scenario, `RanCell(sc)` as
-`AuthXapp(sc)`, and the cell attaches each UE from its `UeSpec`. The RAN
-and the RIC each stamp their E2 seqs with their own `e2.Connection`.
+`AuthXapp(sc, ctx)`, each xApp wired to the RIC's context as it is built,
+and the cell attaches each UE from its `UeSpec`. The RAN and the RIC each
+send through their own end, an `e2.Connection` that stamps the seqs and
+queues the encoded frames, and `pump` swaps the two ends' outboxes.
 """
 from __future__ import annotations
 
@@ -101,11 +104,11 @@ class RunResult:
     audit: AuditLog
     summary: RunSummary
     cell: RanCell
+    sdl: Sdl
     out_dir: Path | None = None
     slicing: SlicingXapp | None = None
     auth: AuthXapp | None = None
     intrusion: IntrusionXapp | None = None
-    sdl: Sdl | None = None
 
 
 def run(
@@ -122,35 +125,28 @@ def run(
 
     router = Router(audit)
     sdl = Sdl()
-    registry = XappRegistry()
-    ric_outbox: list[bytes] = []
-    ric_end = e2.Connection(sc.cell.cell_id, sc.cell.e2_id)
-
-    def send_e2(kind: e2.MsgKind, body) -> None:
-        ric_outbox.append(e2.encode(ric_end.make(kind, body)))
+    registry = XappRegistry(router)
+    ran_end, ric_end = cell.conn, e2.Connection(sc.cell.cell_id, sc.cell.e2_id)
 
     auth_x = intr_x = slic_x = None
     if sc.zero_trust:
-        ctx = XappContext(router=router, sdl=sdl, audit=audit, send_e2=send_e2)
-        auth_x, intr_x, slic_x = AuthXapp(sc), IntrusionXapp(sc), SlicingXapp(sc)
-        registry.register(auth_x, ctx)
-        registry.register(intr_x, ctx)
-        registry.register(slic_x, ctx)
+        ctx = XappContext(router=router, sdl=sdl, audit=audit, send_e2=ric_end.send)
+        auth_x, intr_x, slic_x = AuthXapp(sc, ctx), IntrusionXapp(sc, ctx), SlicingXapp(sc, ctx)
+        for xapp in (auth_x, intr_x, slic_x):
+            registry.register(xapp)
         cell.connect()
 
     def pump(frame: int) -> None:
-        if not (cell.outbox or ric_outbox):
+        if not (ran_end.outbox or ric_end.outbox):
             return  # a quiet boundary: nothing to exchange
         for _ in range(PUMP_ROUND_LIMIT):
-            to_ric = cell.outbox
-            cell.outbox = []
+            to_ric, ran_end.outbox = ran_end.outbox, []
             for data in to_ric:
                 router.ingest_frame(data)
-            to_ran = ric_outbox[:]
-            ric_outbox.clear()
+            to_ran, ric_end.outbox = ric_end.outbox, []
             for data in to_ran:
                 cell.handle_frame(data)
-            if not (cell.outbox or ric_outbox):
+            if not (ran_end.outbox or ric_end.outbox):
                 return
         raise InvariantError(
             frame, f"E2 traffic still pending after {PUMP_ROUND_LIMIT} exchange rounds"
@@ -162,7 +158,6 @@ def run(
 
     frames: list[FrameReport] = []
     for f in range(sc.duration_frames):
-        router.frame = f
         registry.frame_boundary(f)
         for spec in attaching.get(f, ()):
             cell.attach(spec, auth_x.issue_token(spec.ue) if sc.zero_trust else None)
@@ -171,7 +166,6 @@ def run(
         pump(f)
         frames.append(cell.step_frame())
         cell.emit_kpm_if_due()
-    router.frame = sc.duration_frames
     registry.frame_boundary(sc.duration_frames)
     pump(sc.duration_frames)
 
@@ -331,9 +325,8 @@ def _write_outputs(result: RunResult) -> None:
         json.dump(result.summary.to_dict(), fh, indent=2, sort_keys=True)
     lines = [f"# run: {result.scenario.name}", *resolved_lines(result.scenario)]
     (out / "run.log").write_text("\n".join(lines) + "\n")
-    if result.sdl is not None:
-        with open(out / "sdl_snapshot.json", "w") as fh:
-            json.dump(result.sdl.snapshot(), fh, indent=2, sort_keys=True)
+    with open(out / "sdl_snapshot.json", "w") as fh:
+        json.dump(result.sdl.snapshot(), fh, indent=2, sort_keys=True)
 
 
 def summarize_dir(metrics_dir: str | Path) -> RunSummary:

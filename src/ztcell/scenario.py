@@ -196,7 +196,7 @@ _TOP_KEYS: dict[str, _Key] = {
     "cell.e2_id": _Key("cell", "e2_id", int, 0, _U32_MAX),
     "report.period_ms": _Key(None, "report_period_ms", int),
     "detection.window_n": _Key("detection", "window_n", int, least=1),
-    "detection.rate_lo_mbps": _Key("detection", "rate_lo_mbps", float),
+    "detection.rate_lo_mbps": _Key("detection", "rate_lo_mbps", float, least=0),
     "detection.rate_hi_mbps": _Key("detection", "rate_hi_mbps", float),
     "detection.z_sigma": _Key("detection", "z_sigma", float, positive=True),
     "detection.min_reports": _Key("detection", "min_reports_before_decision", int, least=1),
@@ -209,7 +209,7 @@ _TOP_KEYS: dict[str, _Key] = {
     "auth.token_expiry_frames": _Key("auth", "token_expiry_frames", int, most=2**64 - 1),
     "auth.usage_tolerance": _Key("auth", "usage_tolerance", float, least=0),
     "auth.secret_seed": _Key("auth", "secret_seed", str),
-    "fpr.benign_rate_lo_mbps": _Key(None, "fpr_benign_rate_lo_mbps", float),
+    "fpr.benign_rate_lo_mbps": _Key(None, "fpr_benign_rate_lo_mbps", float, least=0),
     "fpr.benign_rate_hi_mbps": _Key(None, "fpr_benign_rate_hi_mbps", float),
 }
 
@@ -373,6 +373,9 @@ def _build_ue(
     secret_seed: str,
 ) -> UeSpec:
     prefix = f"ue.{ue_id}."
+    # The key that set the profile band's hi: the UE's own, or the detection band's.
+    hi_key = (prefix + "profile_rate_hi_mbps" if "profile_rate_hi_mbps" in vals
+              else "detection.rate_hi_mbps")
     vals.setdefault("profile_rate_lo_mbps", detection.rate_lo_mbps)  # the detection band
     vals.setdefault("profile_rate_hi_mbps", detection.rate_hi_mbps)
     vals.setdefault("credential", _derive_credential(ue_id, secret_seed))
@@ -406,10 +409,10 @@ def _build_ue(
     # overflow.
     size = traffic.packet_size_bytes
     cap, scale = (2**32 - 2) * 8 * size, period * 1000
-    for key, rate in (("rate_mbps", traffic.rate_mbps), ("rate_hi_mbps", traffic.hi_mbps),
-                      ("profile_rate_hi_mbps", hi)):
+    for key, rate in ((prefix + "rate_mbps", traffic.rate_mbps),
+                      (prefix + "rate_hi_mbps", traffic.hi_mbps), (hi_key, hi)):
         num, den = rate.as_integer_ratio()
-        _need(num * scale <= cap * den, prefix + key,
+        _need(num * scale <= cap * den, key,
               f"<= {cap / scale} Mbps, so that a report.period_ms ({period}) of {size}-byte "
               f"packets counts below 2**32", rate)
     return ue

@@ -110,8 +110,8 @@ def ran_identity_blob(secret: bytes, cell: CellId, e2_id: E2Id, ran_credential: 
 class AuthXapp(Xapp):
     name = "auth"
 
-    def __init__(self, sc: Scenario) -> None:
-        super().__init__()
+    def __init__(self, sc: Scenario, ctx: XappContext) -> None:
+        super().__init__(ctx)
         self.sc = sc
         self.secret = sc.secret()
         self.ran_credential = sc.ran_credential()
@@ -122,15 +122,11 @@ class AuthXapp(Xapp):
         self._pending: dict[UeId, tuple[bytes, int]] = {}
         self.report_period_frames = sc.report_period_ms // FRAME_MS
         self._table: tuple[bytes, dict, dict[SliceId, int]] | None = None  # bytes, table, budgets
+        ctx.router.subscribe(self.name, [MsgKind.AUTH_REQUEST, MsgKind.KPM_INDICATION], self.handle)
 
     # ---- wiring ------------------------------------------------------------
 
-    def on_init(self, ctx: XappContext) -> None:
-        super().on_init(ctx)
-        ctx.router.subscribe(self.name, [MsgKind.AUTH_REQUEST, MsgKind.KPM_INDICATION], self.handle)
-
     def on_frame_boundary(self, frame: int) -> None:
-        super().on_frame_boundary(frame)
         if self._pending:
             for ue in sorted(u for u, (_, due) in self._pending.items() if due <= frame):
                 blob, _ = self._pending.pop(ue)

@@ -40,11 +40,11 @@ UE's verdict turns from not flagged to flagged. An unflagged verdict clears
 the UE, so a later onset is routed again.
 
 The xApp holds each UE's window in memory and writes it through to the SDL
-as a JSON list on every report. A report's text is one format over its
-fields, `%d` and `%r` when they are plain ints and finite floats and each
-written by `ric.json_text` otherwise, and equals
-`json.dumps(report._asdict())`. The xApp decodes the stored window again
-only when the SDL holds bytes the xApp did not write (`ric.SdlWindow`).
+as a JSON list on every report. A report's text is one format, `%d` and
+`%r` over its fields, when they are plain ints and finite floats, and
+`json.dumps(report._asdict())`, which the format equals, otherwise. The
+xApp decodes the stored window again only when the SDL holds bytes the
+xApp did not write (`ric.SdlWindow`).
 """
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ from typing import NamedTuple
 from .. import e2
 from ..core import FRAME_MS, KPM_FIELDS, BehaviorProfile, FieldStats, KPMReport, UeId, ordered_sum
 from ..e2 import MsgKind
-from ..ric import InternalMessage, SdlWindow, Xapp, XappContext, json_text
+from ..ric import InternalMessage, SdlWindow, Xapp, XappContext
 from ..scenario import DetectionConfig, Scenario, UeSpec
 
 NS_PROFILES = "profiles"
@@ -333,28 +333,23 @@ def report_json_text(report: KPMReport) -> str:
     """`json.dumps(report._asdict())`, byte for byte, as one format.
 
     A report of plain ints and finite floats takes one typed format; any
-    other, such as one holding NaN or a bool, formats each field by `json_text`.
+    other, such as one holding NaN or a bool, is `json.dumps` itself.
     """
     # The floats sum to a finite value only if each is finite; an overflow
     # takes the general path, which is exact too.
     if tuple(map(type, report)) == _REPORT_TYPES and isfinite(report[3] + report[6] + report[7]):
         return _PLAIN_REPORT_JSON % report
-    return _REPORT_JSON % tuple(map(json_text, report))
+    return json.dumps(report._asdict())
 
 
 class IntrusionXapp(Xapp):
     name = "intrusion"
 
-    def __init__(self, sc: Scenario) -> None:
-        super().__init__()
+    def __init__(self, sc: Scenario, ctx: XappContext) -> None:
+        super().__init__(ctx)
         self.sc = sc
         self.profiles: dict[UeId, BehaviorProfile] = {}
         self.flagged: set[UeId] = set()  # UEs whose latest verdict flagged
-        self._windows: SdlWindow | None = None
-
-    def on_init(self, ctx: XappContext) -> None:
-        super().on_init(ctx)
-        sc = self.sc
         self._windows = SdlWindow(
             ctx.sdl, NS_PROFILES, sc.detection.window_n,
             load=lambda d: KPMReport(**d), dump=report_json_text,

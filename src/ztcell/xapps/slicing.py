@@ -60,8 +60,8 @@ class SliceChange:
 class SlicingXapp(Xapp):
     name = "slicing"
 
-    def __init__(self, sc: Scenario) -> None:
-        super().__init__()
+    def __init__(self, sc: Scenario, ctx: XappContext) -> None:
+        super().__init__(ctx)
         self.sc = sc
         # mission-critical UE -> its budget, allocated off the bottom before the split
         self.reserved: dict[UeId, int] = {
@@ -73,9 +73,6 @@ class SlicingXapp(Xapp):
         self._slice_ids: dict[tuple[UeId | None, SliceKind], SliceId] = {}
         self.changes: list[SliceChange] = []
         self.emitted: list[tuple[int, e2.SliceControlBody]] = []
-
-    def on_init(self, ctx: XappContext) -> None:
-        super().on_init(ctx)
         ctx.router.subscribe(
             self.name,
             [KIND_VERIFY_START, KIND_GRANT, KIND_DENY, KIND_REVOKE, KIND_VERDICT],

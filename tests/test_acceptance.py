@@ -170,16 +170,20 @@ class TestCriterion2DetectionReallocation:
         )
 
 
-@pytest.fixture(scope="module")
-def flood_isolated():
-    """The benchmark's `flood_isolated` workload, read from perfbench/workloads.py
-    as it stands: its scenario text and its claim check."""
+def perfbench_workload(name: str):
+    """The benchmark's workload `name`, read from perfbench/workloads.py as it
+    stands: its scenario text and its claim check."""
     path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclass resolves annotations through it
     spec.loader.exec_module(module)
-    return module.WORKLOADS["flood_isolated"]
+    return module.WORKLOADS[name]
+
+
+@pytest.fixture(scope="module")
+def flood_isolated():
+    return perfbench_workload("flood_isolated")
 
 
 class TestFloodIsolatedClaim:

@@ -12,7 +12,7 @@ import pytest
 from ztcell import e2
 from ztcell.core import FRAME_MS, KPMReport
 from ztcell.e2 import AuthOutcome, AuthReason, AuthRequestBody, MsgKind
-from ztcell.ric import AuditLog, Router, Sdl, XappContext
+from ztcell.ric import AuditLog, Router, Sdl, XappContext, XappRegistry
 from ztcell.scenario import parse_scenario
 from ztcell.xapps.auth import (
     BLOB_LEN,
@@ -46,13 +46,17 @@ class Harness:
         self.router = Router(self.audit)
         self.sdl = Sdl()
         self.sent = []
-        self.xapp = AuthXapp(replace(BASE, auth=replace(BASE.auth, **auth)))
         ctx = XappContext(
             router=self.router, sdl=self.sdl, audit=self.audit,
             send_e2=lambda kind, body: self.sent.append((kind, body)),
         )
-        self.xapp.on_init(ctx)
-        self.xapp.on_frame_boundary(0)
+        self.xapp = AuthXapp(replace(BASE, auth=replace(BASE.auth, **auth)), ctx)
+        self.registry = XappRegistry(self.router)
+        self.registry.register(self.xapp)
+
+    def boundary(self, frame: int) -> None:
+        """Advance the RIC's clock to `frame` and run the boundary hook."""
+        self.registry.frame_boundary(frame)
 
     def verify_ran(self) -> None:
         blob = ran_identity_blob(SECRET, 1, 1, RAN_CRED)
@@ -63,7 +67,7 @@ class Harness:
         self.xapp.handle(msg)
 
     def decide(self) -> None:
-        self.xapp.on_frame_boundary(self.xapp.frame)
+        self.boundary(self.router.frame)
 
     def blob_for(self, ue: int, token: bytes, slice_id: int = 0) -> bytes:
         return build_blob(token, ue, 1, 1, slice_id, blob_key(SECRET, CHAINS[ue]))
@@ -291,7 +295,7 @@ class TestReauth:
 
     def report(self, h: Harness, ue: int, mbps: float, seq: int = 1) -> None:
         """Deliver one KPM_INDICATION for `ue` one report period after frame 0."""
-        h.xapp.on_frame_boundary(PERIOD)
+        h.boundary(PERIOD)
         kpm = KPMReport(ue, 1, seq, 25.0, 12, 100, 20.0, mbps)
         h.xapp.handle(e2.E2Message(MsgKind.KPM_INDICATION, 1, 1, seq, e2.KpmIndicationBody(kpm)))
 
@@ -351,7 +355,7 @@ class TestReauth:
 
     def table_change(self, h: Harness, frame: int) -> None:
         """At `frame`, move UE 1 from slice 9 to a new slice 10."""
-        h.xapp.on_frame_boundary(frame)
+        h.boundary(frame)
         table = {"epoch": frame, "slices": [{"id": 10, "budget": 5, "kind": "restricted"}],
                  "bindings": {"1": 10}}
         h.sdl.put(NS_SLICES, "table", json.dumps(table).encode())
@@ -375,14 +379,14 @@ class TestReauth:
         h = Harness()
         token = self.setup_granted(h, 1)
         self.table_change(h, PERIOD)
-        h.xapp.on_frame_boundary(PERIOD + 1)
+        h.boundary(PERIOD + 1)
         h.request(h.blob_for(1, token, slice_id=9))
         assert h.responses()[-1].reason is AuthReason.SLICE_MISMATCH
 
     def test_expired_token_denied_then_regrant_on_next_attach(self):
         h = Harness(token_expiry_frames=5)
         token = self.setup_granted(h, 1)
-        h.xapp.on_frame_boundary(500)  # well past expiry
+        h.boundary(500)  # well past expiry
         h.request(h.blob_for(1, token, slice_id=9))
         assert h.responses()[-1].outcome is AuthOutcome.DENIED
         assert h.responses()[-1].reason is AuthReason.EXPIRED

@@ -543,11 +543,9 @@ class TestIntrusionXapp:
         sdl = Sdl()
         sent = []
         detection = DetectionConfig(min_reports_before_decision=min_reports, window_n=window_n)
-        xapp = IntrusionXapp(replace(BASE, detection=detection))
-        xapp.on_init(
-            XappContext(router=router, sdl=sdl, audit=audit,
-                        send_e2=lambda kind, body: sent.append((kind, body)))
-        )
+        ctx = XappContext(router=router, sdl=sdl, audit=audit,
+                          send_e2=lambda kind, body: sent.append((kind, body)))
+        xapp = IntrusionXapp(replace(BASE, detection=detection), ctx)
         return xapp, sdl, audit, sent
 
     def deliver(self, xapp, tput: float, seq: int, pkts: int = 125):

@@ -179,8 +179,8 @@ class TestAttach:
     def test_fresh_attach_emits_one_auth_request(self):
         cell = new_cell()
         cell.attach(UeSpec(1, IDLE))
-        assert len(cell.outbox) == 1
-        msg = e2.decode(cell.outbox[0])
+        assert len(cell.conn.outbox) == 1
+        msg = e2.decode(cell.conn.outbox[0])
         assert msg.kind == MsgKind.AUTH_REQUEST
         assert cell.ues[1].auth_state is AuthState.VERIFYING
 
@@ -194,14 +194,14 @@ class TestAttach:
         cell = new_cell()
         for ue in (1, 2, 3, 4):
             cell.attach(UeSpec(ue, IDLE))
-        seqs = [e2.decode(raw).seq for raw in cell.outbox]
+        seqs = [e2.decode(raw).seq for raw in cell.conn.outbox]
         assert len(seqs) == 4
         assert seqs == sorted(seqs) and len(set(seqs)) == 4
 
     def test_legacy_attach_stays_unauthenticated_and_silent(self):
         cell = new_cell(zero_trust=False)
         cell.attach(UeSpec(1, IDLE))
-        assert cell.outbox == []
+        assert cell.conn.outbox == []
         assert cell.ues[1].auth_state is AuthState.UNAUTHENTICATED
 
 
@@ -210,10 +210,10 @@ def reauth_frames(cell: RanCell, frames: range) -> list[int]:
     sent = []
     for f in frames:
         cell.maybe_reauth(f)
-        if cell.outbox:
-            assert [e2.decode(raw).kind for raw in cell.outbox] == [MsgKind.AUTH_REQUEST]
+        if cell.conn.outbox:
+            assert [e2.decode(raw).kind for raw in cell.conn.outbox] == [MsgKind.AUTH_REQUEST]
             sent.append(f)
-            cell.outbox.clear()
+            cell.conn.outbox.clear()
     return sent
 
 
@@ -223,7 +223,7 @@ class TestReauthPeriod:
         cell.attach(UeSpec(1, IDLE))
         auth_response(cell, TestDeniedIsTerminal.GRANT)  # granted in frame 0
         grant_with_slices(cell, {1: (1, 0, 10, SliceKind.NORMAL)})
-        cell.outbox.clear()
+        cell.conn.outbox.clear()
         assert cell.ues[1].granted_frame == 0
         assert reauth_frames(cell, range(16)) == [5, 10, 15]
 
@@ -279,9 +279,9 @@ class TestReauthScheduleMatchesScan:
             # The runner's order: re-auth, then the RIC's answers, then the frame.
             cell.frame_index = f
             expected = reference_reauth(cell, f)
-            cell.outbox.clear()
+            cell.conn.outbox.clear()
             cell.maybe_reauth(f)
-            assert [parse_blob(e2.decode(raw).body.blob)[1] for raw in cell.outbox] == expected
+            assert [parse_blob(e2.decode(raw).body.blob)[1] for raw in cell.conn.outbox] == expected
             for op, n in ops:
                 ues = list(cell.ues)
                 if op == "attach":
@@ -662,7 +662,8 @@ def ric_frame(cell: RanCell, kind: MsgKind, body) -> bytes:
     end = RIC_ENDS.get(cell)
     if end is None:
         end = RIC_ENDS[cell] = e2.Connection(cell.cfg.cell_id, cell.cfg.e2_id)
-    return e2.encode(end.make(kind, body))
+    end.send(kind, body)
+    return end.outbox.pop()
 
 
 def auth_response(cell: RanCell, body: e2.AuthResponseBody) -> None:
@@ -1038,24 +1039,30 @@ class TestAsymptoticGate:
                 return fn(*args, **kwargs)
             return wrapper
 
-        step, base_hook = RanCell.step_frame, Xapp.on_frame_boundary
+        step = RanCell.step_frame
 
         def recording_step(cell):
             windows.append((counts["encode"], counts["take"], counts["gets"]))
             counts["encode"] = counts["take"] = counts["gets"] = 0
-            if not outboxes or outboxes[-1] is not cell.outbox:
-                outboxes.append(cell.outbox)
+            if not outboxes or outboxes[-1] is not cell.conn.outbox:
+                outboxes.append(cell.conn.outbox)
             return step(cell)
 
-        def recording_hook(xapp, frame):
-            hooked.add(type(xapp).__name__)
-            base_hook(xapp, frame)
+        def recording(hook):
+            def wrapper(xapp, frame):
+                hooked.add(type(xapp).__name__)
+                hook(xapp, frame)
+            return wrapper
 
         monkeypatch.setattr(e2, "encode", counting(e2.encode, "encode"))
         monkeypatch.setattr(Router, "ingest_frame", counting(Router.ingest_frame, "take"))
         monkeypatch.setattr(RanCell, "handle_frame", counting(RanCell.handle_frame, "take"))
         monkeypatch.setattr(RanCell, "step_frame", recording_step)
-        monkeypatch.setattr(Xapp, "on_frame_boundary", recording_hook)
+        # The base hook, which a non-overriding xApp inherits, and the auth xApp's own.
+        monkeypatch.setattr(Xapp, "on_frame_boundary", recording(Xapp.on_frame_boundary))
+        monkeypatch.setattr(
+            auth.AuthXapp, "on_frame_boundary", recording(auth.AuthXapp.on_frame_boundary)
+        )
         monkeypatch.setattr(Sdl, "get", counting(Sdl.get, "gets"))
         loads = counting(auth.json.loads, "loads")
         monkeypatch.setattr(auth, "json", type("CountingJson", (), {"loads": staticmethod(loads)}))

@@ -143,15 +143,19 @@ class TestSdl:
             Sdl().put("ns", "k", "not bytes")
 
 
-class CountingXapp(Xapp):
-    def __init__(self, name: str):
-        super().__init__()
+class NamedXapp(Xapp):
+    def __init__(self, name: str, ctx: XappContext) -> None:
+        super().__init__(ctx)
         self.name = name
-        self.got = []
 
-    def on_init(self, ctx: XappContext) -> None:
-        super().on_init(ctx)
-        ctx.router.subscribe(self.name, [MsgKind.KPM_INDICATION], self.got.append)
+
+class HookedXapp(NamedXapp):
+    def __init__(self, name: str, ctx: XappContext) -> None:
+        super().__init__(name, ctx)
+        self.hooked = []  # (frame passed, frame read) per boundary
+
+    def on_frame_boundary(self, frame: int) -> None:
+        self.hooked.append((frame, self.frame))
 
 
 class TestRegistry:
@@ -160,7 +164,21 @@ class TestRegistry:
 
     def test_duplicate_name_rejected(self):
         router, _ = make_router()
-        registry = XappRegistry()
-        registry.register(CountingXapp("auth"), self._ctx(router))
+        registry = XappRegistry(router)
+        registry.register(NamedXapp("auth", self._ctx(router)))
         with pytest.raises(RegistrationError):
-            registry.register(CountingXapp("auth"), self._ctx(router))
+            registry.register(NamedXapp("auth", self._ctx(router)))
+
+    def test_boundary_sets_the_routers_frame_and_runs_only_overriding_hooks(self):
+        router, _ = make_router()
+        ctx = self._ctx(router)
+        plain, hooked = NamedXapp("plain", ctx), HookedXapp("hooked", ctx)
+        registry = XappRegistry(router)
+        registry.register(plain)
+        registry.register(hooked)
+        registry.frame_boundary(5)
+        registry.frame_boundary(6)
+        assert router.frame == plain.frame == hooked.frame == 6
+        assert hooked.hooked == [(5, 5), (6, 6)]
+        with pytest.raises(AttributeError):
+            plain.frame = 7  # the router's frame is the one clock

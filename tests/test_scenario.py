@@ -303,6 +303,20 @@ class TestRejection:
         with pytest.raises(ScenarioError, match=message):
             parse_scenario(text)
 
+    @pytest.mark.parametrize(("extra", "message"), [
+        ("detection.rate_lo_mbps = -5", "detection.rate_lo_mbps: must be >= 0, got -5.0"),
+        ("detection.rate_hi_mbps = 1e9",
+         "detection.rate_hi_mbps: must be <= 515396075.28 Mbps, so that a report.period_ms (100) "
+         "of 1500-byte packets counts below 2**32, got 1000000000.0"),
+        ("fpr.benign_rate_lo_mbps = -5", "fpr.benign_rate_lo_mbps: must be >= 0, got -5.0"),
+    ])
+    def test_a_bad_band_a_ue_inherits_names_the_key_that_set_it(self, extra, message):
+        """Each UE's profile band defaults to the detection band, so a bad
+        detection band is reported under its own key, not under `ue.1.*`; and
+        the fpr band may not reach below 0 Mbps."""
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(MINIMAL + extra + "\n")
+
     @pytest.mark.parametrize("frame", [100, 5000])
     def test_attach_frame_at_or_past_the_run_end_names_the_key(self, frame):
         """A UE attaching at or after the last frame never attaches."""

@@ -17,7 +17,7 @@ from ztcell.core import (
     validate_slice_table,
 )
 from ztcell.e2 import MsgKind, SliceControlBody
-from ztcell.ric import AuditLog, InternalMessage, Router, Sdl, Xapp, XappContext
+from ztcell.ric import AuditLog, InternalMessage, Router, Sdl, Xapp, XappContext, XappRegistry
 from ztcell.scenario import Scenario, parse_scenario
 from ztcell.xapps.auth import (
     KIND_DENY,
@@ -71,14 +71,17 @@ class Board:
         self.router = Router(self.audit)
         self.sdl = Sdl()
         self.sent: list[tuple[MsgKind, SliceControlBody]] = []
-        self.xapp = slicer(slicer_scenario(**overrides))
-        self.xapp.on_init(
-            XappContext(
-                router=self.router, sdl=self.sdl, audit=self.audit,
-                send_e2=lambda kind, body: self.sent.append((kind, body)),
-            )
+        ctx = XappContext(
+            router=self.router, sdl=self.sdl, audit=self.audit,
+            send_e2=lambda kind, body: self.sent.append((kind, body)),
         )
-        self.xapp.on_frame_boundary(0)
+        self.xapp = slicer(slicer_scenario(**overrides), ctx)
+        self.registry = XappRegistry(self.router)
+        self.registry.register(self.xapp)
+
+    def boundary(self, frame: int) -> None:
+        """Advance the RIC's clock to `frame`."""
+        self.registry.frame_boundary(frame)
 
     def grant(self, ue: UeId) -> None:
         self.sdl.put(NS_AUTH, f"grant:{ue}", b"\x00" * 8)
@@ -132,7 +135,7 @@ class TestBind:
         board.grant(1)
         board.grant(2)
         emitted, stored = len(board.xapp.emitted), board.sdl.get(NS_SLICES, "table")
-        board.xapp.on_frame_boundary(300)
+        board.boundary(300)
         board.grant(1)  # a re-authentication grant for a UE that is already normal
         board.xapp.bind_ue(2, SliceKind.NORMAL)
         assert len(board.xapp.emitted) == emitted == len(board.sent)
@@ -366,7 +369,7 @@ class TestChangeLog:
 
     def test_epoch_is_always_a_frame_boundary(self):
         board = Board()
-        board.xapp.on_frame_boundary(7)
+        board.boundary(7)
         board.grant(1)
         epoch, _ = board.xapp.emitted[-1]
         assert epoch == 7 == json.loads(board.sdl.get(NS_SLICES, "table")[0])["epoch"]
@@ -379,17 +382,14 @@ class ReferenceSlicer(Xapp):
 
     name = "slicing"
 
-    def __init__(self, sc: Scenario) -> None:
-        super().__init__()
+    def __init__(self, sc: Scenario, ctx: XappContext) -> None:
+        super().__init__(ctx)
         self.sc = sc
         self._occupancy: dict[UeId, str] = {}
         self._slice_ids: dict[tuple[UeId | None, str], SliceId] = {}
         self.bindings: dict[UeId, SliceId] = {}
         self.changes: list[SliceChange] = []
         self.emitted: list[tuple[int, SliceControlBody]] = []
-
-    def on_init(self, ctx: XappContext) -> None:
-        super().on_init(ctx)
         ctx.router.subscribe(
             self.name,
             [KIND_VERIFY_START, KIND_GRANT, KIND_DENY, KIND_REVOKE, KIND_VERDICT],
@@ -601,7 +601,7 @@ class TestSlicerOracle:
         for kind, ue, advance in steps:
             frame += advance
             for b in (board, reference):
-                b.xapp.on_frame_boundary(frame)
+                b.boundary(frame)
             tables = len(board.xapp.emitted)
             error = slicer_step(board, kind, ue)
             assert error == slicer_step(reference, kind, ue)
