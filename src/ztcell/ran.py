@@ -32,9 +32,11 @@ enqueues in one frame share their size and arrival frame, so a batch is the
 run-length form `(arrival_frame, n, left, head_bits_left, seq0)`. Each UE
 also keeps a running count of its queued bits, so per-frame work does not
 grow with the backlog: a zero-trust drain completes the whole packets of a
-batch in O(1), and a congested legacy FIFO merges the UEs' head batches in
-runs: the UE with the smallest head key serves, in one step, every packet of
-its head batch that comes before the next UE's head, so a frame costs O(runs).
+batch in O(1), and a congested legacy FIFO is served one arrival frame at a
+time: the UEs whose head batches arrived first are drained whole while they
+fit, and the group the cell runs out in is cut once, at a level interpolated
+from the capacity left and settled on the float keys. So a congested frame
+costs O(UEs) per arrival frame it reaches, however many packets those hold.
 
 Packet latency is quantized to whole frames: a packet enqueued in frame a and
 fully served in frame f took (f - a + 1) frames. Latency is accumulated as an
@@ -48,7 +50,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from heapq import heapify, heappop, heapreplace
 from math import cos, log, sin, sqrt, tau
 from random import Random
 from typing import NamedTuple
@@ -104,9 +105,14 @@ class Batch:
         self.seq0 = seq0
 
 
-def _head_key(b: Batch) -> float:
-    """The legacy FIFO key of `b`'s head packet, in ms."""
-    return b.arrival_frame * FRAME_MS + FRAME_MS * (2 * (b.n - b.left) + 1) / (2 * b.n)
+def _key(a: int, j: int, n: int) -> float:
+    """The legacy FIFO key, in ms, of packet `j` of the `n` one UE enqueued in frame `a`."""
+    return a * FRAME_MS + FRAME_MS * (2 * j + 1) / (2 * n)
+
+
+# A cut member's last packet in, or first packet out, when it has none.
+_NONE_IN = (float("-inf"), -1)
+_NONE_OUT = (float("inf"), -1)
 
 
 @dataclass
@@ -154,6 +160,7 @@ class RanCell:
     def __init__(self, sc: Scenario) -> None:
         self.sc = sc
         self.cfg = sc.cell
+        self.cell_bits = sc.cell.cell_bits_per_frame  # the legacy FIFO's capacity per frame
         self.secret = sc.secret()
         self.zero_trust = sc.zero_trust
         self.conn = e2.Connection(sc.cell.cell_id, sc.cell.e2_id)
@@ -386,7 +393,7 @@ class RanCell:
             )
             per_ue[ue_id] = interned.setdefault(stats, stats)
         if not zero_trust:
-            cap = self.cfg.cell_bits_per_frame
+            cap = self.cell_bits
             order = list(ues.values())
             if backlog <= cap:
                 # Every queued packet completes in this frame, and its latency
@@ -420,80 +427,116 @@ class RanCell:
         return FrameReport(frame_index=f, per_ue=per_ue)
 
     def _serve_shared(self, ues: list[UeState], cap: int) -> tuple[list[int], list[int], list[int]]:
-        """Serve the legacy shared FIFO up to `cap` bits, one run of packets at a time.
+        """Serve the legacy shared FIFO up to `cap` bits, one arrival frame at a time.
 
         `step_frame` calls it only when the UEs' backlog exceeds `cap`, so
-        that the order decides which packets complete. The UE whose head
-        packet has the smallest `(key, idx)` serves, in one step, every packet
-        of its head batch that comes before the next UE's head. `idx` differs
-        per UE, so it settles every tie of the float key. Returns per-UE
-        lists, in `ues` order, of bits served, latency sum in ms and packets
-        completed.
+        that the order decides which packets complete. The order is
+        `(_key, idx)`; `idx` differs per UE, so it settles every tie of the
+        float key. A packet that arrived in frame a has its key inside that
+        frame's `FRAME_MS`, so it sorts before every later arrival (as a float
+        too, while a frame holds fewer than `FRAME_MS` / ulp(key) packets:
+        6.7e8 at frame 1e7). So the group of UEs whose head batch arrived
+        first is served before the rest: a group that fits is drained whole,
+        each member in O(1). The group the cell runs out in is cut once: one
+        interpolated level counts each member's packets below it, and the
+        float keys then settle the boundary packet by packet, so the packets
+        completed are the longest prefix of the order that fits, and the next
+        packet takes the bits left. Returns per-UE lists, in `ues` order, of
+        bits served, latency sum in ms and packets completed.
         """
         fm = FRAME_MS
         done_at = (self.frame_index + 1) * fm  # latency = done_at - arrival_frame * fm
         served = [0] * len(ues)
         lat_sum = [0] * len(ues)
         lat_n = [0] * len(ues)
-        heads = [(_head_key(ue.queue[0]), idx) for idx, ue in enumerate(ues) if ue.queue]
-        heapify(heads)
-        while cap > 0 and heads:
-            idx = heads[0][1]
-            ue = ues[idx]
-            b = ue.queue[0]
-            take = b.head_bits_left
-            if take > cap:  # the cell runs out inside the head packet
-                b.head_bits_left = take - cap
-                served[idx] += cap
-                break
-            n = b.n
-            j = n - b.left
-            base = b.arrival_frame * fm
-            end = n  # one past the last packet of the run
-            rivals = len(heads) - 1
-            if rivals:
-                nxt = heads[1]  # the next head is a child of the heap's root
-                if rivals > 1 and heads[2] < nxt:
-                    nxt = heads[2]
-                # Packet i's key, base + fm * (2i + 1) / 2n as in `_head_key`,
-                # is below the next head's key nk while i < (nk - base) n / fm
-                # - 1/2. A run that rounding cuts short costs one more step; one
-                # that runs long would reorder packets, so the float keys settle
-                # that side (they never fall as i grows).
-                end = int((nxt[0] - base) * n / fm + 0.5)
-                if end >= n:
-                    end = n
-                elif end <= j:
-                    end = j + 1
-                while end > j + 1 and not (base + fm * (2 * end - 1) / (2 * n), idx) < nxt:
-                    end -= 1
-            cap -= take
-            pkt_bits = ue.traffic.packet_size_bytes * 8
-            whole = cap // pkt_bits
-            if whole >= end - j:
-                whole = end - j - 1
-            cap -= whole * pkt_bits
-            done = whole + 1
-            served[idx] += take + whole * pkt_bits
-            lat_sum[idx] += done * (done_at - base)
-            lat_n[idx] += done
-            j += done
-            if j < end:  # the cell runs out inside the run: cap < pkt_bits
-                b.left = n - j
-                b.head_bits_left = pkt_bits - cap
-                served[idx] += cap
-                break
-            if j < n:
-                b.left = n - j
-                b.head_bits_left = pkt_bits
-                heapreplace(heads, (base + fm * (2 * j + 1) / (2 * n), idx))
-            else:
-                q = ue.queue
-                q.popleft()
-                if q:
-                    heapreplace(heads, (_head_key(q[0]), idx))
+        live = [(idx, ue.queue, ue.traffic.packet_size_bytes * 8) for idx, ue in enumerate(ues) if ue.queue]
+        while cap:
+            a = min([q[0].arrival_frame for _, q, _ in live])
+            group = []  # the UEs whose head batch arrived in frame a
+            need = 0
+            for m in live:
+                b = m[1][0]
+                if b.arrival_frame == a:
+                    group.append(m)
+                    need += b.head_bits_left + (b.left - 1) * m[2]
+            wait = done_at - a * fm
+            if need <= cap:
+                cap -= need
+                for idx, q, p in group:
+                    b = q.popleft()
+                    served[idx] += b.head_bits_left + (b.left - 1) * p
+                    lat_sum[idx] += b.left * wait
+                    lat_n[idx] += b.left
+                live = [m for m in live if m[1]]
+                continue
+            # The cell runs out inside this group. Member i completes packets
+            # j0 .. ends[i] - 1 of its head batch; the first guess is those
+            # with keys below the level x, a share of frame a interpolated
+            # by cap / need from the least share already served to 1.
+            # lasts[i] is member i's last packet in, firsts[i] its first out,
+            # as (key, idx).
+            x = min([(q[0].n - q[0].left) / q[0].n for _, q, _ in group])
+            x += (1 - x) * cap / need
+            members = []  # (idx, batch, pkt bits, j0)
+            ends = []
+            lasts = []
+            firsts = []
+            bits = 0
+            for idx, q, p in group:
+                b = q[0]
+                n = b.n
+                j0 = n - b.left
+                end = int(x * n + 0.5)
+                if end > j0:
+                    if end > n:
+                        end = n
+                    bits += b.head_bits_left + (end - j0 - 1) * p
+                    lasts.append((_key(a, end - 1, n), idx))
                 else:
-                    heappop(heads)
+                    end = j0
+                    lasts.append(_NONE_IN)
+                firsts.append((_key(a, end, n), idx) if end < n else _NONE_OUT)
+                members.append((idx, b, p, j0))
+                ends.append(end)
+            # Settle with the float keys: take packets out until the rest fit
+            # and all sort before every packet out, then put in the first
+            # packet out while it fits.
+            while True:
+                last = max(lasts)
+                if last is _NONE_IN or (bits <= cap and last < min(firsts)):
+                    break
+                i = lasts.index(last)
+                idx, b, p, j0 = members[i]
+                end = ends[i] = ends[i] - 1
+                bits -= b.head_bits_left if end == j0 else p
+                firsts[i] = last
+                lasts[i] = (_key(a, end - 1, b.n), idx) if end > j0 else _NONE_IN
+            while True:  # some packet is out: the group's `need` exceeds `cap`
+                i = firsts.index(min(firsts))
+                idx, b, p, j0 = members[i]
+                end = ends[i]
+                take = b.head_bits_left if end == j0 else p
+                if bits + take > cap:
+                    break
+                bits += take
+                end = ends[i] = end + 1
+                firsts[i] = (_key(a, end, b.n), idx) if end < b.n else _NONE_OUT
+            for (idx, b, p, j0), end in zip(members, ends):
+                done = end - j0
+                if done:
+                    served[idx] += b.head_bits_left + (done - 1) * p
+                    lat_sum[idx] += done * wait
+                    lat_n[idx] += done
+                    if end == b.n:
+                        ues[idx].queue.popleft()
+                    else:
+                        b.left = b.n - end
+                        b.head_bits_left = p
+            # The first packet out, member i's, takes the bits left.
+            idx, b, _, _ = members[i]
+            b.head_bits_left -= cap - bits
+            served[idx] += cap - bits
+            break
         for ue, bits in zip(ues, served):
             ue.queued_bits -= bits
         return served, lat_sum, lat_n

@@ -309,6 +309,15 @@ def _need(holds: bool, key: str, must: str, got) -> None:
         raise ScenarioError(f"{key}: must be {must}, got {got}")
 
 
+def _need_band(lo: float, hi: float, lo_key: str, hi_key: str, lo_from: str | None) -> None:
+    """`lo <= hi`, named by the key the scenario set: `lo_key`, or `hi_key`
+    when the lo was inherited from the key `lo_from`."""
+    if lo_from is None:
+        _need(lo <= hi, lo_key, f"<= {hi_key} ({hi})", lo)
+    else:
+        _need(lo <= hi, hi_key, f">= {lo_key} ({lo}, from {lo_from})", hi)
+
+
 def _sections(values: dict, table: dict, sections: dict, required: tuple, prefix: str):
     """The keyword arguments of the object itself, and each section's record,
     from the given values, each checked against its key's domain."""
@@ -348,9 +357,10 @@ def _build(values: dict, ue_values: dict[int, dict], name: str) -> Scenario:
     # min_reports would never let a verdict be made.
     _need(detection.min_reports_before_decision <= detection.window_n, "detection.min_reports",
           f"<= detection.window_n ({detection.window_n})", detection.min_reports_before_decision)
+    lo_from = None if "fpr_benign_rate_lo_mbps" in own else "detection.rate_lo_mbps"
     lo = own.setdefault("fpr_benign_rate_lo_mbps", detection.rate_lo_mbps)  # the detection band
     hi = own.setdefault("fpr_benign_rate_hi_mbps", detection.rate_hi_mbps)
-    _need(lo <= hi, "fpr.benign_rate_lo_mbps", f"<= fpr.benign_rate_hi_mbps ({hi})", lo)
+    _need_band(lo, hi, "fpr.benign_rate_lo_mbps", "fpr.benign_rate_hi_mbps", lo_from)
 
     if not ue_values:
         raise ScenarioError("ue.*: at least one UE is required")
@@ -376,6 +386,7 @@ def _build_ue(
     # The key that set the profile band's hi: the UE's own, or the detection band's.
     hi_key = (prefix + "profile_rate_hi_mbps" if "profile_rate_hi_mbps" in vals
               else "detection.rate_hi_mbps")
+    lo_from = None if "profile_rate_lo_mbps" in vals else "detection.rate_lo_mbps"
     vals.setdefault("profile_rate_lo_mbps", detection.rate_lo_mbps)  # the detection band
     vals.setdefault("profile_rate_hi_mbps", detection.rate_hi_mbps)
     vals.setdefault("credential", _derive_credential(ue_id, secret_seed))
@@ -401,7 +412,7 @@ def _build_ue(
         _need(not ue.reserved_prbs, prefix + "reserved_prbs", "0 for a commercial UE",
               ue.reserved_prbs)
     lo, hi = ue.profile_rate_lo_mbps, ue.profile_rate_hi_mbps
-    _need(lo <= hi, prefix + "profile_rate_lo_mbps", f"<= {prefix}profile_rate_hi_mbps ({hi})", lo)
+    _need_band(lo, hi, prefix + "profile_rate_lo_mbps", prefix + "profile_rate_hi_mbps", lo_from)
     # A KPM report packs its packet count in a u32. At a UE's peak rate, the
     # packets one report period carries, rounded up, plus one that a carried
     # fraction of a packet can add, must fit it: at most 2**32 - 2 packets of

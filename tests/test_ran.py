@@ -1,6 +1,5 @@
 """Cell model: capacity arithmetic, queue growth, FIFO, determinism."""
 from dataclasses import replace
-from heapq import heapify
 from pathlib import Path
 from random import Random
 from weakref import WeakKeyDictionary
@@ -581,6 +580,9 @@ def cell_runs(draw):
     else:
         models = draw(st.lists(traffic_models(), min_size=count, max_size=count))
     zero_trust = draw(st.booleans())
+    # A legacy cell may be smaller than one packet: its cuts then fall inside
+    # a head packet that takes several frames to serve.
+    prbs = 100 if zero_trust else draw(st.integers(min_value=1, max_value=100))
     width = st.integers(min_value=1, max_value=100 // count)
     role = st.one_of(
         st.tuples(st.sampled_from(["granted", "isolated"]), width),
@@ -593,7 +595,7 @@ def cell_runs(draw):
     offered = 1 + sum(peak_packets_per_frame(m) for m in models)
     frames = draw(st.integers(min_value=1, max_value=max(1, min(200, int(20_000 / offered)))))
     switch = draw(st.integers(min_value=0, max_value=frames))
-    return models, zero_trust, tables, frames, switch
+    return models, zero_trust, prbs, tables, frames, switch
 
 
 @pytest.mark.oracle
@@ -602,38 +604,49 @@ class TestBatchedQueueOracle:
     @example((  # two UEs tie on every key; the flood backlog outgrows the cell
         [TrafficModel(kind="cbr", rate_mbps=6.0)] * 2
         + [TrafficModel(kind="flood", rate_mbps=40.0, onset_frame=10)],
-        False, [[VERIFYING] * 3] * 2, 200, 0,
+        False, 100, [[VERIFYING] * 3] * 2, 200, 0,
     ))
     @example((  # 120 and 24 packets a frame: UE 1's runs end in ties it wins
         [TrafficModel(kind="cbr", rate_mbps=120.0, packet_size_bytes=1250),
          TrafficModel(kind="cbr", rate_mbps=24.0, packet_size_bytes=1250)],
-        False, [[VERIFYING] * 2] * 2, 40, 0,
+        False, 100, [[VERIFYING] * 2] * 2, 40, 0,
     ))
     @example((  # the backlog is exactly the cell's 240 000 bits every frame
         [TrafficModel(kind="cbr", rate_mbps=8.0, packet_size_bytes=1000)] * 3,
-        False, [[VERIFYING] * 3] * 2, 120, 0,
+        False, 100, [[VERIFYING] * 3] * 2, 120, 0,
     ))
     @example((  # one packet over the cell at frame 100, and congested from then on
         [TrafficModel(kind="cbr", rate_mbps=8.008, packet_size_bytes=1000)]
         + [TrafficModel(kind="cbr", rate_mbps=8.0, packet_size_bytes=1000)] * 2,
-        False, [[VERIFYING] * 3] * 2, 120, 0,
+        False, 100, [[VERIFYING] * 3] * 2, 120, 0,
     ))
     @example((  # both queues are empty at frame 30, when both UEs lose their slice and grant
         [IDLE, TrafficModel(kind="cbr", rate_mbps=0.1, packet_size_bytes=3000)],
-        True, [[("granted", 5)] * 2, [VERIFYING] * 2], 60, 30,
+        True, 100, [[("granted", 5)] * 2, [VERIFYING] * 2], 60, 30,
     ))
     @example((  # a flooder queues while verifying, then is denied; an idle UE goes granted to isolated
         [TrafficModel(kind="flood", rate_mbps=40.0), IDLE],
-        True, [[VERIFYING, ("granted", 5)], [DENIED, ("isolated", 1)]], 60, 20,
+        True, 100, [[VERIFYING, ("granted", 5)], [DENIED, ("isolated", 1)]], 60, 20,
+    ))
+    @example((  # congested by UEs of three packet sizes, so a cut's members differ in n
+        [TrafficModel(kind="cbr", rate_mbps=12.0, packet_size_bytes=size) for size in (150, 1500, 9000)],
+        False, 100, [[VERIFYING] * 3] * 2, 150, 0,
+    ))
+    @example((  # a 1-PRB cell serves a fifth of a 1500-byte packet a frame
+        [TrafficModel(kind="cbr", rate_mbps=0.5), TrafficModel(kind="cbr", rate_mbps=0.3)],
+        False, 1, [[VERIFYING] * 2] * 2, 120, 0,
     ))
     @settings(max_examples=200, deadline=None)
     def test_frames_equal_per_packet_reference(self, run):
         """Every branch of the frame loop against the per-packet reference:
-        the legacy whole drain and shared FIFO, and in zero-trust mode idle
+        the legacy whole drain and shared FIFO, in cells of 1 to 100 PRBs,
+        and in zero-trust mode idle
         UEs, granted and isolated UEs served up to their slice, unbound
         verifying UEs that queue, and denied UEs whose tail batch grows."""
-        models, zero_trust, tables, frames, switch = run
-        cells = [new_cell(zero_trust=zero_trust), new_cell(ReferenceCell, zero_trust=zero_trust)]
+        models, zero_trust, prbs, tables, frames, switch = run
+        cfg = replace(CELL_SCENARIO.cell, total_prbs=prbs)
+        cells = [new_cell(zero_trust=zero_trust, cell=cfg),
+                 new_cell(ReferenceCell, zero_trust=zero_trust, cell=cfg)]
         for cell in cells:
             for ue, model in enumerate(models, start=1):
                 cell.attach(UeSpec(ue, model))
@@ -932,30 +945,61 @@ class TestAsymptoticGate:
 
     def test_uncongested_legacy_frames_skip_the_merge(self, monkeypatch):
         """latency_flood in legacy mode: before the flood's onset the whole
-        backlog fits every frame, so the shared FIFO's heap merge never runs;
-        from the onset on the flooder saturates the cell and it does."""
+        backlog fits every frame, so the shared FIFO is never cut; from the
+        onset on the flooder saturates the cell and it is."""
         sc = load_scenario(SCENARIOS / "latency_flood.scn")
         onset = next(u.traffic.onset_frame for u in sc.ues if u.traffic.kind == "flood")
-        heapified = [0]
-        per_frame: list[int] = []  # heapify calls in each frame
+        cuts = [0]
+        per_frame: list[int] = []  # _serve_shared calls in each frame
         step = RanCell.step_frame
+        serve = RanCell._serve_shared
 
-        def counting_heapify(heap):
-            heapified[0] += 1
-            heapify(heap)
+        def counting_serve(cell, ues, cap):
+            cuts[0] += 1
+            return serve(cell, ues, cap)
 
         def recording_step(cell):
-            before = heapified[0]
+            before = cuts[0]
             report = step(cell)
-            per_frame.append(heapified[0] - before)
+            per_frame.append(cuts[0] - before)
             return report
 
-        monkeypatch.setattr(ran, "heapify", counting_heapify)
+        monkeypatch.setattr(RanCell, "_serve_shared", counting_serve)
         monkeypatch.setattr(RanCell, "step_frame", recording_step)
         run(sc, legacy=True)
         assert onset == 1500 and len(per_frame) == sc.duration_frames
         assert sum(per_frame[:onset]) == 0
         assert sum(per_frame[onset:]) > 0
+
+    @pytest.mark.parametrize("size", [1500, 150])
+    def test_congested_legacy_frame_costs_keys_per_ue_not_per_packet(self, monkeypatch, size):
+        """latency_flood in legacy mode with every packet `size` bytes: a
+        congested frame evaluates at most 5 FIFO keys per UE with a backlog,
+        at 150 bytes as at 1500, though a frame then holds ten times the
+        packets. Counted through `ran._key`, the one key function."""
+        text = (SCENARIOS / "latency_flood.scn").read_text()
+        sc = parse_scenario(text + "".join(f"ue.{u}.packet_size_bytes = {size}\n" for u in (1, 2, 3)), "gate")
+        keys = [0]
+        cost: list[tuple[int, int]] = []  # per congested frame: (keys evaluated, UEs with a backlog)
+        key = ran._key
+        serve = RanCell._serve_shared
+
+        def counting_key(a, j, n):
+            keys[0] += 1
+            return key(a, j, n)
+
+        def recording_serve(cell, ues, cap):
+            before = keys[0]
+            backlogged = sum(1 for ue in ues if ue.queue)
+            out = serve(cell, ues, cap)
+            cost.append((keys[0] - before, backlogged))
+            return out
+
+        monkeypatch.setattr(ran, "_key", counting_key)
+        monkeypatch.setattr(RanCell, "_serve_shared", recording_serve)
+        run(sc, legacy=True)
+        assert len(cost) >= 1400
+        assert all(evaluated <= 5 * backlogged for evaluated, backlogged in cost)
 
     def test_invariant_scans_follow_state_changes(self, monkeypatch):
         """A 4000-frame run with staggered attaches, re-auth, a flooder and a

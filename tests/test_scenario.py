@@ -163,6 +163,18 @@ class TestRejection:
         with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             parse_scenario(MINIMAL + extra + "\n")
 
+    @pytest.mark.parametrize(("extra", "message"), [
+        ("ue.1.profile_rate_hi_mbps = 5",
+         "ue.1.profile_rate_hi_mbps: must be >= ue.1.profile_rate_lo_mbps "
+         "(10.0, from detection.rate_lo_mbps), got 5.0"),
+        ("fpr.benign_rate_hi_mbps = 5",
+         "fpr.benign_rate_hi_mbps: must be >= fpr.benign_rate_lo_mbps "
+         "(10.0, from detection.rate_lo_mbps), got 5.0"),
+    ])
+    def test_band_below_an_inherited_lo_names_the_hi_key_it_set(self, extra, message):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(MINIMAL + extra + "\n")
+
     @pytest.mark.parametrize(("kind", "given", "missing"), [
         ("cbr", "", "rate_mbps"), ("flood", "ue.2.onset_frame = 3\n", "rate_mbps"),
         ("uniform_rate", "ue.2.rate_hi_mbps = 8\n", "rate_lo_mbps"),
